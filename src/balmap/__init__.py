@@ -3,7 +3,11 @@
 Layers, bottom up:
 
 * exact   -- Gaussian-rational scalars and exact linear algebra
-* symalg  -- polynomial chart backend (forms, fields, Lie derivatives)
+* forms   -- the bigraded form algebra both backends share: forms, (1,0)/(0,1)
+             fields, wedge, contraction, evaluation, conjugation, brackets and
+             the Lie derivatives
+* symalg  -- polynomial chart backend (coefficients, split derivatives by
+             partials, the exact identity suite)
 * invariant -- structure-constant models and their finite complexes
 * hodge   -- metric adjoints, the six-term Laplacian, Green operator,
              minimal potentials, exact cohomology ranks
@@ -16,13 +20,13 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .exact import CRat
+from .forms import (Form, Field, MixedField, contract, evaluate, lie01, lie10,
+                    lie_bracket, lie_std, wedge)
 from .symalg import (ChartForm, ChartVectorField, Poly, chart_d, chart_del,
-                     chart_delbar, contract, identity_suite, lie01, lie10,
-                     lie_bracket, lie_std, mixed_second_derivative_check,
-                     wedge)
-from .invariant import (InvForm, InvVectorField, LieModel, contract_inv,
-                        flow_pullback, integrate, lie01_inv, lie10_inv,
-                        load_model, parse_model, save_model, wedge_inv)
+                     chart_delbar, identity_suite,
+                     mixed_second_derivative_check)
+from .invariant import (InvForm, InvVectorField, LieModel, flow_pullback,
+                        integrate, load_model, parse_model, save_model)
 from .hodge import (ClassObstructionError, HermitianMetricSpec, MetricContext,
                     aeppli_dim, bc_dim, delta_bc, green_apply, neumann_gamma,
                     three_space_decompose)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,10 +36,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _all_models() -> Dict[str, LieModel]:
-    return dict(MODELS)
-
-
 def _resolve_map(ref: str, models) -> MapSpec:
     if ref in CATALOG_MAPS:
         return get_map(ref)
@@ -58,6 +54,13 @@ def _parse_field_coeffs(model: LieModel, text: str, kind: str) -> InvVectorField
                                   "use a tuple file for complex coefficients")
         coeffs.append(CRat(Fraction(p)))
     return InvVectorField(model, kind, coeffs)
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return n
 
 
 def _emit(report: Report, args) -> int:
@@ -107,17 +110,20 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    models = _all_models()
     rep = Report(command="cohomology", seed=None)
     try:
-        model = models[args.model] if args.model in models else load_model(args.model)
+        model = MODELS[args.model] if args.model in MODELS else load_model(args.model)
+        for flag, v in (("--p", args.p), ("--q", args.q)):
+            if not 0 <= v <= model.dim:
+                raise ValidationError("%s %d is outside 0..%d for model %s"
+                                      % (flag, v, model.dim, model.name))
         if args.kind == "aeppli":
             dim = aeppli_dim(model, args.p, args.q)
             law = "aeppli-dimension-exact-rank"
         else:
             dim = bc_dim(model, args.p, args.q)
             law = "bott-chern-dimension-exact-rank"
-    except (ParseError, ModelError, OSError) as e:
+    except (ParseError, ModelError, ValidationError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT_ERROR
     rep.add("%s-%s-%d-%d" % (args.kind, model.name, args.p, args.q), law, True,
@@ -128,12 +134,16 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_moment(args) -> int:
-    models = _all_models()
     try:
-        f = _resolve_map(args.map, models)
-        tuple_name, t = load_tuple(args.tuple, models)
+        f = _resolve_map(args.map, MODELS)
+        tuple_name, t = load_tuple(args.tuple, MODELS)
         if args.gamma_policy:
             t = MomentTuple(t.xis, t.etabars, args.gamma_policy)
+        if t.model() is not f.source:
+            raise ValidationError("tuple %s lives on model %s, not on the source "
+                                  "model %s of map %s" % (
+                                      tuple_name, getattr(t.model(), "name", None),
+                                      f.source.name, f.name))
     except (ParseError, ValidationError, OSError, KeyError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -175,9 +185,8 @@ def cmd_moment(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    models = _all_models()
     try:
-        f = _resolve_map(args.map, models)
+        f = _resolve_map(args.map, MODELS)
         xi = _parse_field_coeffs(f.source, args.xi, HOLO)
         eta = _parse_field_coeffs(f.source, args.eta, HOLO)
         steps = [float(s) for s in args.steps.split(",")]
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=20)
+        p.add_argument("--trials", type=_positive_int, default=20)
         p.add_argument("--format", choices=("human", "structured"),
                        default="human")
         p.add_argument("--output", default=None,

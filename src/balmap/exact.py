@@ -10,9 +10,7 @@ hodge/flow boundary where eigendecompositions take over).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
-
-Scalar = Union["CRat", complex, float, int]
+from typing import List, Optional, Sequence, Tuple
 
 
 class CRat:
@@ -141,24 +139,8 @@ def ipow(k: int) -> CRat:
     return (ONE, I, CRat(-1), CRat(0, -1))[k % 4]
 
 
-def as_crat(x: Scalar) -> CRat:
-    if isinstance(x, CRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CRat(x)
-    raise TypeError("cannot coerce %r to CRat exactly" % (x,))
-
-
 def is_exact(x) -> bool:
     return isinstance(x, (CRat, int, Fraction))
-
-
-def conj_scalar(x: Scalar) -> Scalar:
-    if isinstance(x, CRat):
-        return x.conjugate()
-    if isinstance(x, (int, Fraction)):
-        return x
-    return x.conjugate() if hasattr(x, "conjugate") else complex(x).conjugate()
 
 
 # -- exact dense linear algebra over CRat ------------------------------------
@@ -168,83 +150,18 @@ def conj_scalar(x: Scalar) -> Scalar:
 # elimination with exact pivoting is plenty.
 
 
-def exact_rank(rows: Sequence[Sequence[CRat]]) -> int:
+def _rref(rows: Sequence[Sequence[CRat]],
+          ncols: int) -> Tuple[List[List[CRat]], List[int]]:
+    """Gauss-Jordan elimination with pivots searched in the first ncols
+    columns; returns the reduced rows and the pivot column of each pivot row."""
     m = [list(r) for r in rows]
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = ONE / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def exact_solve(rows: Sequence[Sequence[CRat]],
-                rhs: Sequence[CRat]) -> Optional[List[CRat]]:
-    """One solution of A x = b over Q(i), or None if inconsistent."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = ONE / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    x = [ZERO] * ncols
-    for r, c in pivots:
-        x[c] = aug[r][ncols]
-    return x
-
-
-def exact_nullspace(rows: Sequence[Sequence[CRat]]) -> List[List[CRat]]:
-    """Basis of the right nullspace of A over Q(i)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [list(r) for r in rows]
     pivots: List[int] = []
-    row = 0
     for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
-                break
+        row = len(pivots)
+        if row == nrows:
+            break
+        piv = next((r for r in range(row, nrows) if m[r][col]), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
@@ -255,12 +172,36 @@ def exact_nullspace(rows: Sequence[Sequence[CRat]]) -> List[List[CRat]]:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[row])]
         pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return m, pivots
+
+
+def _ncols(rows: Sequence[Sequence[CRat]]) -> int:
+    return len(rows[0]) if rows else 0
+
+
+def exact_rank(rows: Sequence[Sequence[CRat]]) -> int:
+    return len(_rref(rows, _ncols(rows))[1])
+
+
+def exact_solve(rows: Sequence[Sequence[CRat]],
+                rhs: Sequence[CRat]) -> Optional[List[CRat]]:
+    """One solution of A x = b over Q(i), or None if inconsistent."""
+    ncols = _ncols(rows)
+    m, pivots = _rref([list(r) + [rhs[i]] for i, r in enumerate(rows)], ncols)
+    if any(m[r][ncols] for r in range(len(pivots), len(m))):
+        return None
+    x = [ZERO] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][ncols]
+    return x
+
+
+def exact_nullspace(rows: Sequence[Sequence[CRat]]) -> List[List[CRat]]:
+    """Basis of the right nullspace of A over Q(i)."""
+    ncols = _ncols(rows)
+    m, pivots = _rref(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[fc] = ONE
         for r, c in enumerate(pivots):

@@ -6,8 +6,10 @@ d(phi^k) over the basis {phi^i^phi^j (i<j), phi^i^phibar^j, phibar^i^phibar^j
 stored.  Everything downstream (cohomology, Hodge theory, the moment-map
 checks) is finite-dimensional linear algebra over this complex.
 
-Sign conventions are inherited verbatim from the chart backend; the volume
-form is dV = i^(d^2) phi^{1..d} ^ phibar^{1..d} and integrate is the linear
+The form algebra and its sign conventions are the shared ones of
+``balmap.forms``; this module supplies the split derivatives from the
+structure constants and the frame bracket.  The volume form is
+dV = i^(d^2) phi^{1..d} ^ phibar^{1..d} and integrate is the linear
 functional with integrate(dV) = volume_scale.
 """
 
@@ -16,16 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CRat, ONE, ZERO, ipow, is_exact, conj_scalar
-from .symalg import merge_sorted, remove_index
-
-BasisKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
-HOLO = "1,0"
-ANTI = "0,1"
+from .exact import CRat, ONE, ZERO, ipow, is_exact
+from .forms import (ANTI, HOLO, BasisKey, Field, Form, MixedField, add_term,
+                    evaluate, lie01, lie10, wedge, wedge_word)
 
 # labels for the three families of basis 2-forms in d(phi^k)
 HH = "hh"   # phi^i ^ phi^j, i < j
@@ -89,7 +88,7 @@ class LieModel:
         for k in range(1, self.dim + 1):
             for gen in (self.form_basis(1, 0, ((k,), ())),
                         self.form_basis(0, 1, ((), (k,)))):
-                dd = self.d(self.d(gen))
+                dd = gen.d().d()
                 if dd:
                     raise ModelError(
                         "model %s: d(d(generator %d)) != 0" % (self.name, k))
@@ -142,72 +141,54 @@ class LieModel:
             else:
                 # d(phibar^k) = conj(d phi^k)
                 if t.family == HH:
-                    out.append((((), (t.i, t.j)), conj_scalar(c)))
+                    out.append((((), (t.i, t.j)), c.conjugate()))
                 elif t.family == MIX:
                     # conj(phi^i ^ phibar^j) = -phi^j ^ phibar^i
-                    out.append((((t.j,), (t.i,)), -conj_scalar(c)))
+                    out.append((((t.j,), (t.i,)), -c.conjugate()))
         return out
 
-    def d(self, u: "InvForm") -> "InvForm":
-        return self.ce_d(u)
-
-    def _derive(self, u: "InvForm", keep: str) -> "InvForm":
-        """Antiderivation extension of d, restricted to a bidegree shift."""
+    def _derive(self, u: "InvForm", shift: Tuple[int, int]) -> "InvForm":
+        """Antiderivation extension of d, keeping the terms that raise the
+        bidegree by shift: (1, 0) for del, (0, 1) for delbar."""
         out: Dict[BasisKey, object] = {}
         for (Iidx, Jidx), c in u.coeffs.items():
+            target = (len(Iidx) + shift[0], len(Jidx) + shift[1])
             letters = [(False, i) for i in Iidx] + [(True, j) for j in Jidx]
             for pos, (bar, k) in enumerate(letters):
-                sign0 = (-1) ** pos
-                for (dI, dJ), dc in self._d_letter(bar, k):
-                    rest = letters[:pos] + letters[pos + 1:]
-                    restI = tuple(i for b, i in rest if not b)
-                    restJ = tuple(j for b, j in rest if b)
-                    mi = merge_sorted(dI, restI)
-                    if mi is None:
+                rest = letters[:pos] + letters[pos + 1:]
+                rest_key = (tuple(i for b, i in rest if not b),
+                            tuple(j for b, j in rest if b))
+                for dkey, dc in self._d_letter(bar, k):
+                    w = wedge_word(dkey, rest_key)
+                    if w is None or (len(w[1][0]), len(w[1][1])) != target:
                         continue
-                    mj = merge_sorted(dJ, restJ)
-                    if mj is None:
-                        continue
-                    sign = sign0 * mi[0] * mj[0] * ((-1) ** (len(dJ) * len(restI)))
-                    p_new, q_new = len(mi[1]), len(mj[1])
-                    if keep == "del" and (p_new, q_new) != (len(Iidx) + 1, len(Jidx)):
-                        continue
-                    if keep == "delbar" and (p_new, q_new) != (len(Iidx), len(Jidx) + 1):
-                        continue
-                    key = (mi[1], mj[1])
-                    val = c * dc * sign
-                    s = out.get(key)
-                    s = val if s is None else s + val
-                    if _nonzero(s):
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    add_term(out, w[1], c * dc * ((-1) ** pos * w[0]))
         return InvForm(self, out)
 
     def ce_del(self, u: "InvForm") -> "InvForm":
-        return self._derive(u, "del")
+        return self._derive(u, (1, 0))
 
     def ce_delbar(self, u: "InvForm") -> "InvForm":
-        return self._derive(u, "delbar")
+        return self._derive(u, (0, 1))
 
     def ce_d(self, u: "InvForm") -> "InvForm":
-        return self._derive(u, "both")
+        return u.d()
 
     # -- frame bracket table -------------------------------------------------
     #
     # For invariant 1-forms and frame fields, d(alpha)(X, Y) = -alpha([X, Y]).
 
-    def bracket(self, a: "InvVectorField", b: "InvVectorField") -> "MixedInvField":
+    def bracket(self, a, b) -> MixedField:
         holo = [ZERO] * self.dim
         anti = [ZERO] * self.dim
         for k in range(1, self.dim + 1):
             dphi = InvForm(self, dict(self._d_letter(False, k)))
-            holo[k - 1] = -_pair2(dphi, a, b)
+            holo[k - 1] = -evaluate(dphi, [a, b])
             dphibar = InvForm(self, dict(self._d_letter(True, k)))
-            anti[k - 1] = -_pair2(dphibar, a, b)
-        h = InvVectorField(self, HOLO, holo) if any(_nonzero(c) for c in holo) else None
-        t = InvVectorField(self, ANTI, anti) if any(_nonzero(c) for c in anti) else None
-        return MixedInvField(self, h, t)
+            anti[k - 1] = -evaluate(dphibar, [a, b])
+        h = InvVectorField(self, HOLO, holo) if any(holo) else None
+        t = InvVectorField(self, ANTI, anti) if any(anti) else None
+        return MixedField(self, h, t)
 
     def dbar_field(self, xi: "InvVectorField") -> List[List[CRat]]:
         """Components of dbar(xi) for an invariant (1,0) field.
@@ -219,7 +200,7 @@ class LieModel:
         out = []
         for b in range(1, self.dim + 1):
             br = self.bracket(self.frame_bar(b), xi)
-            row = list(br.holo.coeffs) if br.holo else [ZERO] * self.dim
+            row = list(br.holo.comps) if br.holo else [ZERO] * self.dim
             out.append(row)
         return out
 
@@ -227,77 +208,26 @@ class LieModel:
         return "LieModel(%r, dim=%d)" % (self.name, self.dim)
 
 
-def _nonzero(c) -> bool:
-    if isinstance(c, CRat):
-        return bool(c)
-    return abs(c) > 0
-
-
-def _pair2(u: "InvForm", a: "InvVectorField", b: "InvVectorField"):
-    """u(a, b) = b . a . u for a 2-form u."""
-    return contract_inv(b, contract_inv(a, u)).scalar()
-
-
-class InvForm:
+class InvForm(Form):
     """Invariant form: coefficients over the wedge basis phi_I ^ phibar_J.
 
     Coefficients are CRat in exact mode; python complex is accepted and
     propagates (float mode), which is what the Hodge/flow layer produces.
     """
 
-    __slots__ = ("model", "coeffs")
+    __slots__ = ()
+    LETTERS = ("f", "b")
 
-    def __init__(self, model: LieModel, coeffs: Dict[BasisKey, object]):
-        self.model = model
-        self.coeffs = {k: c for k, c in coeffs.items() if _nonzero(c)}
+    model = property(lambda self: self.space)
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    def zero_coeff(self):
+        return ZERO
 
-    def __eq__(self, other):
-        return (isinstance(other, InvForm) and self.model is other.model
-                and self.coeffs == other.coeffs)
+    def del_(self) -> "InvForm":
+        return self.space.ce_del(self)
 
-    def __add__(self, other):
-        if not isinstance(other, InvForm):
-            return NotImplemented
-        if other.model is not self.model:
-            raise ValueError("forms live on different models")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if _nonzero(s):
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return InvForm(self.model, out)
-
-    def __neg__(self):
-        return InvForm(self.model, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "InvForm":
-        return InvForm(self.model, {k: v * c for k, v in self.coeffs.items()})
-
-    def conj(self) -> "InvForm":
-        out = {}
-        for (Iidx, Jidx), c in self.coeffs.items():
-            sign = (-1) ** (len(Iidx) * len(Jidx))
-            val = conj_scalar(c) * sign
-            key = (Jidx, Iidx)
-            s = out.get(key)
-            out[key] = val if s is None else s + val
-        return InvForm(self.model, out)
-
-    def bidegrees(self) -> set:
-        return {(len(I_), len(J_)) for I_, J_ in self.coeffs}
-
-    def bidegree(self) -> Optional[Tuple[int, int]]:
-        bs = self.bidegrees()
-        return bs.pop() if len(bs) == 1 else None
+    def delbar(self) -> "InvForm":
+        return self.space.ce_delbar(self)
 
     def is_real(self) -> bool:
         diff = self - self.conj()
@@ -305,10 +235,6 @@ class InvForm:
 
     def is_exact_coeffs(self) -> bool:
         return all(is_exact(c) for c in self.coeffs.values())
-
-    def scalar(self):
-        """Coefficient of the empty wedge word (a constant function)."""
-        return self.coeffs.get(((), ()), ZERO)
 
     def to_vector(self, p: int, q: int) -> np.ndarray:
         keys = self.model.basis_keys(p, q)
@@ -324,198 +250,23 @@ class InvForm:
         return float(np.sqrt(sum(abs(complex(c)) ** 2
                                  for c in self.coeffs.values()))) if self.coeffs else 0.0
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "InvForm(0)"
-        bits = []
-        for (Iidx, Jidx), c in sorted(self.coeffs.items()):
-            w = "".join("f%d" % i for i in Iidx) + "".join("b%d" % j for j in Jidx)
-            bits.append("(%r)%s" % (c, w or "1"))
-        return "InvForm[%s](%s)" % (self.model.name, " + ".join(bits))
-
-
-def wedge_inv(u: InvForm, v: InvForm) -> InvForm:
-    if u.model is not v.model:
-        raise ValueError("forms live on different models")
-    out: Dict[BasisKey, object] = {}
-    for (I1, J1), c1 in u.coeffs.items():
-        for (I2, J2), c2 in v.coeffs.items():
-            mi = merge_sorted(I1, I2)
-            if mi is None:
-                continue
-            mj = merge_sorted(J1, J2)
-            if mj is None:
-                continue
-            sign = mi[0] * mj[0] * ((-1) ** (len(J1) * len(I2)))
-            key = (mi[1], mj[1])
-            val = c1 * c2 * sign
-            s = out.get(key)
-            s = val if s is None else s + val
-            if _nonzero(s):
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return InvForm(u.model, out)
-
 
 def wedge_power(u: InvForm, k: int) -> InvForm:
     acc = u
     for _ in range(k - 1):
-        acc = wedge_inv(acc, u)
+        acc = wedge(acc, u)
     return acc
 
 
-class InvVectorField:
+class InvVectorField(Field):
     """Frame-constant (1,0) or (0,1) field on a LieModel."""
 
-    __slots__ = ("model", "kind", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, model: LieModel, kind: str, coeffs: Sequence):
-        if kind not in (HOLO, ANTI):
-            raise ValueError("kind must be %r or %r" % (HOLO, ANTI))
-        if len(coeffs) != model.dim:
-            raise ValueError("expected %d coefficients" % model.dim)
-        self.model = model
-        self.kind = kind
-        self.coeffs = tuple(coeffs)
+    model = property(lambda self: self.space)
 
-    def conj(self) -> "InvVectorField":
-        return InvVectorField(self.model, ANTI if self.kind == HOLO else HOLO,
-                              [conj_scalar(c) for c in self.coeffs])
-
-    def scale(self, c) -> "InvVectorField":
-        return InvVectorField(self.model, self.kind, [x * c for x in self.coeffs])
-
-    def __add__(self, other):
-        if isinstance(other, InvVectorField) and other.kind == self.kind:
-            return InvVectorField(self.model, self.kind,
-                                  [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return MixedInvField.of(self) + MixedInvField.of(other)
-
-    def __repr__(self):
-        sym = "Z" if self.kind == HOLO else "Zbar"
-        bits = ["(%r)%s%d" % (c, sym, j + 1)
-                for j, c in enumerate(self.coeffs) if _nonzero(c)]
-        return "InvField[" + (" + ".join(bits) or "0") + "]"
-
-
-class MixedInvField:
-    """Sum of a (1,0) and a (0,1) invariant field (mixed brackets)."""
-
-    __slots__ = ("model", "holo", "anti")
-
-    def __init__(self, model, holo: Optional[InvVectorField],
-                 anti: Optional[InvVectorField]):
-        self.model = model
-        self.holo = holo
-        self.anti = anti
-
-    @staticmethod
-    def of(v) -> "MixedInvField":
-        if isinstance(v, MixedInvField):
-            return v
-        if v.kind == HOLO:
-            return MixedInvField(v.model, v, None)
-        return MixedInvField(v.model, None, v)
-
-    def __add__(self, other):
-        o = MixedInvField.of(other)
-
-        def plus(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return InvVectorField(a.model, a.kind,
-                                  [x + y for x, y in zip(a.coeffs, b.coeffs)])
-        return MixedInvField(self.model, plus(self.holo, o.holo),
-                             plus(self.anti, o.anti))
-
-    def parts(self) -> List[InvVectorField]:
-        return [p for p in (self.holo, self.anti) if p is not None]
-
-    def is_zero(self) -> bool:
-        return all(not any(_nonzero(c) for c in p.coeffs) for p in self.parts())
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(complex(c)) ** 2
-                                 for p in self.parts() for c in p.coeffs)))
-
-    def __repr__(self):
-        return "Mixed(%r, %r)" % (self.holo, self.anti)
-
-
-InvFieldLike = Union[InvVectorField, MixedInvField]
-
-
-def contract_inv(v: InvFieldLike, u: InvForm) -> InvForm:
-    if isinstance(v, MixedInvField):
-        out = u.model.zero()
-        for part in v.parts():
-            out = out + contract_inv(part, u)
-        return out
-    out: Dict[BasisKey, object] = {}
-    for (Iidx, Jidx), c in u.coeffs.items():
-        for j, comp in enumerate(v.coeffs, start=1):
-            if not _nonzero(comp):
-                continue
-            if v.kind == HOLO:
-                r = remove_index(Iidx, j)
-                if r is None:
-                    continue
-                sign, newI = r
-                key = (newI, Jidx)
-            else:
-                r = remove_index(Jidx, j)
-                if r is None:
-                    continue
-                sign, newJ = r
-                sign *= (-1) ** len(Iidx)
-                key = (Iidx, newJ)
-            val = c * comp * sign
-            s = out.get(key)
-            s = val if s is None else s + val
-            if _nonzero(s):
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return InvForm(u.model, out)
-
-
-def contract_seq(fields: Sequence[InvFieldLike], u: InvForm) -> InvForm:
-    """fields[0] . fields[1] . ... . u, rightmost contraction first."""
-    acc = u
-    for v in reversed(fields):
-        acc = contract_inv(v, acc)
-    return acc
-
-
-def evaluate_inv(u: InvForm, fields: Sequence[InvFieldLike]):
-    """u(v_1, ..., v_k) = v_k . (... (v_1 . u))."""
-    acc = u
-    for v in fields:
-        acc = contract_inv(v, acc)
-    return acc.scalar()
-
-
-def lie10_inv(xi: InvVectorField, u: InvForm) -> InvForm:
-    if xi.kind != HOLO:
-        raise ValueError("lie10_inv expects a (1,0) field")
-    m = u.model
-    return contract_inv(xi, m.ce_del(u)) + m.ce_del(contract_inv(xi, u))
-
-
-def lie01_inv(eta_bar: InvVectorField, u: InvForm) -> InvForm:
-    if eta_bar.kind != ANTI:
-        raise ValueError("lie01_inv expects a (0,1) field")
-    m = u.model
-    return contract_inv(eta_bar, m.ce_delbar(u)) + m.ce_delbar(contract_inv(eta_bar, u))
-
-
-def lie_inv(v: InvFieldLike, u: InvForm) -> InvForm:
-    """Standard Lie derivative v . d u + d (v . u)."""
-    m = u.model
-    return contract_inv(v, m.ce_d(u)) + m.ce_d(contract_inv(v, u))
+    def bracket(self, other: "InvVectorField") -> MixedField:
+        return self.space.bracket(self, other)
 
 
 def integrate(u: InvForm):
@@ -541,38 +292,41 @@ def integrate(u: InvForm):
 # -- operator matrices over the wedge bases -----------------------------------
 
 
+def _operator_entries(model: LieModel, op, p: int, q: int, p_out: int, q_out: int
+                      ) -> Tuple[int, int, Iterator[Tuple[int, int, object]]]:
+    """Shape and nonzero (row, col, coefficient) entries of an operator
+    between wedge bases, column by column."""
+    dom = model.basis_keys(p, q)
+    index = {k: i for i, k in enumerate(model.basis_keys(p_out, q_out))}
+    entries = ((index[k2], col, c) for col, key in enumerate(dom)
+               for k2, c in op(model.form_basis(p, q, key)).coeffs.items())
+    return len(index), len(dom), entries
+
+
 def operator_matrix(model: LieModel, op, p: int, q: int,
                     p_out: int, q_out: int) -> np.ndarray:
     """Dense complex matrix of a linear operator between wedge bases."""
-    dom = model.basis_keys(p, q)
-    cod = model.basis_keys(p_out, q_out)
-    index = {k: i for i, k in enumerate(cod)}
-    A = np.zeros((len(cod), len(dom)), dtype=complex)
-    for col, key in enumerate(dom):
-        img = op(model.form_basis(p, q, key))
-        for k2, c in img.coeffs.items():
-            A[index[k2], col] = complex(c)
+    nrows, ncols, entries = _operator_entries(model, op, p, q, p_out, q_out)
+    A = np.zeros((nrows, ncols), dtype=complex)
+    for r, col, c in entries:
+        A[r, col] = complex(c)
     return A
 
 
 def operator_rows_exact(model: LieModel, op, p: int, q: int,
                         p_out: int, q_out: int) -> List[List[CRat]]:
     """Exact CRat matrix of an operator between wedge bases (rows)."""
-    dom = model.basis_keys(p, q)
-    cod = model.basis_keys(p_out, q_out)
-    index = {k: i for i, k in enumerate(cod)}
-    rows = [[ZERO] * len(dom) for _ in cod]
-    for col, key in enumerate(dom):
-        img = op(model.form_basis(p, q, key))
-        for k2, c in img.coeffs.items():
-            rows[index[k2]][col] = c
+    nrows, ncols, entries = _operator_entries(model, op, p, q, p_out, q_out)
+    rows = [[ZERO] * ncols for _ in range(nrows)]
+    for r, col, c in entries:
+        rows[r][col] = c
     return rows
 
 
 def lie_operator_matrix(model: LieModel, field: InvVectorField,
                         p: int, q: int) -> np.ndarray:
-    op = (lambda u: lie10_inv(field, u)) if field.kind == HOLO \
-        else (lambda u: lie01_inv(field, u))
+    op = (lambda u: lie10(field, u)) if field.kind == HOLO \
+        else (lambda u: lie01(field, u))
     return operator_matrix(model, op, p, q, p, q)
 
 

@@ -6,9 +6,10 @@ holomorphic fields paired through a potential of the pulled-back power.
 
 The two double-sum residuals defining the admissible tuple space, the
 reversal-sign identities used to move a pairing under the integral, and the
-derivative-of-contraction closed formulas are implemented once over an
-abstract backend so they can be exercised exactly on the polynomial chart
-and to float tolerance (exactly, for rational data) on invariant models.
+derivative-of-contraction closed formulas are written once over the shared
+form algebra of ``balmap.forms``, so they are exercised exactly on the
+polynomial chart and to float tolerance (exactly, for rational data) on
+invariant models.
 """
 
 from __future__ import annotations
@@ -23,90 +24,26 @@ import numpy as np
 
 from .exact import CRat, ONE, I
 from . import symalg
+from .forms import contract, evaluate, lie01, lie10, lie_bracket, wedge
 from .invariant import (ANTI, HOLO, InvForm, InvVectorField, LieModel,
-                        contract_inv, evaluate_inv, flow_pullback, integrate,
-                        lie10_inv, lie01_inv, wedge_inv, wedge_power,
-                        ParseError)
+                        flow_pullback, integrate, wedge_power, ParseError)
 from .hodge import (ClassObstructionError, HermitianMetricSpec,
                     exact_ddbar_solve, neumann_gamma)
 
 
-# -- backends for the sign-critical identities -----------------------------------
+# -- the sign-critical identities ----------------------------------------------
 
 
-class ChartBackend:
-    """Polynomial chart backend (exact)."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def contract(self, v, u):
-        return symalg.contract(v, u)
-
-    def del_(self, u):
-        return symalg.chart_del(u)
-
-    def delbar(self, u):
-        return symalg.chart_delbar(u)
-
-    def bracket(self, a, b):
-        return symalg.lie_bracket(a, b)
-
-    def wedge(self, a, b):
-        return symalg.wedge(a, b)
-
-    def zero_form(self):
-        return symalg.ChartForm.zero(self.dim)
-
-    def volume(self):
-        return symalg.standard_volume(self.dim)
-
-    def scalar_of(self, u):
-        return u.coefficient((), ())
-
-
-class InvariantBackend:
-    """Structure-constant backend (exact for rational data)."""
-
-    def __init__(self, model: LieModel):
-        self.model = model
-        self.dim = model.dim
-
-    def contract(self, v, u):
-        return contract_inv(v, u)
-
-    def del_(self, u):
-        return self.model.ce_del(u)
-
-    def delbar(self, u):
-        return self.model.ce_delbar(u)
-
-    def bracket(self, a, b):
-        return self.model.bracket(a, b)
-
-    def wedge(self, a, b):
-        return wedge_inv(a, b)
-
-    def zero_form(self):
-        return self.model.zero()
-
-    def volume(self):
-        return self.model.volume_form()
-
-    def scalar_of(self, u):
-        return u.scalar()
-
-
-def iterated_contraction(backend, xis: Sequence, etabars: Sequence, dV):
+def iterated_contraction(xis: Sequence, etabars: Sequence, dV):
     """xi_1 . ... . xi_m . etabar_1 . ... . etabar_m . dV (rightmost first)."""
     fields = list(xis) + list(etabars)
     acc = dV
     for v in reversed(fields):
-        acc = backend.contract(v, acc)
+        acc = contract(v, acc)
     return acc
 
 
-def tuple_residual_forms(backend, xis: Sequence, etabars: Sequence, dV):
+def tuple_residual_forms(xis: Sequence, etabars: Sequence, dV):
     """The two double-sum residual forms on a candidate tuple.
 
     Returns (res_bar, res_del): res_bar is the bracket sum built from the
@@ -119,22 +56,22 @@ def tuple_residual_forms(backend, xis: Sequence, etabars: Sequence, dV):
 
     def half(primary: Sequence, secondary: Sequence):
         # primary plays the role of the slots whose like-type brackets appear
-        acc = backend.zero_form()
+        acc = type(dV).zero(dV.space)
         for l in range(2, n):
             a = n - l  # index of the distinguished primary slot, 1-based
             for r in range(1, n - l):
                 sign = (-1) ** (n + 1 - l - r)
-                br = backend.bracket(primary[a - 1], primary[r - 1])
+                br = lie_bracket(primary[a - 1], primary[r - 1])
                 rest = [primary[k - 1] for k in range(m, 0, -1) if k not in (a, r)]
                 others = [secondary[k - 1] for k in range(m, 0, -1)]
-                term = iterated_contraction(backend, [], [br] + rest + others, dV)
+                term = iterated_contraction([], [br] + rest + others, dV)
                 acc = acc + _scale(term, sign)
             for r in range(1, n - 1):
                 sign = (-1) ** (l + r + 1)
-                br = backend.bracket(primary[a - 1], secondary[r - 1])
+                br = lie_bracket(primary[a - 1], secondary[r - 1])
                 rest = [primary[k - 1] for k in range(m, 0, -1) if k != a]
                 others = [secondary[k - 1] for k in range(m, 0, -1) if k != r]
-                term = iterated_contraction(backend, [], [br] + rest + others, dV)
+                term = iterated_contraction([], [br] + rest + others, dV)
                 acc = acc + _scale(term, sign)
         return acc
 
@@ -147,22 +84,22 @@ def _scale(form, c: int):
     return form.scale(CRat(c)) if c != 1 else form
 
 
-def contraction_derivative_check(backend, xis, etabars, dV):
+def contraction_derivative_check(xis, etabars, dV):
     """Derivative of the iterated contraction against the closed double sums.
 
     Returns (ok_del, ok_delbar, lhs_del, rhs_del, lhs_delbar, rhs_delbar):
     the del of xi_1 . ... . etabar_m . dV must equal the holomorphic-slot
     sum, the delbar the antiholomorphic-slot sum.  Exact comparison.
     """
-    C = iterated_contraction(backend, xis, etabars, dV)
-    lhs_del = backend.del_(C)
-    lhs_delbar = backend.delbar(C)
-    res_bar, res_del = tuple_residual_forms(backend, xis, etabars, dV)
+    C = iterated_contraction(xis, etabars, dV)
+    lhs_del = C.del_()
+    lhs_delbar = C.delbar()
+    res_bar, res_del = tuple_residual_forms(xis, etabars, dV)
     return (lhs_del == res_del, lhs_delbar == res_bar,
             lhs_del, res_del, lhs_delbar, res_bar)
 
 
-def reversal_sign_check(backend, form, xis, etabars, dV) -> bool:
+def reversal_sign_check(form, xis, etabars, dV) -> bool:
     """(form)(xi_1..xi_m, etabar_1..etabar_m) dV against the wedge reversal.
 
     The pointwise identity: evaluating a (m,m)-form on the tuple and
@@ -170,19 +107,9 @@ def reversal_sign_check(backend, form, xis, etabars, dV) -> bool:
     contraction of dV.  Holds for arbitrary smooth fields; exact here.
     """
     m = len(xis)
-    fields = list(xis) + list(etabars)
-    value = form
-    for v in fields:
-        value = backend.contract(v, value)
-    c = backend.scalar_of(value)
-    lhs = _scale_by(dV, c)
-    rhs = _scale(backend.wedge(form, iterated_contraction(backend, xis, etabars, dV)),
-                 (-1) ** m)
+    lhs = dV.scale(evaluate(form, list(xis) + list(etabars)))
+    rhs = _scale(wedge(form, iterated_contraction(xis, etabars, dV)), (-1) ** m)
     return lhs == rhs
-
-
-def _scale_by(form, c):
-    return form.scale(c)
 
 
 # -- balanced targets and map specs ----------------------------------------------
@@ -270,9 +197,9 @@ class MapSpec:
         for (Iidx, Jidx), c in u.coeffs.items():
             term = InvForm(self.source, {((), ()): c})
             for i in Iidx:
-                term = wedge_inv(term, self._pull_letter(False, i))
+                term = wedge(term, self._pull_letter(False, i))
             for j in Jidx:
-                term = wedge_inv(term, self._pull_letter(True, j))
+                term = wedge(term, self._pull_letter(True, j))
             out = out + term
         return out
 
@@ -349,7 +276,7 @@ def lie_g_membership(xi: InvVectorField) -> FieldCertificate:
     model = xi.model
     table = model.dbar_field(xi)
     dbar_norm = float(np.sqrt(sum(abs(complex(c)) ** 2 for row in table for c in row)))
-    lv = lie10_inv(xi, model.volume_form())
+    lv = lie10(xi, model.volume_form())
     return FieldCertificate(holomorphic=dbar_norm == 0.0,
                             volume_preserving=not lv,
                             dbar_norm=dbar_norm,
@@ -403,11 +330,10 @@ def pg_membership(t: MomentTuple, model: Optional[LieModel] = None,
     its conjugate-swapped partner is reported rather than assumed away.
     """
     model = model or t.model()
-    backend = InvariantBackend(model)
     dV = model.volume_form()
 
     def residuals(xis, etabars):
-        rb, rd = tuple_residual_forms(backend, xis, etabars, dV)
+        rb, rd = tuple_residual_forms(xis, etabars, dV)
         return rb.norm(), rd.norm()
 
     rb, rd = residuals(t.xis, t.etabars)
@@ -431,7 +357,7 @@ def omega_eval(f: MapSpec, fields: Sequence[InvVectorField]) -> complex:
     if len(fields) != 2 * (n - 1):
         raise ValidationError("need %d field arguments" % (2 * (n - 1)))
     P = f.pulled_power()
-    c = evaluate_inv(P, fields)
+    c = evaluate(P, fields)
     return complex(c * CRat(f.source.volume_scale))
 
 
@@ -447,7 +373,7 @@ def _gamma_for(f: MapSpec, metric: HermitianMetricSpec, policy: str) -> InvForm:
 
 
 def pairing_value(gamma: InvForm, t: MomentTuple, model: LieModel) -> complex:
-    c = evaluate_inv(gamma, t.xis + t.etabars)
+    c = evaluate(gamma, t.xis + t.etabars)
     return 1j * complex(c) * float(model.volume_scale)
 
 
@@ -502,7 +428,6 @@ def well_definedness_check(f: MapSpec, t: MomentTuple,
     p, q = n - 2, n - 3
     keys = model.basis_keys(p, q) if q >= 0 else []
     devs = []
-    backend = InvariantBackend(model)
     dV = model.volume_form()
     reversal_ok = True
     for _ in range(trials):
@@ -515,15 +440,15 @@ def well_definedness_check(f: MapSpec, t: MomentTuple,
         shift = model.ce_del(beta.conj()) + model.ce_delbar(beta)
         if shift.is_exact_coeffs():
             for piece in (model.ce_del(beta.conj()), model.ce_delbar(beta)):
-                if not reversal_sign_check(backend, piece, t.xis, t.etabars, dV):
+                if not reversal_sign_check(piece, t.xis, t.etabars, dV):
                     reversal_ok = False
         shifted = gamma + InvForm(model, {k: complex(c)
                                           for k, c in shift.coeffs.items()})
         val = pairing_value(shifted, t, model)
         devs.append(abs(val - base))
-    C = iterated_contraction(backend, t.xis, t.etabars, dV)
-    closure_del = backend.del_(C).norm()
-    closure_delbar = backend.delbar(C).norm()
+    C = iterated_contraction(t.xis, t.etabars, dV)
+    closure_del = C.del_().norm()
+    closure_delbar = C.delbar().norm()
     return GaugeReport(base_value=base, max_deviation=max(devs) if devs else 0.0,
                        deviations=devs, reversal_ok=reversal_ok,
                        closure_del_norm=closure_del,
@@ -570,6 +495,12 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
     second derivative of the potential at the origin, which is compared
     componentwise with etabar . xi . (pulled power).
     """
+    for h in steps:
+        if not (math.isfinite(h) and h > 0):
+            raise ValidationError("step %r is not a positive finite number" % h)
+    if len(set(steps)) != len(steps) or len(steps) < 2:
+        raise ValidationError("steps %r need two or more distinct values to "
+                              "measure a convergence order" % (list(steps),))
     model = f.source
     metric = metric or HermitianMetricSpec.flat(model)
     if xi.kind != HOLO or eta.kind != HOLO:
@@ -582,9 +513,9 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
     P = f.pulled_power()
     Pf = InvForm(model, {k: complex(c) for k, c in P.coeffs.items()})
     etabar = eta.conj()
-    A = contract_inv(etabar, contract_inv(xi, Pf))
+    A = contract(etabar, contract(xi, Pf))
     a_norm = A.norm()
-    trivial = a_norm == 0.0 and not lie10_inv(xi, Pf) and not lie01_inv(etabar, Pf)
+    trivial = a_norm == 0.0 and not lie10(xi, Pf) and not lie01(etabar, Pf)
 
     def gamma_at(s: float, tt: float) -> InvForm:
         G = flow_pullback(etabar, tt, flow_pullback(xi, s, Pf))
@@ -651,12 +582,11 @@ def chart_contraction_derivative_trials(n: int, dim: int, seed: int = 0,
                                         trials: int = 5) -> bool:
     """Exact check of the closed double-sum formulas on the chart."""
     rng = random.Random(seed)
-    backend = ChartBackend(dim)
-    dV = backend.volume()
+    dV = symalg.standard_volume(dim)
     m = n - 2
     for _ in range(trials):
         xis, etabars = chart_tuple_fields(rng, dim, m)
-        okd, okdb, *_ = contraction_derivative_check(backend, xis, etabars, dV)
+        okd, okdb, *_ = contraction_derivative_check(xis, etabars, dV)
         if not (okd and okdb):
             return False
     return True
@@ -666,24 +596,22 @@ def chart_reversal_trials(n: int, dim: int, seed: int = 0,
                           trials: int = 5) -> bool:
     """Exact reversal-sign identities for arbitrary smooth fields."""
     rng = random.Random(seed)
-    backend = ChartBackend(dim)
-    dV = backend.volume()
+    dV = symalg.standard_volume(dim)
     m = n - 2
     for _ in range(trials):
         xis = [symalg.random_field(rng, dim) for _ in range(m)]
         etabars = [symalg.random_field(rng, dim, symalg.ANTI) for _ in range(m)]
         beta = symalg.random_form(rng, dim, m, max(m - 1, 0), nterms=1)
         for piece in (symalg.chart_del(beta.conj()), symalg.chart_delbar(beta)):
-            if not reversal_sign_check(backend, piece, xis, etabars, dV):
+            if not reversal_sign_check(piece, xis, etabars, dV):
                 return False
     return True
 
 
 def invariant_contraction_derivative_check(model: LieModel,
                                            xis, etabars) -> bool:
-    backend = InvariantBackend(model)
     dV = model.volume_form()
-    okd, okdb, *_ = contraction_derivative_check(backend, xis, etabars, dV)
+    okd, okdb, *_ = contraction_derivative_check(xis, etabars, dV)
     return okd and okdb
 
 

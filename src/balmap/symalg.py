@@ -1,18 +1,11 @@
 """Exact bigraded exterior calculus on a coordinate chart.
 
 Forms have polynomial coefficients in z_1..z_d, zbar_1..zbar_d over the
-Gaussian rationals, stored on the wedge basis dz_I ^ dzbar_J with both
-multi-indices strictly increasing and all dz factors in front of all dzbar
-factors.  Every operation normalizes back to this basis and tracks the
-permutation sign, so identity checks reduce to exact dictionary equality.
-
-Conventions pinned here and reused by the invariant backend:
-
-* contraction is the degree -1 antiderivation with v . (a ^ b) =
-  (v . a) ^ b + (-1)^deg(a) a ^ (v . b), and a (1,0) field pairs only
-  with dz factors, a (0,1) field only with dzbar factors;
-* evaluation u(v_1, ..., v_k) = v_k . (... (v_1 . u));
-* graded commutator [A, B] = A B - (-1)^(ab) B A.
+Gaussian rationals, stored on the wedge basis dz_I ^ dzbar_J.  The form
+algebra and its sign conventions (wedge, contraction, evaluation,
+conjugation, the Lie derivatives) are the shared ones of ``balmap.forms``;
+this module supplies the polynomial coefficients, the split derivatives by
+partial differentiation, the field bracket, and the exact identity suite.
 """
 
 from __future__ import annotations
@@ -20,12 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import CRat, ONE, ZERO, I, ipow
+from .forms import (ANTI, HOLO, BasisKey, Field, Form, MixedField, add_term,
+                    contract, evaluate, lie01, lie10, lie_bracket, lie_std,
+                    wedge, wedge_word)
 
 Monomial = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (z exponents, zbar exponents)
-BasisKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (I, J), strictly increasing
 
 
 # -- polynomials --------------------------------------------------------------
@@ -81,11 +76,7 @@ class Poly:
             other = Poly.const(self.dim, other)
         out = dict(self.terms)
         for mon, c in other.terms.items():
-            s = out.get(mon, ZERO) + c
-            if s:
-                out[mon] = s
-            else:
-                out.pop(mon, None)
+            add_term(out, mon, c)
         return Poly(self.dim, out)
 
     __radd__ = __add__
@@ -104,16 +95,12 @@ class Poly:
             for (a2, b2), c2 in other.terms.items():
                 mon = (tuple(x + y for x, y in zip(a1, a2)),
                        tuple(x + y for x, y in zip(b1, b2)))
-                s = out.get(mon, ZERO) + c1 * c2
-                if s:
-                    out[mon] = s
-                else:
-                    out.pop(mon, None)
+                add_term(out, mon, c1 * c2)
         return Poly(self.dim, out)
 
     __rmul__ = __mul__
 
-    def conj(self) -> "Poly":
+    def conjugate(self) -> "Poly":
         return Poly(self.dim, {(b, a): c.conjugate() for (a, b), c in self.terms.items()})
 
     def dz(self, j: int) -> "Poly":
@@ -124,12 +111,7 @@ class Poly:
             if e:
                 aa = list(a)
                 aa[j - 1] = e - 1
-                mon = (tuple(aa), b)
-                s = out.get(mon, ZERO) + c * e
-                if s:
-                    out[mon] = s
-                else:
-                    out.pop(mon, None)
+                add_term(out, (tuple(aa), b), c * e)
         return Poly(self.dim, out)
 
     def dzbar(self, j: int) -> "Poly":
@@ -139,12 +121,7 @@ class Poly:
             if e:
                 bb = list(b)
                 bb[j - 1] = e - 1
-                mon = (a, tuple(bb))
-                s = out.get(mon, ZERO) + c * e
-                if s:
-                    out[mon] = s
-                else:
-                    out.pop(mon, None)
+                add_term(out, (a, tuple(bb)), c * e)
         return Poly(self.dim, out)
 
     def antider_z(self, j: int) -> "Poly":
@@ -172,55 +149,16 @@ class Poly:
         return " + ".join(bits)
 
 
-# -- wedge-word normalization --------------------------------------------------
+# -- forms and fields -----------------------------------------------------------
 
 
-def merge_increasing(idx: Sequence[int], j: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Insert j into a strictly increasing tuple; returns (sign, new tuple)."""
-    pos = 0
-    for k, v in enumerate(idx):
-        if v == j:
-            return None
-        if v < j:
-            pos = k + 1
-    return ((-1) ** pos, tuple(idx[:pos]) + (j,) + tuple(idx[pos:]))
+class ChartForm(Form):
+    """Form with polynomial coefficients on the wedge basis dz_I ^ dzbar_J."""
 
+    __slots__ = ()
+    LETTERS = ("dz", "dw")
 
-def remove_index(idx: Sequence[int], j: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    for k, v in enumerate(idx):
-        if v == j:
-            return ((-1) ** k, tuple(idx[:k]) + tuple(idx[k + 1:]))
-    return None
-
-
-def merge_sorted(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Sign and merge of the concatenation of two increasing index tuples."""
-    if set(a) & set(b):
-        return None
-    inversions = sum(1 for x in a for y in b if y < x)
-    return (-1) ** inversions, tuple(sorted(a + b))
-
-
-# -- forms ---------------------------------------------------------------------
-
-
-class ChartForm:
-    """Element of the bigraded algebra; possibly inhomogeneous."""
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: Optional[Dict[BasisKey, Poly]] = None):
-        self.dim = dim
-        t = {}
-        if terms:
-            for key, p in terms.items():
-                if p:
-                    t[key] = p
-        self.terms = t
-
-    @staticmethod
-    def zero(dim: int) -> "ChartForm":
-        return ChartForm(dim)
+    dim = property(lambda self: self.space)
 
     @staticmethod
     def from_function(p: Poly) -> "ChartForm":
@@ -231,122 +169,47 @@ class ChartForm:
         p = coeff if isinstance(coeff, Poly) else Poly.const(dim, 1 if coeff is None else coeff)
         return ChartForm(dim, {(tuple(I), tuple(J)): p})
 
-    def __bool__(self):
-        return bool(self.terms)
+    def zero_coeff(self) -> Poly:
+        return Poly(self.space)
 
-    def __eq__(self, other):
-        return (isinstance(other, ChartForm) and self.dim == other.dim
-                and self.terms == other.terms)
+    def del_(self) -> "ChartForm":
+        return self._derive(False)
 
-    def __add__(self, other):
-        if not isinstance(other, ChartForm):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, p in other.terms.items():
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return ChartForm(self.dim, out)
+    def delbar(self) -> "ChartForm":
+        return self._derive(True)
 
-    def __neg__(self):
-        return ChartForm(self.dim, {k: -p for k, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "ChartForm":
-        cs = c if isinstance(c, (Poly,)) else Poly.const(self.dim, c)
-        return ChartForm(self.dim, {k: p * cs for k, p in self.terms.items()})
-
-    def bidegrees(self) -> set:
-        return {(len(I), len(J)) for I, J in self.terms}
-
-    def bidegree(self) -> Optional[Tuple[int, int]]:
-        bs = self.bidegrees()
-        return bs.pop() if len(bs) == 1 else None
-
-    def homogeneous_part(self, p: int, q: int) -> "ChartForm":
-        return ChartForm(self.dim, {k: v for k, v in self.terms.items()
-                                    if len(k[0]) == p and len(k[1]) == q})
-
-    def conj(self) -> "ChartForm":
-        out = {}
-        for (Iidx, Jidx), p in self.terms.items():
-            # conj(dz_I ^ dzbar_J) = dzbar_I ^ dz_J = sign * dz_J ^ dzbar_I
-            sign = (-1) ** (len(Iidx) * len(Jidx))
-            key = (Jidx, Iidx)
-            q = p.conj() * CRat(sign)
-            s = out.get(key)
-            out[key] = q if s is None else s + q
-        return ChartForm(self.dim, out)
-
-    def coefficient(self, I: Sequence[int], J: Sequence[int]) -> Poly:
-        return self.terms.get((tuple(I), tuple(J)), Poly(self.dim))
-
-    def __repr__(self):
-        if not self.terms:
-            return "ChartForm(0)"
-        bits = []
-        for (Iidx, Jidx), p in sorted(self.terms.items()):
-            w = "".join("dz%d" % i for i in Iidx) + "".join("dw%d" % j for j in Jidx)
-            bits.append("[%r] %s" % (p, w or "1"))
-        return "ChartForm(" + " + ".join(bits) + ")"
+    def _derive(self, bar: bool) -> "ChartForm":
+        """Sum over j of dz_j (or dzbar_j) ^ (partial_j of each coefficient)."""
+        out: Dict[BasisKey, Poly] = {}
+        for key, p in self.coeffs.items():
+            for j in range(1, self.space + 1):
+                dp = p.dzbar(j) if bar else p.dz(j)
+                if not dp:
+                    continue
+                w = wedge_word(((), (j,)) if bar else ((j,), ()), key)
+                if w is not None:
+                    add_term(out, w[1], dp * w[0])
+        return ChartForm(self.space, out)
 
 
-def wedge(u: ChartForm, v: ChartForm) -> ChartForm:
-    if u.dim != v.dim:
-        raise ValueError("wedge: chart dimension mismatch (%d vs %d)" % (u.dim, v.dim))
-    out: Dict[BasisKey, Poly] = {}
-    for (I1, J1), p1 in u.terms.items():
-        for (I2, J2), p2 in v.terms.items():
-            mi = merge_sorted(I1, I2)
-            if mi is None:
-                continue
-            mj = merge_sorted(J1, J2)
-            if mj is None:
-                continue
-            # moving dz_I2 (len |I2|) across dzbar_J1 (len |J1|)
-            sign = mi[0] * mj[0] * ((-1) ** (len(J1) * len(I2)))
-            key = (mi[1], mj[1])
-            q = p1 * p2 * CRat(sign)
-            s = out.get(key)
-            s = q if s is None else s + q
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return ChartForm(u.dim, out)
+def chart_del(u: ChartForm) -> ChartForm:
+    return u.del_()
 
 
-def wedge_all(forms: Sequence[ChartForm]) -> ChartForm:
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
+def chart_delbar(u: ChartForm) -> ChartForm:
+    return u.delbar()
 
 
-# -- vector fields --------------------------------------------------------------
-
-HOLO = "1,0"
-ANTI = "0,1"
+def chart_d(u: ChartForm) -> ChartForm:
+    return u.d()
 
 
-class ChartVectorField:
+class ChartVectorField(Field):
     """Type (1,0) or (0,1) field with polynomial components."""
 
-    __slots__ = ("dim", "kind", "comps")
+    __slots__ = ()
 
-    def __init__(self, dim: int, kind: str, comps: Sequence[Poly]):
-        if kind not in (HOLO, ANTI):
-            raise ValueError("kind must be %r or %r" % (HOLO, ANTI))
-        if len(comps) != dim:
-            raise ValueError("expected %d components" % dim)
-        self.dim = dim
-        self.kind = kind
-        self.comps = tuple(comps)
+    dim = property(lambda self: self.space)
 
     @staticmethod
     def frame(dim: int, j: int) -> "ChartVectorField":
@@ -357,20 +220,6 @@ class ChartVectorField:
     def frame_bar(dim: int, j: int) -> "ChartVectorField":
         comps = [Poly.const(dim, 1 if k == j - 1 else 0) for k in range(dim)]
         return ChartVectorField(dim, ANTI, comps)
-
-    def conj(self) -> "ChartVectorField":
-        return ChartVectorField(self.dim, ANTI if self.kind == HOLO else HOLO,
-                                [p.conj() for p in self.comps])
-
-    def scale(self, c) -> "ChartVectorField":
-        cs = c if isinstance(c, Poly) else Poly.const(self.dim, c)
-        return ChartVectorField(self.dim, self.kind, [p * cs for p in self.comps])
-
-    def __add__(self, other):
-        if isinstance(other, ChartVectorField) and other.kind == self.kind:
-            return ChartVectorField(self.dim, self.kind,
-                                    [a + b for a, b in zip(self.comps, other.comps)])
-        return MixedField.of(self) + MixedField.of(other)
 
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of a function."""
@@ -389,195 +238,19 @@ class ChartVectorField:
             out = out + (c.dz(j) if self.kind == HOLO else c.dzbar(j))
         return out
 
-    def __repr__(self):
-        sym = "Z" if self.kind == HOLO else "W"
-        bits = ["(%r)%s%d" % (p, sym, j + 1) for j, p in enumerate(self.comps) if p]
-        return "Field[" + (" + ".join(bits) or "0") + "]"
-
-
-class MixedField:
-    """Sum of a (1,0) part and a (0,1) part (mixed Lie brackets)."""
-
-    __slots__ = ("dim", "holo", "anti")
-
-    def __init__(self, dim: int, holo: Optional[ChartVectorField],
-                 anti: Optional[ChartVectorField]):
-        self.dim = dim
-        self.holo = holo
-        self.anti = anti
-
-    @staticmethod
-    def of(v) -> "MixedField":
-        if isinstance(v, MixedField):
-            return v
-        if v.kind == HOLO:
-            return MixedField(v.dim, v, None)
-        return MixedField(v.dim, None, v)
-
-    def __add__(self, other):
-        o = MixedField.of(other)
-
-        def plus(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return ChartVectorField(a.dim, a.kind,
-                                    [x + y for x, y in zip(a.comps, b.comps)])
-        return MixedField(self.dim, plus(self.holo, o.holo), plus(self.anti, o.anti))
-
-    def parts(self) -> List[ChartVectorField]:
-        return [p for p in (self.holo, self.anti) if p is not None]
-
-    def is_zero(self) -> bool:
-        return all(not any(p.comps) for p in self.parts()) if self.parts() else True
-
-
-FieldLike = Union[ChartVectorField, MixedField]
-
-
-def contract(v: FieldLike, u: ChartForm) -> ChartForm:
-    """Interior product; antiderivation of degree -1."""
-    if isinstance(v, MixedField):
-        out = ChartForm.zero(u.dim)
-        for part in v.parts():
-            out = out + contract(part, u)
-        return out
-    if v.dim != u.dim:
-        raise ValueError("contract: chart dimension mismatch")
-    out: Dict[BasisKey, Poly] = {}
-    for (Iidx, Jidx), p in u.terms.items():
-        for j, comp in enumerate(v.comps, start=1):
-            if not comp:
-                continue
-            if v.kind == HOLO:
-                r = remove_index(Iidx, j)
-                if r is None:
-                    continue
-                sign, newI = r
-                key = (newI, Jidx)
-            else:
-                r = remove_index(Jidx, j)
-                if r is None:
-                    continue
-                sign, newJ = r
-                sign *= (-1) ** len(Iidx)
-                key = (Iidx, newJ)
-            q = p * comp * CRat(sign)
-            s = out.get(key)
-            s = q if s is None else s + q
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return ChartForm(u.dim, out)
-
-
-def contract_all(fields: Sequence[FieldLike], u: ChartForm) -> ChartForm:
-    """fields[0] . fields[1] . ... . fields[-1] . u (rightmost first)."""
-    acc = u
-    for v in reversed(fields):
-        acc = contract(v, acc)
-    return acc
-
-
-def evaluate(u: ChartForm, fields: Sequence[FieldLike]) -> Poly:
-    """u(v_1, ..., v_k) = v_k . (... (v_1 . u))."""
-    acc = u
-    for v in fields:
-        acc = contract(v, acc)
-    return acc.coefficient((), ())
-
-
-def chart_del(u: ChartForm) -> ChartForm:
-    out: Dict[BasisKey, Poly] = {}
-    for (Iidx, Jidx), p in u.terms.items():
-        for j in range(1, u.dim + 1):
-            dp = p.dz(j)
-            if not dp:
-                continue
-            r = merge_increasing(Iidx, j)
-            if r is None:
-                continue
-            sign, newI = r
-            key = (newI, Jidx)
-            q = dp * CRat(sign)
-            s = out.get(key)
-            s = q if s is None else s + q
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return ChartForm(u.dim, out)
-
-
-def chart_delbar(u: ChartForm) -> ChartForm:
-    out: Dict[BasisKey, Poly] = {}
-    for (Iidx, Jidx), p in u.terms.items():
-        for j in range(1, u.dim + 1):
-            dp = p.dzbar(j)
-            if not dp:
-                continue
-            r = merge_increasing(Jidx, j)
-            if r is None:
-                continue
-            sign, newJ = r
-            sign *= (-1) ** len(Iidx)  # dzbar_j passes the dz_I block
-            key = (Iidx, newJ)
-            q = dp * CRat(sign)
-            s = out.get(key)
-            s = q if s is None else s + q
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return ChartForm(u.dim, out)
-
-
-def chart_d(u: ChartForm) -> ChartForm:
-    return chart_del(u) + chart_delbar(u)
-
-
-def lie_bracket(a: FieldLike, b: FieldLike) -> FieldLike:
-    """Lie bracket of fields; mixed-kind results carry both parts."""
-    if isinstance(a, MixedField) or isinstance(b, MixedField):
-        am, bm = MixedField.of(a), MixedField.of(b)
-        out = MixedField(am.dim, None, None)
-        for pa in am.parts():
-            for pb in bm.parts():
-                out = out + lie_bracket(pa, pb)
-        return out
-    dim = a.dim
-    if a.kind == b.kind:
-        comps = [a.apply(b.comps[j]) - b.apply(a.comps[j]) for j in range(dim)]
-        return ChartVectorField(dim, a.kind, comps)
-    holo_comps = [a.apply(b.comps[j]) if b.kind == HOLO else -b.apply(a.comps[j])
-                  for j in range(dim)]
-    anti_comps = [a.apply(b.comps[j]) if b.kind == ANTI else -b.apply(a.comps[j])
-                  for j in range(dim)]
-    holo = ChartVectorField(dim, HOLO, holo_comps)
-    anti = ChartVectorField(dim, ANTI, anti_comps)
-    m = MixedField(dim, holo if any(holo.comps) else None,
-                   anti if any(anti.comps) else None)
-    return m
-
-
-def lie10(xi: ChartVectorField, u: ChartForm) -> ChartForm:
-    """xi . (del u) + del (xi . u) for a (1,0) field."""
-    if xi.kind != HOLO:
-        raise ValueError("lie10 expects a (1,0) field")
-    return contract(xi, chart_del(u)) + chart_del(contract(xi, u))
-
-
-def lie01(eta_bar: ChartVectorField, u: ChartForm) -> ChartForm:
-    if eta_bar.kind != ANTI:
-        raise ValueError("lie01 expects a (0,1) field")
-    return contract(eta_bar, chart_delbar(u)) + chart_delbar(contract(eta_bar, u))
-
-
-def lie_std(a: FieldLike, u: ChartForm) -> ChartForm:
-    """Standard Lie derivative a . (d u) + d (a . u)."""
-    return contract(a, chart_d(u)) + chart_d(contract(a, u))
+    def bracket(self, b: "ChartVectorField"):
+        a, dim = self, self.dim
+        if a.kind == b.kind:
+            comps = [a.apply(b.comps[j]) - b.apply(a.comps[j]) for j in range(dim)]
+            return ChartVectorField(dim, a.kind, comps)
+        holo_comps = [a.apply(b.comps[j]) if b.kind == HOLO else -b.apply(a.comps[j])
+                      for j in range(dim)]
+        anti_comps = [a.apply(b.comps[j]) if b.kind == ANTI else -b.apply(a.comps[j])
+                      for j in range(dim)]
+        holo = ChartVectorField(dim, HOLO, holo_comps)
+        anti = ChartVectorField(dim, ANTI, anti_comps)
+        return MixedField(dim, holo if any(holo.comps) else None,
+                          anti if any(anti.comps) else None)
 
 
 def dbar_field_contract(xi: ChartVectorField, u: ChartForm) -> ChartForm:

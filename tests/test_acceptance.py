@@ -19,7 +19,7 @@ from balmap.exact import CRat
 from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
                           aeppli_dim, bc_dim, minimality_residual,
                           neumann_gamma)
-from balmap.invariant import wedge_inv
+from balmap.forms import wedge
 from balmap.masolver import (ScalarField, TorusGrid, linear_oracle_d1,
                              solve_ma)
 from balmap.moment import (MomentTuple, chart_contraction_derivative_trials,
@@ -128,8 +128,8 @@ def test_criterion_5_minimal_potential_formula():
     ok = rel <= 1e-10 and minres <= 1e-10
     obstructed = False
     try:
-        neumann_gamma(wedge_inv(wedge_inv(T3.phi(1), T3.phi(2)),
-                                wedge_inv(T3.phibar(1), T3.phibar(2))),
+        neumann_gamma(wedge(wedge(T3.phi(1), T3.phi(2)),
+                            wedge(T3.phibar(1), T3.phibar(2))),
                       HermitianMetricSpec.flat(T3))
     except ClassObstructionError:
         obstructed = True

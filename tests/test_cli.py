@@ -132,6 +132,41 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["cohomology", "--model", "iwasawa", "--p", "-1", "--q", "1",
+      "--kind", "bottchern"], "--p -1"),
+    (["cohomology", "--model", "iwasawa", "--p", "5", "--q", "1",
+      "--kind", "bottchern"], "--p 5"),
+    (["theorem", "--map", "nakamura_shear", "--xi", "1/2,0,0",
+      "--eta", "1/2,0,0", "--steps", "0"], "step 0.0"),
+    (["theorem", "--map", "nakamura_shear", "--xi", "1/2,0,0",
+      "--eta", "1/2,0,0", "--steps", "0.1,-0.05"], "step -0.05"),
+    (["theorem", "--map", "nakamura_shear", "--xi", "1/2,0,0",
+      "--eta", "1/2,0,0", "--steps", "0.1"], "[0.1]"),
+])
+def test_out_of_range_input_exits_2_naming_the_value(argv, bad, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "input error" in err and bad in err
+    assert "passed" not in out
+
+
+@pytest.mark.parametrize("command", ["verify-identities", "catalog"])
+def test_non_positive_trials_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--trials", "0"])
+    assert e.value.code == 2
+    assert "'0' is not a positive integer" in capsys.readouterr().err
+
+
+def test_moment_rejects_tuple_on_another_model(tmp_path, capsys):
+    tf = tmp_path / "t.tuple"
+    tf.write_text(TUPLE_Z3)
+    code, _, err = run_cli(["moment", "--map", "heis_mixed_to_t3",
+                            "--tuple", str(tf)], capsys)
+    assert code == 2 and "iwasawa" in err and "heis_mixed" in err
+
+
 def test_schema_validator_rejects_anonymous_checks():
     rep = Report(command="x")
     rep.checks.append(CheckRecord(name="a", law="", status="pass"))

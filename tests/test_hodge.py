@@ -14,7 +14,8 @@ from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
                           delta_bc, delta_bc_ortho, exact_ddbar_solve,
                           green_apply, minimality_residual, neumann_gamma,
                           three_space_decompose)
-from balmap.invariant import InvForm, wedge_inv
+from balmap.forms import wedge
+from balmap.invariant import InvForm
 
 IW = MODELS["iwasawa"]
 T3 = MODELS["torus3"]
@@ -108,8 +109,8 @@ def test_green_pseudo_inverse_property():
 
 
 def test_neumann_reproduction_and_minimality():
-    fpull = wedge_inv(wedge_inv(IW.phi(1), IW.phi(2)),
-                      wedge_inv(IW.phibar(1), IW.phibar(2)))
+    fpull = wedge(wedge(IW.phi(1), IW.phi(2)),
+                  wedge(IW.phibar(1), IW.phibar(2)))
     for seed in range(3):
         rng = random.Random(seed)
         m = HermitianMetricSpec.flat(IW) if seed == 0 else rand_metric(rng, IW)
@@ -120,10 +121,10 @@ def test_neumann_reproduction_and_minimality():
 
 
 def test_neumann_agrees_with_hand_potential_flat():
-    fpull = wedge_inv(wedge_inv(IW.phi(1), IW.phi(2)),
-                      wedge_inv(IW.phibar(1), IW.phibar(2)))
+    fpull = wedge(wedge(IW.phi(1), IW.phi(2)),
+                  wedge(IW.phibar(1), IW.phibar(2)))
     gam = neumann_gamma(fpull, HermitianMetricSpec.flat(IW))
-    hand = wedge_inv(IW.phi(3), IW.phibar(3)).scale(I)
+    hand = wedge(IW.phi(3), IW.phibar(3)).scale(I)
     handf = InvForm(IW, {k: complex(c) for k, c in hand.coeffs.items()})
     diff = gam - handf
     assert IW.ce_del(IW.ce_delbar(diff)).norm() < 1e-12
@@ -136,21 +137,21 @@ def test_neumann_zero_input():
 
 
 def test_neumann_obstruction_on_torus():
-    fpull = wedge_inv(wedge_inv(T3.phi(1), T3.phi(2)),
-                      wedge_inv(T3.phibar(1), T3.phibar(2)))
+    fpull = wedge(wedge(T3.phi(1), T3.phi(2)),
+                  wedge(T3.phibar(1), T3.phibar(2)))
     with pytest.raises(ClassObstructionError) as e:
         neumann_gamma(fpull, HermitianMetricSpec.flat(T3))
     assert e.value.residual > 0.5
 
 
 def test_exact_solver_matches_float_solvability():
-    fpull = wedge_inv(wedge_inv(IW.phi(1), IW.phi(2)),
-                      wedge_inv(IW.phibar(1), IW.phibar(2)))
+    fpull = wedge(wedge(IW.phi(1), IW.phi(2)),
+                  wedge(IW.phibar(1), IW.phibar(2)))
     gam = exact_ddbar_solve(IW, fpull)
     assert gam is not None
     assert IW.ce_del(IW.ce_delbar(gam)).scale(I) == fpull
-    bad = wedge_inv(wedge_inv(T3.phi(1), T3.phi(2)),
-                    wedge_inv(T3.phibar(1), T3.phibar(2)))
+    bad = wedge(wedge(T3.phi(1), T3.phi(2)),
+                wedge(T3.phibar(1), T3.phibar(2)))
     assert exact_ddbar_solve(T3, bad) is None
 
 
@@ -170,7 +171,7 @@ def test_three_space_decomposition():
 
 
 def test_three_space_reproduces_exact_input():
-    ex = IW.ce_del(IW.ce_delbar(wedge_inv(IW.phi(3), IW.phibar(3)))).scale(I)
+    ex = IW.ce_del(IW.ce_delbar(wedge(IW.phi(3), IW.phibar(3)))).scale(I)
     exf = InvForm(IW, {k: complex(c) for k, c in ex.coeffs.items()})
     h, mid, rest = three_space_decompose(exf, HermitianMetricSpec.flat(IW))
     assert h.norm() < 1e-10 and rest.norm() < 1e-10

@@ -1,5 +1,6 @@
 """Structure-constant models: validation, calculus, integration, flows."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,12 +9,13 @@ import pytest
 
 from balmap.catalog import MODELS, standard_metric_form
 from balmap.exact import CRat, I, ONE
+from balmap.forms import (MixedField, contract, evaluate, lie01, lie10,
+                          lie_std, wedge)
 from balmap.invariant import (AA, HH, MIX, ANTI, HOLO, DiffTerm, InvForm,
                               InvVectorField, LieModel, ModelError,
-                              contract_inv, evaluate_inv, flow_pullback,
-                              format_model, integrate, lie01_inv, lie10_inv,
-                              lie_inv, parse_model, wedge_inv, wedge_power,
-                              ParseError)
+                              flow_pullback, format_model, integrate,
+                              parse_model, wedge_power, ParseError)
+from oracles import wedge_eval_oracle
 
 IW = MODELS["iwasawa"]
 T3 = MODELS["torus3"]
@@ -39,13 +41,13 @@ def test_model_rejects_bad_volume():
 
 
 def test_torus_differential_vanishes():
-    u = wedge_inv(T3.phi(1), T3.phibar(2))
+    u = wedge(T3.phi(1), T3.phibar(2))
     assert not T3.ce_d(u)
 
 
 def test_iwasawa_delbar_example():
-    got = IW.ce_delbar(wedge_inv(IW.phi(3), IW.phibar(3)))
-    want = wedge_inv(IW.phi(3), wedge_inv(IW.phibar(1), IW.phibar(2)))
+    got = IW.ce_delbar(wedge(IW.phi(3), IW.phibar(3)))
+    want = wedge(IW.phi(3), wedge(IW.phibar(1), IW.phibar(2)))
     assert got == want
 
 
@@ -67,15 +69,15 @@ def test_iwasawa_d_squared_on_forms():
 
 
 def test_frame_duality_contraction():
-    assert contract_inv(IW.frame(3), wedge_inv(IW.phi(3), IW.phibar(3))) \
+    assert contract(IW.frame(3), wedge(IW.phi(3), IW.phibar(3))) \
         == IW.phibar(3)
 
 
 def test_lie10_examples():
-    assert lie10_inv(IW.frame(1), IW.phi(3)) == IW.phi(2).scale(CRat(-1))
-    assert not lie10_inv(IW.frame(1), IW.volume_form())
+    assert lie10(IW.frame(1), IW.phi(3)) == IW.phi(2).scale(CRat(-1))
+    assert not lie10(IW.frame(1), IW.volume_form())
     for k in (1, 2, 3):
-        assert not lie10_inv(IW.frame(k), IW.volume_form())
+        assert not lie10(IW.frame(k), IW.volume_form())
 
 
 def test_integrate_conventions():
@@ -83,8 +85,8 @@ def test_integrate_conventions():
         assert integrate(model.volume_form()) == CRat(1)
         prod = None
         for k in range(1, model.dim + 1):
-            f = wedge_inv(model.phi(k), model.phibar(k)).scale(I)
-            prod = f if prod is None else wedge_inv(prod, f)
+            f = wedge(model.phi(k), model.phibar(k)).scale(I)
+            prod = f if prod is None else wedge(prod, f)
         assert integrate(prod) == CRat(1)
     with pytest.raises(ValueError):
         integrate(IW.phi(1))
@@ -109,8 +111,8 @@ def test_conjugation_and_reality():
     om = standard_metric_form(IW)
     assert om.is_real()
     assert om.conj() == om
-    u = wedge_inv(IW.phi(1), IW.phibar(2))
-    assert u.conj() == wedge_inv(IW.phi(2), IW.phibar(1)).scale(CRat(-1))
+    u = wedge(IW.phi(1), IW.phibar(2))
+    assert u.conj() == wedge(IW.phi(2), IW.phibar(1)).scale(CRat(-1))
 
 
 def test_conjugation_swaps_lie_types():
@@ -124,13 +126,13 @@ def test_conjugation_swaps_lie_types():
         keys = model.basis_keys(p, q)
         u = model.form_basis(p, q, keys[rng.randrange(len(keys))],
                              CRat(rng.randint(-2, 2), 1))
-        assert lie10_inv(xi, u).conj() == lie01_inv(xi.conj(), u.conj())
+        assert lie10(xi, u).conj() == lie01(xi.conj(), u.conj())
 
 
 def test_mixed_bracket_tables():
     assert IW.bracket(IW.frame(1), IW.frame_bar(1)).is_zero()
     b = IW.bracket(IW.frame(1), IW.frame(2))
-    assert b.holo is not None and list(b.holo.coeffs) == [CRat(0), CRat(0), ONE]
+    assert b.holo is not None and list(b.holo.comps) == [CRat(0), CRat(0), ONE]
     bm = HM.bracket(HM.frame(1), HM.frame_bar(1))
     assert not bm.is_zero()
     assert bm.holo is not None and bm.anti is not None
@@ -145,7 +147,7 @@ def test_lie_standard_vs_typed_for_invariant_holomorphic():
             p, q = rng.randint(0, 2), rng.randint(0, 2)
             keys = model.basis_keys(p, q)
             u = model.form_basis(p, q, keys[rng.randrange(len(keys))])
-            assert lie_inv(model.frame(k), u) == lie10_inv(model.frame(k), u)
+            assert lie_std(model.frame(k), u) == lie10(model.frame(k), u)
 
 
 def test_flow_pullback_properties():
@@ -160,7 +162,7 @@ def test_flow_pullback_properties():
     # first-order Taylor matches the Lie derivative
     s = 1e-6
     moved = flow_pullback(IW.frame(1), s, u)
-    lin = lie10_inv(IW.frame(1), u)
+    lin = lie10(IW.frame(1), u)
     base = InvForm(IW, {k: complex(c) for k, c in u.coeffs.items()})
     diff = (moved - base).scale(1.0 / s) - InvForm(
         IW, {k: complex(c) for k, c in lin.coeffs.items()})
@@ -216,9 +218,9 @@ def test_wedge_inv_graded_commutativity_and_associativity():
             p2, q2 = rng.randint(0, 2), rng.randint(0, 2)
             u, v = rnd(p1, q1), rnd(p2, q2)
             sign = (-1) ** ((p1 + q1) * (p2 + q2))
-            assert wedge_inv(u, v) == wedge_inv(v, u).scale(CRat(sign))
+            assert wedge(u, v) == wedge(v, u).scale(CRat(sign))
             w = rnd(1, 0)
-            assert wedge_inv(wedge_inv(u, v), w) == wedge_inv(u, wedge_inv(v, w))
+            assert wedge(wedge(u, v), w) == wedge(u, wedge(v, w))
 
 
 def test_contraction_antiderivation_invariant():
@@ -236,7 +238,45 @@ def test_contraction_antiderivation_invariant():
             p1, q1 = rng.randint(0, 2), rng.randint(0, 2)
             u = rnd(p1, q1)
             w = rnd(rng.randint(0, 1), rng.randint(0, 1))
-            lhs = contract_inv(v, wedge_inv(u, w))
-            rhs = (wedge_inv(contract_inv(v, u), w)
-                   + wedge_inv(u, contract_inv(v, w)).scale(CRat((-1) ** (p1 + q1))))
+            lhs = contract(v, wedge(u, w))
+            rhs = (wedge(contract(v, u), w)
+                   + wedge(u, contract(v, w)).scale(CRat((-1) ** (p1 + q1))))
             assert lhs == rhs
+
+
+def test_nan_coefficient_is_not_zero():
+    u = InvForm(IW, {((1,), ()): float("nan")})
+    assert u
+    assert u != IW.zero()
+    assert math.isnan(u.norm())
+
+
+def test_wedge_evaluation_matches_permutation_oracle():
+    # mixed-type invariant 1-forms on mixed frame fields against a
+    # brute-force permutation sum: entries 0..d-1 pair phi^j with Z_j,
+    # entries d..2d-1 pair phibar^j with Zbar_j
+    rng = random.Random(11)
+    for model in (HM, NK):
+        d = model.dim
+        for _ in range(15):
+            k = rng.randint(1, 4)
+            covs = [[complex(rng.randint(-2, 2), rng.randint(-2, 2))
+                     for _ in range(2 * d)] for _ in range(k)]
+            vecs = [[complex(rng.randint(-2, 2), rng.randint(-2, 2))
+                     for _ in range(2 * d)] for _ in range(k)]
+
+            def exact(z):
+                return CRat(int(z.real), int(z.imag))
+            form = None
+            for cv in covs:
+                one = model.zero()
+                for j in range(1, d + 1):
+                    one = (one + model.phi(j).scale(exact(cv[j - 1]))
+                           + model.phibar(j).scale(exact(cv[d + j - 1])))
+                form = one if form is None else wedge(form, one)
+            fields = [MixedField(model,
+                                 InvVectorField(model, HOLO, [exact(x) for x in v[:d]]),
+                                 InvVectorField(model, ANTI, [exact(x) for x in v[d:]]))
+                      for v in vecs]
+            got = complex(evaluate(form, fields))
+            assert abs(got - wedge_eval_oracle(covs, vecs)) < 1e-9

@@ -1,0 +1,51 @@
+"""Cross-layer cohomology laws on generated nilpotent models.
+
+The generator draws d(phi^k) as random (2,0) and (1,1) combinations of
+lower-index coframe letters, so every accepted model is nilpotent; drafts
+that LieModel rejects (d^2 != 0) and tori are redrawn.  On each accepted model the
+exact Bott-Chern and Aeppli dimensions must satisfy
+
+* duality: h_BC^{p,q} = h_A^{n-p,n-q};
+* conjugation symmetry: h_BC^{p,q} = h_BC^{q,p}.
+"""
+
+import random
+
+import pytest
+
+from balmap.exact import CRat
+from balmap.hodge import aeppli_dim, bc_dim
+from balmap.invariant import HH, MIX, DiffTerm, LieModel, ModelError
+
+
+def random_nilpotent_model(rng: random.Random, dim: int) -> LieModel:
+    while True:
+        diff = {}
+        for k in range(2, dim + 1):
+            terms = []
+            for i in range(1, k):
+                for j in range(1, k):
+                    if i < j and rng.random() < 0.3:
+                        terms.append(DiffTerm(HH, i, j, CRat(rng.choice((-2, -1, 1, 2)))))
+                    if rng.random() < 0.15:
+                        terms.append(DiffTerm(MIX, i, j, CRat(rng.randint(-1, 1),
+                                                              rng.randint(-1, 1))))
+            diff[k] = terms
+        try:
+            model = LieModel("generated%d" % dim, dim, diff)
+        except ModelError:
+            continue
+        if model.diff:
+            return model
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_duality_and_conjugation_symmetry_on_generated_models(seed):
+    rng = random.Random(seed)
+    model = random_nilpotent_model(rng, 3 if seed < 3 else 4)
+    n = model.dim
+    bc = {(p, q): bc_dim(model, p, q) for p in range(n + 1) for q in range(n + 1)}
+    ae = {(p, q): aeppli_dim(model, p, q) for p in range(n + 1) for q in range(n + 1)}
+    for (p, q), h in bc.items():
+        assert h == ae[(n - p, n - q)], ("duality", model.diff, p, q)
+        assert h == bc[(q, p)], ("conjugation symmetry", model.diff, p, q)
