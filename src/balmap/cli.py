@@ -52,7 +52,11 @@ def _parse_field_coeffs(model: LieModel, text: str, kind: str) -> InvVectorField
         if "i" in p:
             raise ValidationError("command-line fields take rational entries; "
                                   "use a tuple file for complex coefficients")
-        coeffs.append(CRat(Fraction(p)))
+        try:
+            coeffs.append(CRat(Fraction(p)))
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError("field entry %r is not a rational number"
+                                  % p) from None
     return InvVectorField(model, kind, coeffs)
 
 
@@ -61,6 +65,11 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
     return n
+
+
+def _input_error(e: object) -> int:
+    print("input error: %s" % e, file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 def _emit(report: Report, args) -> int:
@@ -76,8 +85,11 @@ def _emit(report: Report, args) -> int:
         ext = "jsonl" if args.format == "structured" else "txt"
         out = os.path.join(outdir, "%s-report.%s" % (report.command, ext))
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            return _input_error(e)
     else:
         sys.stdout.write(text)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
@@ -124,8 +136,7 @@ def cmd_cohomology(args) -> int:
             dim = bc_dim(model, args.p, args.q)
             law = "bott-chern-dimension-exact-rank"
     except (ParseError, ModelError, ValidationError, OSError) as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(e)
     rep.add("%s-%s-%d-%d" % (args.kind, model.name, args.p, args.q), law, True,
             residual=float(dim), detail="dimension %d" % dim,
             provenance="exact rational elimination")
@@ -145,8 +156,7 @@ def cmd_moment(args) -> int:
                                       tuple_name, getattr(t.model(), "name", None),
                                       f.source.name, f.name))
     except (ParseError, ValidationError, OSError, KeyError) as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(e)
     rep = Report(command="moment", seed=args.seed)
     rep.extra["map"] = f.name
     rep.extra["tuple"] = tuple_name
@@ -191,25 +201,25 @@ def cmd_theorem(args) -> int:
         eta = _parse_field_coeffs(f.source, args.eta, HOLO)
         steps = [float(s) for s in args.steps.split(",")]
     except (ParseError, ValidationError, ValueError, OSError, KeyError) as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(e)
     rep = Report(command="theorem", seed=args.seed)
     rep.extra["map"] = f.name
     try:
         fr = flow_derivative_check(f, xi, eta, steps=steps)
     except (ValidationError, ClassObstructionError) as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(e)
+    # a stencil point passes only if it is solvable and its error below 100 %
     for s in fr.steps:
-        ok = s.obstruction is None
         rep.add("stencil-h-%g" % s.h, "mixed-flow-derivative-vs-contraction",
-                ok, residual=(None if not ok else s.rel_error),
-                detail=s.obstruction if not ok else None)
+                s.obstruction is None and s.rel_error < 1,
+                residual=None if s.obstruction else s.rel_error,
+                detail=s.obstruction)
     if fr.trivial:
         rep.add("convergence-order", "mixed-flow-derivative-vs-contraction",
                 fr.ok, detail="both sides vanish identically (trivial orbit)")
     else:
-        order_ok = fr.observed_order >= 1.9
+        # no measured order (an error of exactly 0) establishes nothing
+        order_ok = bool(fr.orders) and fr.observed_order >= 1.9
         rep.add("convergence-order", "mixed-flow-derivative-vs-contraction",
                 fr.ok and order_ok,
                 residual=fr.observed_order if fr.orders else None,
@@ -231,14 +241,15 @@ def cmd_ma(args) -> int:
             F = ScalarField.zeros(grid)
         gram = np.eye(args.dim)
     except (GridError, OSError) as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(e)
     rep = Report(command="ma", seed=args.seed)
     rep.extra["dim"] = args.dim
     rep.extra["res"] = args.res
     rep.extra["forcing_spectral_tail"] = F.spectral_tail()
     try:
         result = solve_ma(F, gram, tol=args.tol)
+    except GridError as e:
+        return _input_error(e)
     except NewtonFailure as e:
         rep.add("solve", "volume-normalization-equation", False, detail=str(e))
         return _emit(rep, args)
@@ -258,8 +269,11 @@ def cmd_ma(args) -> int:
     rep.extra["residual_history"] = [float(r) for r in d.residual_history]
     rep.extra["min_eigenvalue"] = d.min_eigenvalue
     if args.solution_out:
-        with open(args.solution_out, "w") as fh:
-            fh.write(format_samples(result.phi))
+        try:
+            with open(args.solution_out, "w") as fh:
+                fh.write(format_samples(result.phi))
+        except OSError as e:
+            return _input_error(e)
     return _emit(rep, args)
 
 
@@ -340,6 +354,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except OverflowError as e:
+        # an exact coefficient beyond the range of the floating-point layers
+        return _input_error("value too large for floating point: %s" % e)
 
 
 if __name__ == "__main__":

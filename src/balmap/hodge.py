@@ -1,9 +1,12 @@
 """Metric-dependent operators on the invariant complex.
 
 The coframe Gram matrix induces inner products on every wedge space by
-minors; operators are assembled as dense matrices over the wedge bases and
-orthonormalized through the Cholesky factor of the Gram, so adjoints are
-plain conjugate transposes and the Laplacian is an honest Hermitian matrix.
+minors (compound matrices, by Cauchy-Binet); operators are assembled as dense
+matrices over the wedge bases and orthonormalized through the Cholesky factor
+of the Gram, so adjoints are plain conjugate transposes and the Laplacian is
+an honest Hermitian matrix.
+A bidegree outside 0..dim is a zero-dimensional space, so boundary terms need
+no special cases.
 
 Cohomology dimensions never touch the metric: they are exact ranks over the
 Gaussian rationals.  The Green operator and the minimal-solution formula for
@@ -15,6 +18,7 @@ certified inside the invariant complex only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,21 +63,22 @@ class HermitianMetricSpec:
         return HermitianMetricSpec(model, np.eye(model.dim, dtype=complex))
 
 
+def _compound(g: np.ndarray, k: int) -> np.ndarray:
+    """k-th compound of g: its k x k minors over increasing index subsets."""
+    S = np.array(list(combinations(range(len(g)), k)), dtype=int)
+    return np.linalg.det(g[S[:, None, :, None], S[None, :, None, :]])
+
+
 def _minor_gram(g: np.ndarray, keys, vol: float) -> np.ndarray:
-    """Gram of the wedge basis phi_I ^ phibar_J by determinant minors."""
-    n = len(keys)
-    H = np.zeros((n, n), dtype=complex)
+    """Gram of the I-major wedge basis phi_I ^ phibar_J.
 
-    def det_sub(rows, cols):
-        if not rows:
-            return 1.0 + 0j
-        sub = g[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
-        return np.linalg.det(sub)
-
-    for a, (Ia, Ja) in enumerate(keys):
-        for b, (Ib, Jb) in enumerate(keys):
-            H[a, b] = det_sub(Ia, Ib) * np.conj(det_sub(Ja, Jb)) * vol
-    return H
+    By Cauchy-Binet the entry at (I,J),(K,L) is det g_IK conj(det g_JL), so
+    the Gram is the Kronecker product C_p(g) (x) conj C_q(g) of compounds.
+    """
+    if not keys:
+        return np.zeros((0, 0), dtype=complex)
+    p, q = map(len, keys[0])
+    return np.kron(_compound(g, p), _compound(g, q).conj()) * vol
 
 
 class MetricContext:
@@ -85,14 +90,17 @@ class MetricContext:
         self._gram: Dict[Tuple[int, int], np.ndarray] = {}
         self._chol: Dict[Tuple[int, int], np.ndarray] = {}
 
+    def _keys(self, p: int, q: int):
+        # basis_keys is already empty above dim; below 0 the space is too
+        return self.model.basis_keys(p, q) if min(p, q) >= 0 else []
+
     def dim(self, p: int, q: int) -> int:
-        return len(self.model.basis_keys(p, q))
+        return len(self._keys(p, q))
 
     def gram(self, p: int, q: int) -> np.ndarray:
         key = (p, q)
         if key not in self._gram:
-            keys = self.model.basis_keys(p, q)
-            self._gram[key] = _minor_gram(self.metric.gram, keys,
+            self._gram[key] = _minor_gram(self.metric.gram, self._keys(p, q),
                                           float(self.model.volume_scale))
         return self._gram[key]
 
@@ -121,16 +129,22 @@ class MetricContext:
 
     # raw operator matrices (wedge-basis coordinates)
 
+    def _op(self, op, p: int, q: int, p2: int, q2: int) -> np.ndarray:
+        # (p,q) -> (p2,q2); an operator from or into an empty space is empty
+        shape = (self.dim(p2, q2), self.dim(p, q))
+        if 0 in shape:
+            return np.zeros(shape, dtype=complex)
+        return operator_matrix(self.model, op, p, q, p2, q2)
+
     def op_del(self, p: int, q: int) -> np.ndarray:
-        return operator_matrix(self.model, self.model.ce_del, p, q, p + 1, q)
+        return self._op(self.model.ce_del, p, q, p + 1, q)
 
     def op_delbar(self, p: int, q: int) -> np.ndarray:
-        return operator_matrix(self.model, self.model.ce_delbar, p, q, p, q + 1)
+        return self._op(self.model.ce_delbar, p, q, p, q + 1)
 
     def op_deldelbar(self, p: int, q: int) -> np.ndarray:
-        return operator_matrix(self.model,
-                               lambda u: self.model.ce_del(self.model.ce_delbar(u)),
-                               p, q, p + 1, q + 1)
+        return self._op(lambda u: self.model.ce_del(self.model.ce_delbar(u)),
+                        p, q, p + 1, q + 1)
 
     # orthonormalized operators: adjoint = conjugate transpose
 
@@ -138,8 +152,6 @@ class MetricContext:
                  cod: Tuple[int, int]) -> np.ndarray:
         Ld = self.chol(*dom)
         Lc = self.chol(*cod)
-        if A.size == 0:
-            return A
         return Lc.conj().T @ A @ np.linalg.inv(Ld.conj().T)
 
 
@@ -154,45 +166,21 @@ def adjoint(ctx: MetricContext, A: np.ndarray, dom: Tuple[int, int],
 def delta_bc_ortho(ctx: MetricContext, p: int, q: int) -> np.ndarray:
     """Bott-Chern Laplacian at bidegree (p,q) in orthonormal coordinates.
 
-    Six nonnegative terms; Hermitian positive semi-definite by construction.
+    The sum of F^H F over the six factors del, delbar, ddbar, (ddbar)*,
+    del* delbar and delbar* del; Hermitian positive semi-definite by
+    construction.  A factor through an empty space contributes zero.
     """
-    n = ctx.dim(p, q)
-    Z = np.zeros((n, n), dtype=complex)
-
     def O(A, dom, cod):
         return ctx.ortho_op(A, dom, cod)
 
-    out = Z.copy()
-    d = ctx.model.dim
-    # del : (p,q) -> (p+1,q)
-    if p + 1 <= d:
-        D = O(ctx.op_del(p, q), (p, q), (p + 1, q))
-        out += D.conj().T @ D
-    # delbar : (p,q) -> (p,q+1)
-    if q + 1 <= d:
-        Db = O(ctx.op_delbar(p, q), (p, q), (p, q + 1))
-        out += Db.conj().T @ Db
-    # (del delbar) : (p,q) -> (p+1,q+1)
-    if p + 1 <= d and q + 1 <= d:
-        P = O(ctx.op_deldelbar(p, q), (p, q), (p + 1, q + 1))
-        out += P.conj().T @ P
-    # (del delbar)* : (p,q) -> (p-1,q-1)
-    if p >= 1 and q >= 1:
-        P2 = O(ctx.op_deldelbar(p - 1, q - 1), (p - 1, q - 1), (p, q))
-        out += P2 @ P2.conj().T
-    # del* delbar : (p,q) -> (p-1,q+1)
-    if p >= 1 and q + 1 <= d:
-        Db = O(ctx.op_delbar(p, q), (p, q), (p, q + 1))
-        D2 = O(ctx.op_del(p - 1, q + 1), (p - 1, q + 1), (p, q + 1))
-        S = D2.conj().T @ Db
-        out += S.conj().T @ S
-    # (del* delbar)* = delbar* del : (p,q) -> (p+1,q-1)
-    if q >= 1 and p + 1 <= d:
-        D = O(ctx.op_del(p, q), (p, q), (p + 1, q))
-        Db2 = O(ctx.op_delbar(p + 1, q - 1), (p + 1, q - 1), (p + 1, q))
-        T = Db2.conj().T @ D
-        out += T.conj().T @ T
-    return out
+    D = O(ctx.op_del(p, q), (p, q), (p + 1, q))
+    Db = O(ctx.op_delbar(p, q), (p, q), (p, q + 1))
+    P = O(ctx.op_deldelbar(p, q), (p, q), (p + 1, q + 1))
+    P2 = O(ctx.op_deldelbar(p - 1, q - 1), (p - 1, q - 1), (p, q))
+    D2 = O(ctx.op_del(p - 1, q + 1), (p - 1, q + 1), (p, q + 1))
+    Db2 = O(ctx.op_delbar(p + 1, q - 1), (p + 1, q - 1), (p + 1, q))
+    factors = (D, Db, P, P2.conj().T, D2.conj().T @ Db, Db2.conj().T @ D)
+    return sum(F.conj().T @ F for F in factors)
 
 
 def delta_bc(ctx: MetricContext, p: int, q: int) -> np.ndarray:
@@ -204,8 +192,6 @@ def delta_bc(ctx: MetricContext, p: int, q: int) -> np.ndarray:
 
 def _pinv_psd(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse and kernel projector of a Hermitian PSD matrix."""
-    if A.size == 0:
-        return A, A
     w, V = np.linalg.eigh((A + A.conj().T) / 2)
     cut = RANK_CUTOFF * max(w.max(initial=0.0), 1e-300)
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
@@ -251,11 +237,8 @@ def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec,
     vec = fpull.to_vector(p, q)
     P = ctx.op_deldelbar(p - 1, q - 1)
     # solvability: least squares residual against Im(ddbar)
-    if P.size:
-        sol, *_ = np.linalg.lstsq(P, vec, rcond=None)
-        resid = float(np.linalg.norm(P @ sol - vec))
-    else:
-        resid = float(np.linalg.norm(vec))
+    sol, *_ = np.linalg.lstsq(P, vec, rcond=None)
+    resid = float(np.linalg.norm(P @ sol - vec))
     scale = max(float(np.linalg.norm(vec)), 1.0)
     if resid > tol * scale:
         raise ClassObstructionError(resid)
@@ -276,6 +259,12 @@ def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec,
     return gamma
 
 
+def _range(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of A (SVD, relative cutoff)."""
+    U, s, _ = np.linalg.svd(A)
+    return U[:, :int((s > RANK_CUTOFF * s.max(initial=0.0)).sum())]
+
+
 def minimality_residual(gamma: InvForm, metric: HermitianMetricSpec) -> float:
     """Distance of gamma from Im((ddbar)*) relative to its norm."""
     model = metric.model
@@ -284,15 +273,10 @@ def minimality_residual(gamma: InvForm, metric: HermitianMetricSpec) -> float:
         return 0.0
     p, q = bid
     ctx = MetricContext(metric)
-    P = ctx.op_deldelbar(p, q)
-    if not P.size:
-        return float(np.linalg.norm(ctx.to_ortho(p, q, gamma.to_vector(p, q))))
-    Po = ctx.ortho_op(P, (p, q), (p + 1, q + 1))
+    Po = ctx.ortho_op(ctx.op_deldelbar(p, q), (p, q), (p + 1, q + 1))
     v = ctx.to_ortho(p, q, gamma.to_vector(p, q))
-    # Im((ddbar)*) = row space of Po; remove the orthogonal projection
-    U, s, Vh = np.linalg.svd(Po)
-    rank = int((s > RANK_CUTOFF * s.max()).sum()) if s.size else 0
-    rows = Vh[:rank].conj().T  # orthonormal basis of Im(Po^H)
+    # Im((ddbar)*) = range of Po^H; remove the orthogonal projection
+    rows = _range(Po.conj().T)
     proj = rows @ (rows.conj().T @ v)
     return float(np.linalg.norm(v - proj) / max(np.linalg.norm(v), 1e-300))
 
@@ -308,17 +292,9 @@ def three_space_decompose(u: InvForm, metric: HermitianMetricSpec,
     _, kerp = _pinv_psd(A)
     v = ctx.to_ortho(p, q, u.to_vector(p, q))
     h = kerp @ v
-    if p >= 1 and q >= 1:
-        Po = ctx.ortho_op(ctx.op_deldelbar(p - 1, q - 1), (p - 1, q - 1), (p, q))
-    else:
-        Po = np.zeros((ctx.dim(p, q), 0), dtype=complex)
-    if Po.size:
-        U, s, Vh = np.linalg.svd(Po)
-        rank = int((s > RANK_CUTOFF * s.max()).sum()) if s.size else 0
-        cols = U[:, :rank]
-        mid = cols @ (cols.conj().T @ v)
-    else:
-        mid = np.zeros_like(v)
+    cols = _range(ctx.ortho_op(ctx.op_deldelbar(p - 1, q - 1),
+                               (p - 1, q - 1), (p, q)))
+    mid = cols @ (cols.conj().T @ v)
     rest = v - h - mid
 
     def back(w):
@@ -329,13 +305,11 @@ def three_space_decompose(u: InvForm, metric: HermitianMetricSpec,
 # -- exact cohomology dimensions -------------------------------------------------
 
 
-def _rank_exact(model: LieModel, op, p, q, p2, q2) -> int:
-    if p2 > model.dim or q2 > model.dim or p2 < 0 or q2 < 0:
-        return 0
-    rows = operator_rows_exact(model, op, p, q, p2, q2)
-    if not rows or not rows[0]:
-        return 0
-    return exact_rank(rows)
+def _rows(model: LieModel, op, p, q, p2, q2) -> List[List[CRat]]:
+    """Exact rows of op: (p,q) -> (p2,q2); [] when either space is empty."""
+    if min(p, q, p2, q2) < 0 or max(p, q, p2, q2) > model.dim:
+        return []
+    return operator_rows_exact(model, op, p, q, p2, q2)
 
 
 def aeppli_dim(model: LieModel, p: int, q: int,
@@ -347,36 +321,21 @@ def aeppli_dim(model: LieModel, p: int, q: int,
     """
     n = len(model.basis_keys(p, q))
     ddbar = lambda u: model.ce_del(model.ce_delbar(u))
-    r_ddbar = _rank_exact(model, ddbar, p, q, p + 1, q + 1)
-    ker = n - r_ddbar
+    ker = n - exact_rank(_rows(model, ddbar, p, q, p + 1, q + 1))
     # stack the two image maps side by side (as columns, i.e. rank of rows^T)
-    cols: List[List[CRat]] = []
-    if p >= 1:
-        rows = operator_rows_exact(model, model.ce_del, p - 1, q, p, q)
-        if rows and rows[0]:
-            cols.extend(list(col) for col in zip(*rows))
-    if q >= 1:
-        rows = operator_rows_exact(model, model.ce_delbar, p, q - 1, p, q)
-        if rows and rows[0]:
-            cols.extend(list(col) for col in zip(*rows))
-    r_img = exact_rank(cols) if cols else 0
-    return ker - r_img
+    cols = [list(col) for rows in (_rows(model, model.ce_del, p - 1, q, p, q),
+                                   _rows(model, model.ce_delbar, p, q - 1, p, q))
+            for col in zip(*rows)]
+    return ker - exact_rank(cols)
 
 
 def bc_dim(model: LieModel, p: int, q: int) -> int:
     """dim(ker del ∩ ker delbar) - rank(ddbar into (p,q)), exact."""
     n = len(model.basis_keys(p, q))
-    rows: List[List[CRat]] = []
-    rd = operator_rows_exact(model, model.ce_del, p, q, p + 1, q)
-    if rd and rd[0]:
-        rows.extend(rd)
-    rdb = operator_rows_exact(model, model.ce_delbar, p, q, p, q + 1)
-    if rdb and rdb[0]:
-        rows.extend(rdb)
-    ker = n - (exact_rank(rows) if rows else 0)
+    ker = n - exact_rank(_rows(model, model.ce_del, p, q, p + 1, q)
+                         + _rows(model, model.ce_delbar, p, q, p, q + 1))
     ddbar = lambda u: model.ce_del(model.ce_delbar(u))
-    r_im = _rank_exact(model, ddbar, p - 1, q - 1, p, q) if (p >= 1 and q >= 1) else 0
-    return ker - r_im
+    return ker - exact_rank(_rows(model, ddbar, p - 1, q - 1, p, q))
 
 
 def exact_ddbar_solve(model: LieModel, target: InvForm):

@@ -417,7 +417,7 @@ def parse_model(text: str, path: str = "<model>") -> LieModel:
                 diff.setdefault(k, []).append(DiffTerm(fam, i, j, coeff))
             else:
                 raise ValueError("unrecognized line %r" % line)
-        except (ValueError, IndexError) as e:
+        except (ValueError, IndexError, ZeroDivisionError) as e:
             raise ParseError(path, lineno, str(e)) from None
     if name is None or dim is None:
         raise ParseError(path, 0, "model file must define 'name' and 'dim'")

@@ -35,6 +35,8 @@ class TorusGrid:
     memory_cap: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
+        if not 1 <= self.dim <= 3:
+            raise GridError("dim %r is outside the supported 1..3" % (self.dim,))
         if self.res < 8 or self.res & (self.res - 1):
             raise GridError("res must be a power of two, at least 8")
         if self.res ** (2 * self.dim) > self.memory_cap:
@@ -188,26 +190,25 @@ def _det_and_adjugate(gram: np.ndarray, H: Dict[Tuple[int, int], np.ndarray],
         if need_adj:
             adj = {(1, 1): a22, (2, 2): a11, (1, 2): -a12}
         return det, adj
-    if d == 3:
-        a = {(j, k): A(j, k) for j in range(1, 4) for k in range(1, 4)}
-        det = (a[(1, 1)] * (a[(2, 2)] * a[(3, 3)] - a[(2, 3)] * a[(3, 2)])
-               - a[(1, 2)] * (a[(2, 1)] * a[(3, 3)] - a[(2, 3)] * a[(3, 1)])
-               + a[(1, 3)] * (a[(2, 1)] * a[(3, 2)] - a[(2, 2)] * a[(3, 1)])).real
-        adj = None
-        if need_adj:
-            # adj(A)[j,k] = cofactor C_kj; for Hermitian A the adjugate is
-            # Hermitian, store upper triangle
-            def cof(j, k):
-                rows = [r for r in (1, 2, 3) if r != j]
-                cols = [c for c in (1, 2, 3) if c != k]
-                m = (a[(rows[0], cols[0])] * a[(rows[1], cols[1])]
-                     - a[(rows[0], cols[1])] * a[(rows[1], cols[0])])
-                return ((-1) ** (j + k)) * m
-            adj = {(1, 1): cof(1, 1).real, (2, 2): cof(2, 2).real,
-                   (3, 3): cof(3, 3).real,
-                   (1, 2): cof(2, 1), (1, 3): cof(3, 1), (2, 3): cof(3, 2)}
-        return det, adj
-    raise GridError("only complex dimensions 1..3 are supported")
+    # d == 3 (TorusGrid admits no other dimension)
+    a = {(j, k): A(j, k) for j in range(1, 4) for k in range(1, 4)}
+    det = (a[(1, 1)] * (a[(2, 2)] * a[(3, 3)] - a[(2, 3)] * a[(3, 2)])
+           - a[(1, 2)] * (a[(2, 1)] * a[(3, 3)] - a[(2, 3)] * a[(3, 1)])
+           + a[(1, 3)] * (a[(2, 1)] * a[(3, 2)] - a[(2, 2)] * a[(3, 1)])).real
+    adj = None
+    if need_adj:
+        # adj(A)[j,k] = cofactor C_kj; for Hermitian A the adjugate is
+        # Hermitian, store upper triangle
+        def cof(j, k):
+            rows = [r for r in (1, 2, 3) if r != j]
+            cols = [c for c in (1, 2, 3) if c != k]
+            m = (a[(rows[0], cols[0])] * a[(rows[1], cols[1])]
+                 - a[(rows[0], cols[1])] * a[(rows[1], cols[0])])
+            return ((-1) ** (j + k)) * m
+        adj = {(1, 1): cof(1, 1).real, (2, 2): cof(2, 2).real,
+               (3, 3): cof(3, 3).real,
+               (1, 2): cof(2, 1), (1, 3): cof(3, 1), (2, 3): cof(3, 2)}
+    return det, adj
 
 
 def _min_eigenvalue(gram: np.ndarray, H: Dict[Tuple[int, int], np.ndarray]) -> float:
@@ -291,6 +292,16 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
     the next); only if the ramp also stalls does NewtonFailure propagate,
     carrying the last iterate.
     """
+    if not 1e-12 <= tol < np.inf:
+        raise GridError("tolerance %r is not a finite number >= 1e-12" % (tol,))
+    g = np.asarray(gram, dtype=complex)
+    d = F.grid.dim
+    if g.shape != (d, d):
+        raise GridError("gram must be %d x %d" % (d, d))
+    if np.linalg.norm(g - g.conj().T) > 1e-12 or np.linalg.eigvalsh(g).min() <= 0:
+        raise GridError("gram must be Hermitian positive definite")
+    if not np.isfinite(F.values).all():
+        raise GridError("forcing has non-finite values")
     try:
         return _solve_ma_direct(F, gram, tol, max_iter, phi0, workers)
     except NewtonFailure as failure:
@@ -315,12 +326,6 @@ def _solve_ma_direct(F: ScalarField, gram, tol: float,
     grid = F.grid
     g = np.asarray(gram, dtype=complex)
     d = grid.dim
-    if tol < 1e-12:
-        raise GridError("tolerance below 1e-12 is not supported")
-    if g.shape != (d, d):
-        raise GridError("gram must be %d x %d" % (d, d))
-    if np.linalg.norm(g - g.conj().T) > 1e-12 or np.linalg.eigvalsh(g).min() <= 0:
-        raise GridError("gram must be Hermitian positive definite")
     detg = float(np.linalg.det(g).real)
     eF = np.exp(F.values)
     eF_mean = float(eF.mean())

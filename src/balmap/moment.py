@@ -662,7 +662,7 @@ def parse_mapspec(text: str, models: Dict[str, LieModel],
                 omega_terms.append((j, k, CRat(Fraction(parts[3]), Fraction(parts[4]))))
             else:
                 raise ValueError("unrecognized line %r" % line)
-        except (ValueError, IndexError) as e:
+        except (ValueError, IndexError, ZeroDivisionError) as e:
             raise ParseError(path, lineno, str(e)) from None
     if not (name and source and target):
         raise ParseError(path, 0, "map file needs 'map', 'source', 'target'")
@@ -725,7 +725,7 @@ def parse_tuple(text: str, models: Dict[str, LieModel],
                 raise ValueError("unrecognized line %r" % line)
         except KeyError:
             raise ParseError(path, lineno, "unknown model %r" % parts[1]) from None
-        except (ValueError, IndexError) as e:
+        except (ValueError, IndexError, ZeroDivisionError) as e:
             raise ParseError(path, lineno, str(e)) from None
     if name is None or model is None:
         raise ParseError(path, 0, "tuple file needs 'tuple' and 'model'")

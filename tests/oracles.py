@@ -3,12 +3,15 @@
 The rank oracle is fraction-free integer elimination (Bareiss) over
 numerator-cleared Gaussian integers, sharing no code with the production
 elimination; the expansion oracles recompute wedge/contraction results by
-brute-force permutation sums instead of ordered-merge signs.
+brute-force permutation sums instead of ordered-merge signs, and the wedge
+Gram oracle takes every minor as a permutation sum instead of a compound
+matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import List, Sequence, Tuple
 
@@ -78,6 +81,28 @@ def wedge_eval_oracle(covectors: Sequence[Sequence[complex]],
             prod *= sum(a * v for a, v in zip(covectors[i], vectors[p]))
         total += sign * prod
     return total
+
+
+def leibniz_det(m: Sequence[Sequence[complex]]) -> complex:
+    """Determinant as the Leibniz permutation sum (1 for a 0 x 0 matrix)."""
+    total = 0j
+    for perm in permutations(range(len(m))):
+        prod = 1 + 0j
+        for i, p in enumerate(perm):
+            prod *= m[i][p]
+        total += _perm_sign(perm) * prod
+    return total
+
+
+def wedge_gram_oracle(g, keys, vol: float) -> List[List[complex]]:
+    """Gram of the basis phi_I ^ phibar_J, in the order of keys, from the
+    coframe Gram g: <phi_I ^ phibar_J, phi_K ^ phibar_L> =
+    vol * det g[I,K] * conj(det g[J,L]), 1-based index words."""
+    @lru_cache(maxsize=None)
+    def minor(rows, cols):
+        return leibniz_det([[g[r - 1][c - 1] for c in cols] for r in rows])
+    return [[vol * minor(I, K) * minor(J, L).conjugate() for K, L in keys]
+            for I, J in keys]
 
 
 def _perm_sign(perm: Tuple[int, ...]) -> int:

@@ -143,6 +143,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
       "--eta", "1/2,0,0", "--steps", "0.1,-0.05"], "step -0.05"),
     (["theorem", "--map", "nakamura_shear", "--xi", "1/2,0,0",
       "--eta", "1/2,0,0", "--steps", "0.1"], "[0.1]"),
+    (["theorem", "--map", "nakamura_shear", "--xi", "1/0,0,0",
+      "--eta", "1/2,0,0"], "'1/0'"),
+    (["theorem", "--map", "nakamura_shear", "--xi", "1e309,0,0",
+      "--eta", "1/2,0,0"], "too large for floating point"),
+    (["ma", "--dim", "1", "--res", "16", "--tol", "1e-15"], "1e-15"),
+    (["ma", "--dim", "1", "--res", "16", "--tol", "-1"], "-1.0"),
+    (["ma", "--dim", "1", "--res", "16", "--tol", "nan"], "nan"),
+    (["ma", "--dim", "0", "--res", "8"], "dim 0"),
+    (["ma", "--dim", "-1", "--res", "8"], "dim -1"),
+    # rejected when the grid is built, before any grid-sized array exists
+    (["ma", "--dim", "4", "--res", "8"], "dim 4"),
+    (["catalog", "--output", "/nonexistent/dir/x.txt"], "/nonexistent/dir"),
 ])
 def test_out_of_range_input_exits_2_naming_the_value(argv, bad, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -209,3 +221,52 @@ def test_theorem_accepts_map_file(tmp_path, capsys):
     code, out, _ = run_cli(["theorem", "--map", str(mf),
                             "--xi", "1/2,0,0", "--eta", "1/2,0,0"], capsys)
     assert code == 0 and "convergence-order" in out
+
+
+def test_solution_out_into_missing_directory_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(["ma", "--dim", "1", "--res", "8", "--solution-out",
+                            str(tmp_path / "no" / "phi.txt")], capsys)
+    assert code == 2 and "phi.txt" in err
+
+
+@pytest.mark.parametrize("name, text, argv, bad", [
+    ("z.tuple", "tuple z\nmodel iwasawa\nxi 1/0 0 0 0 1 0\n",
+     ["moment", "--map", "iwasawa_to_t3", "--tuple"], "z.tuple:3"),
+    ("z.model", "name z\ndim 2\ndiff 2 1~1 1/0 0\n",
+     ["cohomology", "--p", "1", "--q", "1", "--kind", "aeppli", "--model"],
+     "z.model:3"),
+    ("z.map", "map z\nsource nakamura\nrow 1 1/0 0 0 0 0 0\n",
+     ["theorem", "--xi", "1/2,0,0", "--eta", "1/2,0,0", "--map"], "z.map:3"),
+    ("nan.modes", "1 0 nan\n", ["ma", "--dim", "1", "--res", "8", "--modes"],
+     "non-finite"),
+    ("big.tuple", "tuple big\nmodel iwasawa\nxi 0 0 0 0 1e309 0\n"
+                  "etabar 0 0 0 0 1 0\n",
+     ["moment", "--map", "iwasawa_to_t3", "--tuple"],
+     "too large for floating point"),
+], ids=["tuple-zero-denominator", "model-zero-denominator",
+        "map-zero-denominator", "non-finite-forcing", "tuple-beyond-float"])
+def test_malformed_file_exits_2_naming_the_problem(tmp_path, capsys, name,
+                                                   text, argv, bad):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert code == 2 and bad in err and "passed" not in out
+
+
+def test_theorem_stencil_with_full_relative_error_fails(capsys):
+    # at these steps the finite difference cancels to zero: 100 % error
+    code, out, _ = run_cli(["theorem", "--map", "nakamura_shear",
+                            "--xi", "1/2,0,0", "--eta", "1/2,0,0",
+                            "--steps", "1e-9,5e-10"], capsys)
+    assert code == 1
+    assert "[PASS] stencil" not in out
+    assert out.count("[FAIL] stencil-h-") == 2
+
+
+def test_theorem_without_a_measured_order_fails(capsys):
+    # the error at h = 1e-4 is exactly 0, so no convergence order is measured
+    code, out, _ = run_cli(["theorem", "--map", "nakamura_shear",
+                            "--xi", "1/2,0,0", "--eta", "1/2,0,0",
+                            "--steps", "1e-4,5e-5"], capsys)
+    assert code == 1
+    assert "[FAIL] convergence-order" in out and "orders []" in out

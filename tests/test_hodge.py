@@ -15,7 +15,9 @@ from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
                           green_apply, minimality_residual, neumann_gamma,
                           three_space_decompose)
 from balmap.forms import wedge
-from balmap.invariant import InvForm
+from balmap.invariant import HH, DiffTerm, InvForm, LieModel
+
+from oracles import wedge_gram_oracle
 
 IW = MODELS["iwasawa"]
 T3 = MODELS["torus3"]
@@ -79,13 +81,57 @@ def test_laplacian_selfadjoint_psd_and_kernel():
     for model in (IW, NK, HM):
         m = rand_metric(rng, model)
         ctx = MetricContext(m)
-        for (p, q) in [(1, 1), (2, 2)]:
+        for (p, q) in np.ndindex(model.dim + 1, model.dim + 1):
             A = delta_bc_ortho(ctx, p, q)
             assert np.linalg.norm(A - A.conj().T) < 1e-12
             w = np.linalg.eigvalsh(A)
             assert w.min() > -1e-10
             kdim = int((w <= 1e-9 * max(w.max(), 1.0)).sum())
             assert kdim == bc_dim(model, p, q)
+
+
+def filiform(n):
+    """d(phi_k) = phi_1 ^ phi_(k-1) for k >= 3."""
+    return LieModel("filiform%d" % n, n,
+                    {k: [DiffTerm(HH, 1, k - 1, CRat(1))] for k in range(3, n + 1)})
+
+
+def test_gram_matches_leibniz_minor_oracle():
+    rng = random.Random(4)
+    for model in (IW, filiform(5)):
+        for _ in range(2):
+            m = rand_metric(rng, model)
+            ctx = MetricContext(m)
+            for p, q in np.ndindex(model.dim + 1, model.dim + 1):
+                want = np.array(wedge_gram_oracle(
+                    m.gram.tolist(), model.basis_keys(p, q),
+                    float(model.volume_scale)))
+                got = ctx.gram(p, q)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() < 1e-12 * max(
+                    1.0, np.abs(want).max()), (model.name, p, q)
+
+
+def test_laplacian_is_the_six_term_sum_in_raw_coordinates():
+    # sum of F* F over del, delbar, ddbar, (ddbar)*, del* delbar, delbar* del,
+    # with adjoints from the Grams; outside 0..dim a space is empty
+    rng = random.Random(5)
+    for model in (IW, HM):
+        ctx = MetricContext(rand_metric(rng, model))
+        for p, q in np.ndindex(model.dim + 1, model.dim + 1):
+            D, Db = ctx.op_del(p, q), ctx.op_delbar(p, q)
+            P2 = ctx.op_deldelbar(p - 1, q - 1)
+            factors = [
+                (D, (p + 1, q)), (Db, (p, q + 1)),
+                (ctx.op_deldelbar(p, q), (p + 1, q + 1)),
+                (adjoint(ctx, P2, (p - 1, q - 1), (p, q)), (p - 1, q - 1)),
+                (adjoint(ctx, ctx.op_del(p - 1, q + 1), (p - 1, q + 1),
+                         (p, q + 1)) @ Db, (p - 1, q + 1)),
+                (adjoint(ctx, ctx.op_delbar(p + 1, q - 1), (p + 1, q - 1),
+                         (p + 1, q)) @ D, (p + 1, q - 1))]
+            want = sum(adjoint(ctx, F, (p, q), cod) @ F for F, cod in factors)
+            assert np.abs(delta_bc(ctx, p, q) - want).max() < 1e-9 * max(
+                1.0, np.abs(want).max()), (model.name, p, q)
 
 
 def test_green_pseudo_inverse_property():

@@ -6,15 +6,19 @@ that LieModel rejects (d^2 != 0) and tori are redrawn.  On each accepted model t
 exact Bott-Chern and Aeppli dimensions must satisfy
 
 * duality: h_BC^{p,q} = h_A^{n-p,n-q};
-* conjugation symmetry: h_BC^{p,q} = h_BC^{q,p}.
+* conjugation symmetry: h_BC^{p,q} = h_BC^{q,p};
+* the kernel of the float Bott-Chern Laplacian, under a random Hermitian
+  metric, has the exact dimension h_BC^{p,q}.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from balmap.exact import CRat
-from balmap.hodge import aeppli_dim, bc_dim
+from balmap.hodge import (HermitianMetricSpec, MetricContext, aeppli_dim,
+                          bc_dim, delta_bc_ortho)
 from balmap.invariant import HH, MIX, DiffTerm, LieModel, ModelError
 
 
@@ -49,3 +53,17 @@ def test_duality_and_conjugation_symmetry_on_generated_models(seed):
     for (p, q), h in bc.items():
         assert h == ae[(n - p, n - q)], ("duality", model.diff, p, q)
         assert h == bc[(q, p)], ("conjugation symmetry", model.diff, p, q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_harmonic_kernel_has_the_exact_dimension_on_generated_models(seed):
+    rng = random.Random(seed)
+    model = random_nilpotent_model(rng, 3 if seed < 3 else 4)
+    n = model.dim
+    B = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+                  for _ in range(n)])
+    ctx = MetricContext(HermitianMetricSpec(model, B @ B.conj().T + np.eye(n)))
+    for p, q in np.ndindex(n + 1, n + 1):
+        w = np.linalg.eigvalsh(delta_bc_ortho(ctx, p, q))
+        kdim = int((w <= 1e-9 * max(w.max(), 1.0)).sum())
+        assert kdim == bc_dim(model, p, q), (model.diff, p, q)
