@@ -256,8 +256,8 @@ def cmd_ma(args) -> int:
     d = result.diagnostics
     rep.add("solve", "volume-normalization-equation", d.converged,
             residual=d.residual_history[-1],
-            detail="newton %d, inner %d" % (d.newton_iterations,
-                                            d.gmres_iterations))
+            detail="newton %d, inner %d, inner unconverged %d"
+            % (d.newton_iterations, d.gmres_iterations, d.inner_unconverged))
     rep.add("positivity", "metric-positivity-along-solution",
             d.min_eigenvalue > 0, residual=d.min_eigenvalue)
     rep.add("conservation", "volume-conservation-identity",

@@ -236,17 +236,50 @@ def _min_eigenvalue(gram: np.ndarray, H: Dict[Tuple[int, int], np.ndarray]) -> f
     return float(np.linalg.eigvalsh(M)[..., 0].min())
 
 
+def _positive_definite(gram: np.ndarray, H: Dict[Tuple[int, int], np.ndarray],
+                       det: np.ndarray) -> bool:
+    """Whether g + H is positive definite at every grid point.
+
+    Sylvester's criterion: every leading principal minor is positive.  The
+    top minor is ``det``, as computed by ``_det_and_adjugate``; d = 2 adds
+    a11 and d = 3 also the leading 2x2 minor.
+    """
+    if not det.min() > 0:
+        return False
+    d = gram.shape[0]
+    if d == 1:
+        return True
+    a11 = gram[0, 0].real + H[(1, 1)]
+    if not a11.min() > 0:
+        return False
+    if d == 2:
+        return True
+    minor2 = a11 * (gram[1, 1].real + H[(2, 2)]) - np.abs(gram[0, 1] + H[(1, 2)]) ** 2
+    return bool(minor2.min() > 0)
+
+
 @dataclass
 class MADiagnostics:
     residual_history: List[float] = field(default_factory=list)
     newton_iterations: int = 0
     gmres_iterations: int = 0
+    inner_unconverged: int = 0  # Newton steps whose GMRES stopped at maxiter
     damping_events: int = 0
     continuation_stages: int = 0
     min_eigenvalue: float = float("nan")
     conservation_gap: float = float("nan")
     converged: bool = False
     failure: Optional[str] = None
+
+
+_WORK_COUNTS = ("newton_iterations", "gmres_iterations", "damping_events",
+                "inner_unconverged")
+
+
+def _total_work(into: MADiagnostics, parts: Sequence[MADiagnostics]) -> None:
+    """Set the work counts of ``into`` to their sums over ``parts``."""
+    for name in _WORK_COUNTS:
+        setattr(into, name, sum(getattr(p, name) for p in parts))
 
 
 @dataclass
@@ -290,7 +323,8 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
     Returns phi with sup phi = 0, the constant C, and diagnostics.  On
     divergence the forcing is ramped in stages (each converged stage seeds
     the next); only if the ramp also stalls does NewtonFailure propagate,
-    carrying the last iterate.
+    carrying the last iterate.  The Newton, GMRES, damping and
+    unconverged-inner-solve counts sum over every attempt made.
     """
     if not 1e-12 <= tol < np.inf:
         raise GridError("tolerance %r is not a finite number >= 1e-12" % (tol,))
@@ -307,16 +341,23 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
     except NewtonFailure as failure:
         if not continuation:
             raise
+        # the counts of the result, or of the re-raised failure, cover the
+        # failed direct attempt and every stage run
+        spent = [failure.result.diagnostics]
         stages = 4
         phi = phi0
         for k in range(1, stages + 1):
             Fk = ScalarField(F.grid, F.values * (k / stages))
             try:
                 result = _solve_ma_direct(Fk, gram, tol, max_iter, phi, workers)
-            except NewtonFailure:
+            except NewtonFailure as stalled:
+                _total_work(failure.result.diagnostics,
+                            spent + [stalled.result.diagnostics])
                 raise failure from None
             result.diagnostics.continuation_stages = k
+            spent.append(result.diagnostics)
             phi = result.phi
+        _total_work(result.diagnostics, spent)
         return result
 
 
@@ -343,81 +384,55 @@ def _solve_ma_direct(F: ScalarField, gram, tol: float,
         R = det - C * eF * detg
         return H, det, C, R
 
-    H, det, C, R = assemble(phi)
+    H, _, C, R = assemble(phi)
     maxres = float(np.abs(R).max() / detg)
     diag.residual_history.append(maxres)
-
-    n_flat = int(np.prod(grid.shape))
+    r0 = max(maxres, 1e-30)
 
     for it in range(max_iter):
         if maxres <= tol:
             diag.converged = True
             break
         diag.newton_iterations += 1
+        # the linearization sum_jk adj_jk H_jk(psi) as (real weight, symbol)
+        # terms; H and the adjugate are not needed once the weights exist
         _, adj = _det_and_adjugate(g, H, True)
-
-        def matvec(psi_flat):
-            psi = psi_flat.reshape(grid.shape)
-            Hp = op.entries(op.rfft(psi))
-            out = np.zeros(grid.shape)
-            for j in range(1, d + 1):
-                out += adj[(j, j)].real * Hp[(j, j)]
-                for k in range(j + 1, d + 1):
-                    out += 2 * (adj[(j, k)] * np.conj(Hp[(j, k)])).real
-            return out.ravel()
-
-        # constant-coefficient preconditioner from the mean adjugate
-        psym = np.zeros_like(op.sym_P(1, 1))
+        del H
+        terms = []
         for j in range(1, d + 1):
-            psym = psym + float(adj[(j, j)].real.mean()) * op.sym_P(j, j)
+            terms.append((adj[(j, j)].real, op.sym_P, j, j))
             for k in range(j + 1, d + 1):
-                c = complex(adj[(j, k)].mean())
-                psym = psym + 2 * c.real * op.sym_P(j, k) + 2 * c.imag * op.sym_Q(j, k)
-        flat_idx = (0,) * (2 * d)
-        psym_safe = psym.copy()
-        psym_safe[flat_idx] = 1.0
-
-        def precond(r_flat):
-            r = r_flat.reshape(grid.shape)
-            rhat = op.rfft(r)
-            rhat /= psym_safe
-            rhat[flat_idx] = 0.0
-            return op.irfft(rhat).ravel()
-
-        Lop = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=float)
-        Mop = LinearOperator((n_flat, n_flat), matvec=precond, dtype=float)
-        rhs = (-R).ravel()
-        inner_tol = max(1e-12, min(1e-2, 0.1 * maxres / max(diag.residual_history[0], 1e-30)))
-        iters = [0]
-
-        def cb(_):
-            iters[0] += 1
-        psi_flat, info = gmres(Lop, rhs, rtol=inner_tol, atol=0.0, M=Mop,
-                               maxiter=200, callback=cb,
-                               callback_type="legacy")
-        diag.gmres_iterations += iters[0]
-        psi = psi_flat.reshape(grid.shape)
-        psi -= psi.mean()
+                terms.append((2 * adj[(j, k)].real, op.sym_P, j, k))
+                terms.append((2 * adj[(j, k)].imag, op.sym_Q, j, k))
+        del adj
+        # forcing term: shrink with the residual, but never ask the linear
+        # solve for more than a tenth of what the outer tolerance can use
+        inner_tol = max(1e-12, 0.1 * tol / maxres, min(1e-2, 0.1 * maxres / r0))
+        psi, iters, info = _newton_direction(op, terms, R, inner_tol)
+        del terms
+        diag.gmres_iterations += iters
+        diag.inner_unconverged += int(info > 0)
 
         step = 1.0
-        accepted = False
         for _ in range(25):
             cand = phi + step * psi
             Hc, detc, Cc, Rc = assemble(cand)
             res_c = float(np.abs(Rc).max() / detg)
-            mineig = _min_eigenvalue(g, Hc)
-            if mineig > 0 and res_c < maxres:
-                phi, H, det, C, R, maxres = cand, Hc, detc, Cc, Rc, res_c
-                accepted = True
+            if res_c < maxres and _positive_definite(g, Hc, detc):
                 break
+            del cand, Hc, detc, Rc
             step /= 2
             diag.damping_events += 1
-        diag.residual_history.append(maxres)
-        if not accepted:
+        else:
+            diag.residual_history.append(maxres)
             diag.failure = ("damping stalled at residual %.3e" % maxres)
-            diag.min_eigenvalue = _min_eigenvalue(g, H)
+            diag.min_eigenvalue = _min_eigenvalue(g, op.entries(op.rfft(phi)))
             phi_out = ScalarField(grid, phi - phi.max())
             raise NewtonFailure(diag.failure, MAResult(phi_out, C, diag))
+        phi, H, C, R, maxres = cand, Hc, Cc, Rc, res_c
+        # drop the aliases, so that the next step's `del H` frees H
+        del cand, Hc, detc, Rc, psi
+        diag.residual_history.append(maxres)
     else:
         if maxres > tol:
             diag.failure = "newton did not converge in %d iterations" % max_iter
@@ -430,6 +445,46 @@ def _solve_ma_direct(F: ScalarField, gram, tol: float,
     diag.conservation_gap = abs(C * eF_mean * detg - detg) / detg
     phi_out = phi - phi.max()
     return MAResult(ScalarField(grid, phi_out), C, diag)
+
+
+def _newton_direction(op: HessianOp, terms, R: np.ndarray, rtol: float):
+    """GMRES(20) for sum_t w_t irfft(sym_t * psihat) = -R with the mean-weight
+    constant-coefficient preconditioner; returns the mean-free psi, the
+    iteration count and GMRES's info flag (> 0: stopped at maxiter)."""
+    grid = op.grid
+    n_flat = R.size
+    flat_idx = (0,) * (2 * grid.dim)
+
+    def matvec(psi_flat):
+        vhat = op.rfft(psi_flat.reshape(grid.shape))
+        out = np.zeros(grid.shape)
+        for w, sym, j, k in terms:
+            out += w * op.irfft(sym(j, k) * vhat)
+        return out.ravel()
+
+    psym = sum(float(w.mean()) * sym(j, k) for w, sym, j, k in terms)
+    psym[flat_idx] = 1.0
+
+    def precond(r_flat):
+        rhat = op.rfft(r_flat.reshape(grid.shape))
+        rhat /= psym
+        rhat[flat_idx] = 0.0
+        return op.irfft(rhat).ravel()
+
+    iters = [0]
+
+    def cb(_):
+        iters[0] += 1
+    # solve L x = R and take psi = -x: GMRES is odd in the right-hand side,
+    # and this needs no negated copy of R
+    x, info = gmres(LinearOperator((n_flat, n_flat), matvec=matvec, dtype=float),
+                    R.ravel(), rtol=rtol, atol=0.0,
+                    M=LinearOperator((n_flat, n_flat), matvec=precond, dtype=float),
+                    maxiter=200, callback=cb, callback_type="legacy")
+    psi = x.reshape(grid.shape)
+    psi -= psi.mean()
+    np.negative(psi, out=psi)
+    return psi, iters[0], info
 
 
 def linear_oracle_d1(F: ScalarField, gram) -> Tuple[ScalarField, float]:

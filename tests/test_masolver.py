@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from balmap import masolver
 from balmap.masolver import (GridError, NewtonFailure, ScalarField, TorusGrid,
-                             format_samples, linear_oracle_d1, parse_modes,
-                             parse_samples, positivity_check, residual,
-                             solve_ma)
+                             _det_and_adjugate, _min_eigenvalue,
+                             _positive_definite, format_samples,
+                             linear_oracle_d1, parse_modes, parse_samples,
+                             positivity_check, residual, solve_ma)
 
 
 def test_grid_validation():
@@ -158,3 +160,100 @@ def test_tolerance_floor_enforced():
     g = TorusGrid(1, 8)
     with pytest.raises(GridError):
         solve_ma(ScalarField.zeros(g), [[1.0]], tol=1e-15)
+
+
+def _hermitian_field(rng, d, n):
+    """n Hermitian d x d matrices of every inertia, a quarter of them with
+    an eigenvalue of size 1e-6 (near-singular), stacked on the first axis."""
+    mats = []
+    for i in range(n):
+        lam = rng.uniform(0.1, 2.0, d)
+        lam[:i % (d + 1)] *= -1           # 0..d negative eigenvalues
+        if i % 4 == 3:
+            lam[0] = 1e-6 * np.sign(lam[0])
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        u, _ = np.linalg.qr(z)
+        mats.append((u * lam) @ u.conj().T)
+    return np.array(mats)
+
+
+def _hessian_dict(mats, gram):
+    d = gram.shape[0]
+    H = {}
+    for j in range(1, d + 1):
+        H[(j, j)] = mats[:, j - 1, j - 1].real - gram[j - 1, j - 1].real
+        for k in range(j + 1, d + 1):
+            H[(j, k)] = mats[:, j - 1, k - 1] - gram[j - 1, k - 1]
+    return H
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sylvester_guard_agrees_with_eigenvalues(d):
+    rng = np.random.default_rng(40 + d)
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    gram = b @ b.conj().T + np.eye(d)
+    mats = _hermitian_field(rng, d, 96)
+    for i in range(len(mats)):
+        H = _hessian_dict(mats[i:i + 1], gram)
+        det, _ = _det_and_adjugate(gram, H, False)
+        assert _positive_definite(gram, H, det) == (_min_eigenvalue(gram, H) > 0)
+    # whole fields: one indefinite point makes the field fail
+    positive = mats[np.linalg.eigvalsh(mats)[:, 0] > 0]
+    for field_mats, want in ((positive, True), (mats, False)):
+        H = _hessian_dict(field_mats, gram)
+        det, _ = _det_and_adjugate(gram, H, False)
+        assert _positive_definite(gram, H, det) is want
+
+
+def test_krylov_bound_solve_stops_inner_solves_at_the_outer_tolerance():
+    # the benchmark's Krylov-bound shape; asking GMRES for a relative
+    # residual below tol / residual made its last Newton step run into
+    # maxiter (272 inner iterations in all)
+    g = TorusGrid(2, 16)
+    F = ScalarField.from_modes(g, [((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0),
+                                   ((1, 1, 0, 0), 2 / 3)])
+    res = solve_ma(F, np.eye(2), tol=1e-9)
+    d = res.diagnostics
+    assert d.converged
+    assert d.inner_unconverged == 0
+    assert d.gmres_iterations <= 150
+    assert residual(res.phi, F, np.eye(2)) <= 1e-9
+
+
+def _counts(diag):
+    return [diag.newton_iterations, diag.gmres_iterations, diag.damping_events,
+            diag.inner_unconverged]
+
+
+@pytest.mark.parametrize("amps,max_iter,converges", [
+    ((3.5, 2.45), 6, True),     # the continuation test's hard solve
+    ((0.8, 0.6), 1, False),     # the first stage stalls too
+])
+def test_continuation_counts_cover_every_attempt(monkeypatch, amps, max_iter,
+                                                 converges):
+    attempts = []   # (failed, counts) of each _solve_ma_direct call
+    direct = masolver._solve_ma_direct
+
+    def spy(*args):
+        try:
+            result = direct(*args)
+        except NewtonFailure as e:
+            attempts.append((True, _counts(e.result.diagnostics)))
+            raise
+        attempts.append((False, _counts(result.diagnostics)))
+        return result
+    monkeypatch.setattr(masolver, "_solve_ma_direct", spy)
+
+    g = TorusGrid(2, 16)
+    F = ScalarField.from_modes(g, [((1, 0, 0, 0), amps[0]),
+                                   ((0, 1, 1, 0), amps[1])])
+    if converges:
+        diag = solve_ma(F, np.eye(2), tol=1e-10, max_iter=max_iter).diagnostics
+        assert diag.continuation_stages == 4 and len(attempts) == 5
+    else:
+        with pytest.raises(NewtonFailure) as e:
+            solve_ma(F, np.eye(2), tol=1e-12, max_iter=max_iter)
+        diag = e.value.result.diagnostics
+        assert len(attempts) >= 2 and attempts[-1][0]
+    assert attempts[0][0]   # the direct attempt failed
+    assert _counts(diag) == [sum(col) for col in zip(*(c for _, c in attempts))]
