@@ -115,8 +115,10 @@ def cmd_verify_identities(args) -> int:
     rep = Report(command="verify-identities", seed=args.seed)
     suite = identity_suite(seed=args.seed, trials=args.trials)
     for r in suite.records:
-        rep.add(r.name, r.law, r.ok, residual=float(r.failures),
-                detail=(None if r.ok else (r.counterexample or "")[:400]),
+        detail = "%d of %d trials failed" % (r.failures, r.trials)
+        if not r.ok and r.counterexample:
+            detail += ": " + r.counterexample[:400]
+        rep.add(r.name, r.law, r.ok, detail=detail,
                 expected_failure=r.expected_failure)
     return _emit(rep, args)
 
@@ -138,8 +140,7 @@ def cmd_cohomology(args) -> int:
     except (ParseError, ModelError, ValidationError, OSError) as e:
         return _input_error(e)
     rep.add("%s-%s-%d-%d" % (args.kind, model.name, args.p, args.q), law, True,
-            residual=float(dim), detail="dimension %d" % dim,
-            provenance="exact rational elimination")
+            detail="dimension %d" % dim, provenance="exact rational elimination")
     rep.extra["dimension"] = dim
     return _emit(rep, args)
 

@@ -312,13 +312,8 @@ def _rows(model: LieModel, op, p, q, p2, q2) -> List[List[CRat]]:
     return operator_rows_exact(model, op, p, q, p2, q2)
 
 
-def aeppli_dim(model: LieModel, p: int, q: int,
-               metric: Optional[HermitianMetricSpec] = None) -> int:
-    """dim ker(ddbar) - dim(Im del + Im delbar) at bidegree (p,q), exact.
-
-    The metric argument is accepted for interface symmetry and ignored:
-    dimensions are metric independent.
-    """
+def aeppli_dim(model: LieModel, p: int, q: int) -> int:
+    """dim ker(ddbar) - dim(Im del + Im delbar) at bidegree (p,q), exact."""
     n = len(model.basis_keys(p, q))
     ddbar = lambda u: model.ce_del(model.ce_delbar(u))
     ker = n - exact_rank(_rows(model, ddbar, p, q, p + 1, q + 1))

@@ -21,7 +21,8 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.sparse.linalg import LinearOperator, gmres
 
-DEFAULT_MEMORY_CAP = 2 ** 26  # grid points
+MAX_GRID_POINTS = 2 ** 26
+_FFT_WORKERS = -1  # scipy.fft uses every CPU
 
 
 class GridError(ValueError):
@@ -32,31 +33,36 @@ class GridError(ValueError):
 class TorusGrid:
     dim: int
     res: int
-    memory_cap: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
             raise GridError("dim %r is outside the supported 1..3" % (self.dim,))
         if self.res < 8 or self.res & (self.res - 1):
             raise GridError("res must be a power of two, at least 8")
-        if self.res ** (2 * self.dim) > self.memory_cap:
+        if self.res ** (2 * self.dim) > MAX_GRID_POINTS:
             raise GridError("grid size %d exceeds the memory cap %d"
-                            % (self.res ** (2 * self.dim), self.memory_cap))
+                            % (self.res ** (2 * self.dim), MAX_GRID_POINTS))
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return (self.res,) * (2 * self.dim)
 
+    def _per_axis(self, base: np.ndarray, last: np.ndarray) -> List[np.ndarray]:
+        """``base`` (``last`` on the final axis) laid along each real axis."""
+        n = 2 * self.dim
+        return [(last if a == n - 1 else base).reshape(
+                    [-1 if b == a else 1 for b in range(n)]) for a in range(n)]
+
     def coords(self) -> List[np.ndarray]:
         """Broadcastable coordinate arrays in axis order x1,y1,...,xd,yd."""
-        axes = []
-        n = 2 * self.dim
         base = np.arange(self.res) / self.res
-        for a in range(n):
-            shape = [1] * n
-            shape[a] = self.res
-            axes.append(base.reshape(shape))
-        return axes
+        return self._per_axis(base, base)
+
+    def wavenumbers(self) -> List[np.ndarray]:
+        """Broadcastable integer wavenumbers of the ``rfftn`` spectrum, whose
+        last axis holds the non-negative half."""
+        return self._per_axis(sfft.fftfreq(self.res) * self.res,
+                              sfft.rfftfreq(self.res) * self.res)
 
 
 @dataclass
@@ -106,156 +112,106 @@ class ScalarField:
         total = power.sum()
         if total == 0:
             return 0.0
-        res = self.grid.res
-        n = 2 * self.grid.dim
         mask = np.zeros(power.shape, dtype=bool)
-        full = np.abs(sfft.fftfreq(res) * res)
-        half = np.abs(sfft.rfftfreq(res) * res)
-        for a in range(n):
-            src = half if a == n - 1 else full
-            shape = [1] * n
-            shape[a] = len(src)
-            mask |= (src.reshape(shape) > res // 4) * np.ones(power.shape, bool)
+        for m in self.grid.wavenumbers():
+            mask |= np.abs(m) > self.grid.res // 4
         return float(power[mask].sum() / total)
+
+
+Hessian = Dict[Tuple[int, int], np.ndarray]
 
 
 class HessianOp:
     """Mixed complex Hessian entries of a real field, by real-symbol FFTs."""
 
-    def __init__(self, grid: TorusGrid, workers: int = -1):
+    def __init__(self, grid: TorusGrid):
         self.grid = grid
-        self.workers = workers
-        res = grid.res
-        n = 2 * grid.dim
-        full = sfft.fftfreq(res) * res
-        half = sfft.rfftfreq(res) * res
-        self._wav = []
-        for a in range(n):
-            src = half if a == n - 1 else full
-            shape = [1] * n
-            shape[a] = len(src)
-            self._wav.append(src.reshape(shape))
+        self._wav = grid.wavenumbers()
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(v, workers=self.workers)
+        return sfft.rfftn(v, workers=_FFT_WORKERS)
 
     def irfft(self, vhat: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(vhat, s=self.grid.shape, workers=self.workers)
+        return sfft.irfftn(vhat, s=self.grid.shape, workers=_FFT_WORKERS)
 
-    def _m(self, j: int) -> np.ndarray:
-        return self._wav[2 * (j - 1)]
-
-    def _n(self, j: int) -> np.ndarray:
-        return self._wav[2 * (j - 1) + 1]
-
-    def sym_P(self, j: int, k: int) -> np.ndarray:
-        return -np.pi ** 2 * (self._m(j) * self._m(k) + self._n(j) * self._n(k))
-
-    def sym_Q(self, j: int, k: int) -> np.ndarray:
-        return -np.pi ** 2 * (self._m(j) * self._n(k) - self._n(j) * self._m(k))
-
-    def entries(self, vhat: np.ndarray) -> Dict[Tuple[int, int], np.ndarray]:
-        """Entries H[j,k] for j <= k; H[k,j] is the conjugate."""
+    def parts(self) -> List[Tuple[int, int, bool]]:
+        """(j, k, imag) for each real part of H[j,k], j <= k: the real part,
+        then for j < k the imaginary part."""
         d = self.grid.dim
-        out: Dict[Tuple[int, int], np.ndarray] = {}
-        for j in range(1, d + 1):
-            out[(j, j)] = self.irfft(self.sym_P(j, j) * vhat)
-            for k in range(j + 1, d + 1):
-                P = self.irfft(self.sym_P(j, k) * vhat)
-                Q = self.irfft(self.sym_Q(j, k) * vhat)
-                out[(j, k)] = P + 1j * Q
+        return [(j, k, imag) for j in range(1, d + 1) for k in range(j, d + 1)
+                for imag in ((False, True) if j < k else (False,))]
+
+    def symbol(self, j: int, k: int, imag: bool) -> np.ndarray:
+        """Real Fourier symbol of Re H[j,k], or of Im H[j,k] if ``imag``."""
+        mj, nj = self._wav[2 * j - 2], self._wav[2 * j - 1]
+        mk, nk = self._wav[2 * k - 2], self._wav[2 * k - 1]
+        if imag:
+            return -np.pi ** 2 * (mj * nk - nj * mk)
+        return -np.pi ** 2 * (mj * mk + nj * nk)
+
+    def entries(self, vhat: np.ndarray) -> Hessian:
+        """Entries H[j,k] for j <= k; H[k,j] is the conjugate."""
+        out: Hessian = {}
+        for j, k, imag in self.parts():
+            part = self.irfft(self.symbol(j, k, imag) * vhat)
+            out[(j, k)] = out[(j, k)] + 1j * part if imag else part
         return out
 
 
-def _det_and_adjugate(gram: np.ndarray, H: Dict[Tuple[int, int], np.ndarray],
-                      need_adj: bool):
-    """det(g + H) and adjugate entries, specialized for d in {1, 2, 3}."""
+def _hermitian(gram: np.ndarray, H: Hessian) -> Hessian:
+    """Upper triangle of g + H, j <= k, with a real diagonal."""
+    return {(j, k): (gram[j - 1, j - 1].real if j == k else gram[j - 1, k - 1]) + h
+            for (j, k), h in H.items()}
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return (z * np.conj(z)).real
+
+
+def _det_and_adjugate(gram: np.ndarray, H: Hessian, need_adj: bool):
+    """det(g + H), the upper triangle of its adjugate (None unless
+    ``need_adj``) and whether g + H is positive definite at every grid
+    point, by Sylvester's criterion on the leading principal minors."""
+    a = _hermitian(gram, H)
     d = gram.shape[0]
-
-    def A(j, k):
-        if j == k:
-            return gram[j - 1, j - 1].real + H[(j, j)]
-        if j < k:
-            return gram[j - 1, k - 1] + H[(j, k)]
-        return np.conj(gram[k - 1, j - 1] + H[(k, j)])
-
+    a11 = a[(1, 1)]
     if d == 1:
-        det = A(1, 1)
-        adj = {(1, 1): np.ones_like(det)} if need_adj else None
-        return det, adj
+        adj = {(1, 1): np.ones_like(a11)} if need_adj else None
+        return a11, adj, bool(a11.min() > 0)
+    a22, a12 = a[(2, 2)], a[(1, 2)]
+    m2 = a11 * a22 - _abs2(a12)
     if d == 2:
-        a11, a22, a12 = A(1, 1), A(2, 2), A(1, 2)
-        det = a11 * a22 - (a12 * np.conj(a12)).real
-        adj = None
-        if need_adj:
-            adj = {(1, 1): a22, (2, 2): a11, (1, 2): -a12}
-        return det, adj
+        adj = {(1, 1): a22, (2, 2): a11, (1, 2): -a12} if need_adj else None
+        return m2, adj, bool(m2.min() > 0 and a11.min() > 0)
     # d == 3 (TorusGrid admits no other dimension)
-    a = {(j, k): A(j, k) for j in range(1, 4) for k in range(1, 4)}
-    det = (a[(1, 1)] * (a[(2, 2)] * a[(3, 3)] - a[(2, 3)] * a[(3, 2)])
-           - a[(1, 2)] * (a[(2, 1)] * a[(3, 3)] - a[(2, 3)] * a[(3, 1)])
-           + a[(1, 3)] * (a[(2, 1)] * a[(3, 2)] - a[(2, 2)] * a[(3, 1)])).real
-    adj = None
-    if need_adj:
-        # adj(A)[j,k] = cofactor C_kj; for Hermitian A the adjugate is
-        # Hermitian, store upper triangle
-        def cof(j, k):
-            rows = [r for r in (1, 2, 3) if r != j]
-            cols = [c for c in (1, 2, 3) if c != k]
-            m = (a[(rows[0], cols[0])] * a[(rows[1], cols[1])]
-                 - a[(rows[0], cols[1])] * a[(rows[1], cols[0])])
-            return ((-1) ** (j + k)) * m
-        adj = {(1, 1): cof(1, 1).real, (2, 2): cof(2, 2).real,
-               (3, 3): cof(3, 3).real,
-               (1, 2): cof(2, 1), (1, 3): cof(3, 1), (2, 3): cof(3, 2)}
-    return det, adj
+    a33, a13, a23 = a[(3, 3)], a[(1, 3)], a[(2, 3)]
+    det = (a33 * m2 - a11 * _abs2(a23) - a22 * _abs2(a13)
+           + 2 * (a12 * a23 * np.conj(a13)).real)
+    # adj[j,k] is the cofactor of entry (k, j)
+    adj = {(1, 1): a22 * a33 - _abs2(a23), (2, 2): a11 * a33 - _abs2(a13),
+           (3, 3): m2, (1, 2): a13 * np.conj(a23) - a12 * a33,
+           (1, 3): a12 * a23 - a13 * a22,
+           (2, 3): a13 * np.conj(a12) - a11 * a23} if need_adj else None
+    return det, adj, bool(det.min() > 0 and a11.min() > 0 and m2.min() > 0)
 
 
-def _min_eigenvalue(gram: np.ndarray, H: Dict[Tuple[int, int], np.ndarray]) -> float:
+def _min_eigenvalue(gram: np.ndarray, H: Hessian) -> float:
+    """Smallest eigenvalue of g + H over the grid."""
+    a = _hermitian(gram, H)
     d = gram.shape[0]
     if d == 1:
-        return float((gram[0, 0].real + H[(1, 1)]).min())
+        return float(a[(1, 1)].min())
     if d == 2:
-        a11 = gram[0, 0].real + H[(1, 1)]
-        a22 = gram[1, 1].real + H[(2, 2)]
-        a12 = gram[0, 1] + H[(1, 2)]
-        tr = a11 + a22
-        disc = np.sqrt((a11 - a22) ** 2 + 4 * np.abs(a12) ** 2)
-        return float(((tr - disc) / 2).min())
-    # d == 3: assemble pointwise matrices (small grids only behind the cap)
-    shape = H[(1, 1)].shape
-    M = np.zeros(shape + (d, d), dtype=complex)
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            if j == k:
-                M[..., j - 1, k - 1] = gram[j - 1, j - 1].real + H[(j, j)]
-            elif j < k:
-                M[..., j - 1, k - 1] = gram[j - 1, k - 1] + H[(j, k)]
-            else:
-                M[..., j - 1, k - 1] = np.conj(gram[k - 1, j - 1] + H[(k, j)])
+        a11, a22 = a[(1, 1)], a[(2, 2)]
+        disc = np.sqrt((a11 - a22) ** 2 + 4 * np.abs(a[(1, 2)]) ** 2)
+        return float(((a11 + a22 - disc) / 2).min())
+    # d == 3: eigvalsh reads the lower triangle and copies M, so the
+    # entries are dropped first
+    M = np.zeros(a[(1, 1)].shape + (d, d), dtype=complex)
+    for (j, k), v in a.items():
+        M[..., k - 1, j - 1] = np.conj(v)
+    del a, v
     return float(np.linalg.eigvalsh(M)[..., 0].min())
-
-
-def _positive_definite(gram: np.ndarray, H: Dict[Tuple[int, int], np.ndarray],
-                       det: np.ndarray) -> bool:
-    """Whether g + H is positive definite at every grid point.
-
-    Sylvester's criterion: every leading principal minor is positive.  The
-    top minor is ``det``, as computed by ``_det_and_adjugate``; d = 2 adds
-    a11 and d = 3 also the leading 2x2 minor.
-    """
-    if not det.min() > 0:
-        return False
-    d = gram.shape[0]
-    if d == 1:
-        return True
-    a11 = gram[0, 0].real + H[(1, 1)]
-    if not a11.min() > 0:
-        return False
-    if d == 2:
-        return True
-    minor2 = a11 * (gram[1, 1].real + H[(2, 2)]) - np.abs(gram[0, 1] + H[(1, 2)]) ** 2
-    return bool(minor2.min() > 0)
 
 
 @dataclass
@@ -295,13 +251,16 @@ class NewtonFailure(RuntimeError):
         self.result = result
 
 
+def _hessian(phi: ScalarField) -> Hessian:
+    op = HessianOp(phi.grid)
+    return op.entries(op.rfft(phi.values))
+
+
 def residual(phi: ScalarField, F: ScalarField, gram: np.ndarray) -> float:
     """max |det(g + H phi) - C e^F det g| / det g with C from the identity."""
-    grid = phi.grid
-    op = HessianOp(grid)
-    H = op.entries(op.rfft(phi.values))
-    det, _ = _det_and_adjugate(np.asarray(gram, dtype=complex), H, False)
-    detg = float(np.linalg.det(np.asarray(gram, dtype=complex)).real)
+    g = np.asarray(gram, dtype=complex)
+    det, _, _ = _det_and_adjugate(g, _hessian(phi), False)
+    detg = float(np.linalg.det(g).real)
     eF = np.exp(F.values)
     C = float(det.mean() / (eF.mean() * detg))
     return float(np.abs(det - C * eF * detg).max() / detg)
@@ -309,15 +268,11 @@ def residual(phi: ScalarField, F: ScalarField, gram: np.ndarray) -> float:
 
 def positivity_check(phi: ScalarField, gram: np.ndarray) -> float:
     """Minimum over the grid of the smallest eigenvalue of g + H(phi)."""
-    grid = phi.grid
-    op = HessianOp(grid)
-    H = op.entries(op.rfft(phi.values))
-    return _min_eigenvalue(np.asarray(gram, dtype=complex), H)
+    return _min_eigenvalue(np.asarray(gram, dtype=complex), _hessian(phi))
 
 
 def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
-             max_iter: int = 40, phi0: Optional[ScalarField] = None,
-             workers: int = -1, continuation: bool = True) -> MAResult:
+             max_iter: int = 40, phi0: Optional[ScalarField] = None) -> MAResult:
     """Newton iteration for the normalized volume equation.
 
     Returns phi with sup phi = 0, the constant C, and diagnostics.  On
@@ -337,10 +292,8 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
     if not np.isfinite(F.values).all():
         raise GridError("forcing has non-finite values")
     try:
-        return _solve_ma_direct(F, gram, tol, max_iter, phi0, workers)
+        return _solve_ma_direct(F, g, tol, max_iter, phi0)
     except NewtonFailure as failure:
-        if not continuation:
-            raise
         # the counts of the result, or of the re-raised failure, cover the
         # failed direct attempt and every stage run
         spent = [failure.result.diagnostics]
@@ -349,7 +302,7 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
         for k in range(1, stages + 1):
             Fk = ScalarField(F.grid, F.values * (k / stages))
             try:
-                result = _solve_ma_direct(Fk, gram, tol, max_iter, phi, workers)
+                result = _solve_ma_direct(Fk, g, tol, max_iter, phi)
             except NewtonFailure as stalled:
                 _total_work(failure.result.diagnostics,
                             spent + [stalled.result.diagnostics])
@@ -361,17 +314,14 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
         return result
 
 
-def _solve_ma_direct(F: ScalarField, gram, tol: float,
-                     max_iter: int, phi0: Optional[ScalarField],
-                     workers: int) -> MAResult:
+def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
+                     max_iter: int, phi0: Optional[ScalarField]) -> MAResult:
     grid = F.grid
-    g = np.asarray(gram, dtype=complex)
-    d = grid.dim
     detg = float(np.linalg.det(g).real)
     eF = np.exp(F.values)
     eF_mean = float(eF.mean())
 
-    op = HessianOp(grid, workers=workers)
+    op = HessianOp(grid)
     diag = MADiagnostics()
 
     phi = (phi0.values.copy() if phi0 is not None else np.zeros(grid.shape))
@@ -379,90 +329,86 @@ def _solve_ma_direct(F: ScalarField, gram, tol: float,
 
     def assemble(p):
         H = op.entries(op.rfft(p))
-        det, _ = _det_and_adjugate(g, H, False)
+        det, _, positive = _det_and_adjugate(g, H, False)
         C = float(det.mean() / (eF_mean * detg))
-        R = det - C * eF * detg
-        return H, det, C, R
+        return H, C, det - C * eF * detg, positive
 
-    H, _, C, R = assemble(phi)
+    def fail(msg):
+        diag.failure = msg
+        raise NewtonFailure(msg, MAResult(ScalarField(grid, phi - phi.max()),
+                                          C, diag))
+
+    H, C, R, _ = assemble(phi)
     maxres = float(np.abs(R).max() / detg)
     diag.residual_history.append(maxres)
     r0 = max(maxres, 1e-30)
 
-    for it in range(max_iter):
-        if maxres <= tol:
-            diag.converged = True
-            break
+    while not maxres <= tol:   # a NaN residual is not convergence
+        if diag.newton_iterations >= max_iter:
+            fail("newton did not converge in %d iterations" % max_iter)
         diag.newton_iterations += 1
-        # the linearization sum_jk adj_jk H_jk(psi) as (real weight, symbol)
-        # terms; H and the adjugate are not needed once the weights exist
-        _, adj = _det_and_adjugate(g, H, True)
+        # the linearization sum_jk adj_jk H_jk(psi) as one real weight per
+        # symbol part; H and the adjugate are not needed once the weights exist
+        _, adj, _ = _det_and_adjugate(g, H, True)
         del H
-        terms = []
-        for j in range(1, d + 1):
-            terms.append((adj[(j, j)].real, op.sym_P, j, j))
-            for k in range(j + 1, d + 1):
-                terms.append((2 * adj[(j, k)].real, op.sym_P, j, k))
-                terms.append((2 * adj[(j, k)].imag, op.sym_Q, j, k))
+        weights = []
+        for j, k, imag in op.parts():
+            w = adj[(j, k)].imag if imag else adj[(j, k)].real
+            weights.append(w if j == k else 2 * w)
         del adj
         # forcing term: shrink with the residual, but never ask the linear
         # solve for more than a tenth of what the outer tolerance can use
         inner_tol = max(1e-12, 0.1 * tol / maxres, min(1e-2, 0.1 * maxres / r0))
-        psi, iters, info = _newton_direction(op, terms, R, inner_tol)
-        del terms
+        psi, iters, info = _newton_direction(op, weights, R, inner_tol)
+        del weights
         diag.gmres_iterations += iters
         diag.inner_unconverged += int(info > 0)
 
         step = 1.0
         for _ in range(25):
             cand = phi + step * psi
-            Hc, detc, Cc, Rc = assemble(cand)
+            Hc, Cc, Rc, positive = assemble(cand)
             res_c = float(np.abs(Rc).max() / detg)
-            if res_c < maxres and _positive_definite(g, Hc, detc):
+            if res_c < maxres and positive:
                 break
-            del cand, Hc, detc, Rc
+            del cand, Hc, Rc
             step /= 2
             diag.damping_events += 1
         else:
             diag.residual_history.append(maxres)
-            diag.failure = ("damping stalled at residual %.3e" % maxres)
             diag.min_eigenvalue = _min_eigenvalue(g, op.entries(op.rfft(phi)))
-            phi_out = ScalarField(grid, phi - phi.max())
-            raise NewtonFailure(diag.failure, MAResult(phi_out, C, diag))
+            fail("damping stalled at residual %.3e" % maxres)
         phi, H, C, R, maxres = cand, Hc, Cc, Rc, res_c
         # drop the aliases, so that the next step's `del H` frees H
-        del cand, Hc, detc, Rc, psi
+        del cand, Hc, Rc, psi
         diag.residual_history.append(maxres)
-    else:
-        if maxres > tol:
-            diag.failure = "newton did not converge in %d iterations" % max_iter
-            phi_out = ScalarField(grid, phi - phi.max())
-            raise NewtonFailure(diag.failure, MAResult(phi_out, C, diag))
-        diag.converged = True
 
+    diag.converged = True
     diag.min_eigenvalue = _min_eigenvalue(g, H)
     # conservation: C * int e^F gamma^d = int gamma^d
     diag.conservation_gap = abs(C * eF_mean * detg - detg) / detg
-    phi_out = phi - phi.max()
-    return MAResult(ScalarField(grid, phi_out), C, diag)
+    return MAResult(ScalarField(grid, phi - phi.max()), C, diag)
 
 
-def _newton_direction(op: HessianOp, terms, R: np.ndarray, rtol: float):
-    """GMRES(20) for sum_t w_t irfft(sym_t * psihat) = -R with the mean-weight
-    constant-coefficient preconditioner; returns the mean-free psi, the
-    iteration count and GMRES's info flag (> 0: stopped at maxiter)."""
+def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
+    """GMRES(20) for sum_t w_t irfft(symbol_t * psihat) = -R over the parts t
+    of ``op``, with the mean-weight constant-coefficient preconditioner;
+    returns the mean-free psi, the iteration count and GMRES's info flag
+    (> 0: stopped at maxiter)."""
     grid = op.grid
     n_flat = R.size
     flat_idx = (0,) * (2 * grid.dim)
+    parts = op.parts()
 
     def matvec(psi_flat):
         vhat = op.rfft(psi_flat.reshape(grid.shape))
         out = np.zeros(grid.shape)
-        for w, sym, j, k in terms:
-            out += w * op.irfft(sym(j, k) * vhat)
+        for w, part in zip(weights, parts):
+            out += w * op.irfft(op.symbol(*part) * vhat)
         return out.ravel()
 
-    psym = sum(float(w.mean()) * sym(j, k) for w, sym, j, k in terms)
+    psym = sum(float(w.mean()) * op.symbol(*part)
+               for w, part in zip(weights, parts))
     psym[flat_idx] = 1.0
 
     def precond(r_flat):
@@ -501,11 +447,10 @@ def linear_oracle_d1(F: ScalarField, gram) -> Tuple[ScalarField, float]:
     C = 1.0 / float(eF.mean())
     rhs = C * eF * g - g
     op = HessianOp(grid)
-    sym = op.sym_P(1, 1)
     rhat = op.rfft(rhs)
-    sym_safe = sym.copy()
-    sym_safe[(0, 0)] = 1.0
-    rhat /= sym_safe
+    sym = op.symbol(1, 1, False)
+    sym[(0, 0)] = 1.0
+    rhat /= sym
     rhat[(0, 0)] = 0.0
     phi = op.irfft(rhat)
     phi -= phi.max()

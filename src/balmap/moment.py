@@ -379,8 +379,7 @@ def pairing_value(gamma: InvForm, t: MomentTuple, model: LieModel) -> complex:
 
 def mu_eval(f: MapSpec, t: MomentTuple,
             metric: Optional[HermitianMetricSpec] = None,
-            gamma_policy: Optional[str] = None,
-            enforce_membership: bool = True) -> complex:
+            gamma_policy: Optional[str] = None) -> complex:
     """i * integral of Gamma(tuple) dV with Gamma under the chosen policy."""
     n = f.target.n
     if t.arity != n - 2:
@@ -388,12 +387,10 @@ def mu_eval(f: MapSpec, t: MomentTuple,
                               % (t.arity, n))
     policy = gamma_policy or t.gamma_policy
     metric = metric or HermitianMetricSpec.flat(f.source)
-    if enforce_membership:
-        pg = pg_membership(t, f.source)
-        if not pg.member:
-            raise ValidationError(
-                "tuple is not admissible: residuals (%.3e, %.3e)"
-                % (pg.residual_bar, pg.residual_del))
+    pg = pg_membership(t, f.source)
+    if not pg.member:
+        raise ValidationError("tuple is not admissible: residuals (%.3e, %.3e)"
+                              % (pg.residual_bar, pg.residual_del))
     gamma = _gamma_for(f, metric, policy)
     return pairing_value(gamma, t, f.source)
 
@@ -410,8 +407,7 @@ class GaugeReport:
 
 def well_definedness_check(f: MapSpec, t: MomentTuple,
                            metric: Optional[HermitianMetricSpec] = None,
-                           trials: int = 20, seed: int = 0,
-                           enforce_membership: bool = True) -> GaugeReport:
+                           trials: int = 20, seed: int = 0) -> GaugeReport:
     """Pairing invariance under potential shifts by del/delbar images.
 
     Samples random invariant (n-2, n-3)-forms beta and shifts Gamma by

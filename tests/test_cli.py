@@ -54,6 +54,30 @@ def test_cohomology_accepts_model_file(tmp_path, capsys):
     assert code == 0 and "dimension 8" in out
 
 
+def test_residual_field_holds_only_residuals(capsys):
+    # failure counts and dimensions are not residuals: the count goes in the
+    # detail, the dimension in the detail and in extra
+    code, out, _ = run_cli(["verify-identities", "--seed", "0", "--trials", "8",
+                            "--format", "structured"], capsys)
+    records = [json.loads(line) for line in out.splitlines()[1:-1]]
+    assert code == 0 and records
+    for rec in records:
+        assert "residual" not in rec
+        count = int(rec["detail"].split(" of 8 trials failed")[0])
+        assert (count > 0) == (rec["status"] == "expected-fail")
+    code, out, _ = run_cli(["verify-identities", "--seed", "0", "--trials", "1"],
+                           capsys)
+    assert code == 1
+    assert ("[FAIL] lie10-function-linear-10-restricted "
+            "(function-linearity-outside-0q) - 0 of 1 trials failed") in out
+    code, out, _ = run_cli(["cohomology", "--model", "iwasawa", "--p", "1",
+                            "--q", "1", "--kind", "bottchern",
+                            "--format", "structured"], capsys)
+    header, rec = (json.loads(line) for line in out.splitlines()[:2])
+    assert code == 0 and header["extra"]["dimension"] == 4
+    assert "residual" not in rec and rec["detail"] == "dimension 4"
+
+
 def test_moment_command(tmp_path, capsys):
     tf = tmp_path / "t.tuple"
     tf.write_text(TUPLE_Z3)
