@@ -34,6 +34,13 @@ from .moment import (BalancedTarget, MapSpec, MomentTuple, check_balanced,
                      flow_derivative_check, lie_g_membership, mu_eval,
                      omega_eval, pg_membership, well_definedness_check,
                      x_membership)
-from .masolver import (MAResult, ScalarField, TorusGrid, positivity_check,
-                       residual, solve_ma)
 from .catalog import CATALOG_MAPS, MODELS, get_map, get_model
+
+
+def __getattr__(name):
+    # the spectral solver imports scipy.fft and scipy.sparse: load on first use
+    if name in ("MAResult", "ScalarField", "TorusGrid", "positivity_check",
+                "residual", "solve_ma"):
+        from . import masolver
+        return getattr(masolver, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

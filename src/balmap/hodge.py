@@ -82,13 +82,18 @@ def _minor_gram(g: np.ndarray, keys, vol: float) -> np.ndarray:
 
 
 class MetricContext:
-    """Caches Grams, Cholesky factors and orthonormalized operators."""
+    """Caches Grams, Cholesky factors, operator matrices and Laplacian
+    pseudo-inverses; returned arrays are shared and must not be modified."""
 
     def __init__(self, metric: HermitianMetricSpec):
         self.metric = metric
         self.model = metric.model
-        self._gram: Dict[Tuple[int, int], np.ndarray] = {}
-        self._chol: Dict[Tuple[int, int], np.ndarray] = {}
+        self._cache: Dict[tuple, object] = {}
+
+    def _cached(self, key: tuple, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def _keys(self, p: int, q: int):
         # basis_keys is already empty above dim; below 0 the space is too
@@ -98,18 +103,13 @@ class MetricContext:
         return len(self._keys(p, q))
 
     def gram(self, p: int, q: int) -> np.ndarray:
-        key = (p, q)
-        if key not in self._gram:
-            self._gram[key] = _minor_gram(self.metric.gram, self._keys(p, q),
-                                          float(self.model.volume_scale))
-        return self._gram[key]
+        return self._cached(("gram", p, q), lambda: _minor_gram(
+            self.metric.gram, self._keys(p, q), float(self.model.volume_scale)))
 
     def chol(self, p: int, q: int) -> np.ndarray:
         """Lower factor L with H = L L^H; x -> L^H x is an isometry."""
-        key = (p, q)
-        if key not in self._chol:
-            self._chol[key] = np.linalg.cholesky(self.gram(p, q))
-        return self._chol[key]
+        return self._cached(("chol", p, q),
+                            lambda: np.linalg.cholesky(self.gram(p, q)))
 
     def to_ortho(self, p: int, q: int, vec: np.ndarray) -> np.ndarray:
         return self.chol(p, q).conj().T @ vec
@@ -127,14 +127,17 @@ class MetricContext:
         H = self.gram(p, q)
         return complex(v.to_vector(p, q).conj() @ H @ u.to_vector(p, q))
 
-    # raw operator matrices (wedge-basis coordinates)
+    # raw operator matrices (wedge-basis coordinates, metric independent)
 
     def _op(self, op, p: int, q: int, p2: int, q2: int) -> np.ndarray:
-        # (p,q) -> (p2,q2); an operator from or into an empty space is empty
-        shape = (self.dim(p2, q2), self.dim(p, q))
-        if 0 in shape:
-            return np.zeros(shape, dtype=complex)
-        return operator_matrix(self.model, op, p, q, p2, q2)
+        # (p,q) -> (p2,q2); an operator from or into an empty space is empty.
+        # del, delbar and ddbar shift the bidegree differently, so the four
+        # bidegrees name the operator
+        def build():
+            shape = (self.dim(p2, q2), self.dim(p, q))
+            return (np.zeros(shape, dtype=complex) if 0 in shape
+                    else operator_matrix(self.model, op, p, q, p2, q2))
+        return self._cached(("op", p, q, p2, q2), build)
 
     def op_del(self, p: int, q: int) -> np.ndarray:
         return self._op(self.model.ce_del, p, q, p + 1, q)
@@ -145,6 +148,12 @@ class MetricContext:
     def op_deldelbar(self, p: int, q: int) -> np.ndarray:
         return self._op(lambda u: self.model.ce_del(self.model.ce_delbar(u)),
                         p, q, p + 1, q + 1)
+
+    def laplacian_pinv(self, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Pseudo-inverse and kernel projector of the orthonormal Bott-Chern
+        Laplacian at (p,q)."""
+        return self._cached(("pinv", p, q),
+                            lambda: _pinv_psd(delta_bc_ortho(self, p, q)))
 
     # orthonormalized operators: adjoint = conjugate transpose
 
@@ -170,9 +179,7 @@ def delta_bc_ortho(ctx: MetricContext, p: int, q: int) -> np.ndarray:
     del* delbar and delbar* del; Hermitian positive semi-definite by
     construction.  A factor through an empty space contributes zero.
     """
-    def O(A, dom, cod):
-        return ctx.ortho_op(A, dom, cod)
-
+    O = ctx.ortho_op
     D = O(ctx.op_del(p, q), (p, q), (p + 1, q))
     Db = O(ctx.op_delbar(p, q), (p, q), (p, q + 1))
     P = O(ctx.op_deldelbar(p, q), (p, q), (p + 1, q + 1))
@@ -206,8 +213,8 @@ def green_apply(ctx: MetricContext, p: int, q: int, u: InvForm,
 
     Returns (G u, harmonic projection norm of u).  G vanishes on the kernel.
     """
-    A = delta_bc_ortho(ctx, p, q) if laplacian is None else laplacian
-    pinv, kerp = _pinv_psd(A)
+    pinv, kerp = (ctx.laplacian_pinv(p, q) if laplacian is None
+                  else _pinv_psd(laplacian))
     vec = ctx.to_ortho(p, q, u.to_vector(p, q))
     harm = kerp @ vec
     res = pinv @ vec
@@ -215,15 +222,18 @@ def green_apply(ctx: MetricContext, p: int, q: int, u: InvForm,
     return InvForm.from_vector(ctx.model, p, q, out), float(np.linalg.norm(harm))
 
 
-def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec,
+def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec | MetricContext,
                   tol: float = 1e-8) -> InvForm:
     """Minimal solution of i ddbar Gamma = fpull on the invariant complex.
 
     Gamma = -i (ddbar)* applied to the Green-operator image of fpull; raises
     ClassObstructionError when fpull has no invariant potential.  The output
-    is the invariant Neumann representative for this metric.
+    is the invariant Neumann representative for this metric.  Pass a
+    MetricContext as ``metric`` to reuse its Grams, operators and Laplacian
+    across calls.
     """
-    model = metric.model
+    ctx = metric if isinstance(metric, MetricContext) else MetricContext(metric)
+    model = ctx.model
     bid = fpull.bidegree()
     if not fpull:
         d = model.dim
@@ -233,7 +243,6 @@ def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec,
     p, q = bid
     if p < 1 or q < 1:
         raise ValueError("need a form of bidegree at least (1,1)")
-    ctx = MetricContext(metric)
     vec = fpull.to_vector(p, q)
     P = ctx.op_deldelbar(p - 1, q - 1)
     # solvability: least squares residual against Im(ddbar)
@@ -243,8 +252,7 @@ def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec,
     if resid > tol * scale:
         raise ClassObstructionError(resid)
 
-    A = delta_bc_ortho(ctx, p, q)
-    pinv, _ = _pinv_psd(A)
+    pinv, _ = ctx.laplacian_pinv(p, q)
     w = pinv @ ctx.to_ortho(p, q, vec)
     Po = ctx.ortho_op(P, (p - 1, q - 1), (p, q))
     igamma = Po.conj().T @ w
@@ -288,8 +296,7 @@ def three_space_decompose(u: InvForm, metric: HermitianMetricSpec,
     if bid is not None:
         p, q = bid
     ctx = MetricContext(metric)
-    A = delta_bc_ortho(ctx, p, q)
-    _, kerp = _pinv_psd(A)
+    _, kerp = ctx.laplacian_pinv(p, q)
     v = ctx.to_ortho(p, q, u.to_vector(p, q))
     h = kerp @ v
     cols = _range(ctx.ortho_op(ctx.op_deldelbar(p - 1, q - 1),

@@ -323,26 +323,29 @@ def operator_rows_exact(model: LieModel, op, p: int, q: int,
     return rows
 
 
-def lie_operator_matrix(model: LieModel, field: InvVectorField,
-                        p: int, q: int) -> np.ndarray:
-    op = (lambda u: lie10(field, u)) if field.kind == HOLO \
-        else (lambda u: lie01(field, u))
-    return operator_matrix(model, op, p, q, p, q)
+def flow_pullback(field: InvVectorField, s: float, u: InvForm,
+                  generators: Optional[dict] = None) -> InvForm:
+    """exp(s * L) applied on the invariant space of u's bidegree.
 
-
-def flow_pullback(field: InvVectorField, s: float, u: InvForm) -> InvForm:
-    """exp(s * L) applied on the invariant space of u's bidegree."""
+    ``generators`` holds the Lie-derivative matrices L of ``field`` by
+    bidegree; calls that share it build each L once.
+    """
     from scipy.linalg import expm
+    generators = {} if generators is None else generators
     bid = u.bidegree()
     if bid is None:
         out = u.model.zero()
         for (p, q) in sorted(u.bidegrees()):
             part = InvForm(u.model, {k: c for k, c in u.coeffs.items()
                                      if (len(k[0]), len(k[1])) == (p, q)})
-            out = out + flow_pullback(field, s, part)
+            out = out + flow_pullback(field, s, part, generators)
         return out
     p, q = bid
-    L = lie_operator_matrix(u.model, field, p, q)
+    if bid not in generators:
+        lie = lie10 if field.kind == HOLO else lie01
+        generators[bid] = operator_matrix(u.model, lambda v: lie(field, v),
+                                          p, q, p, q)
+    L = generators[bid]
     vec = u.to_vector(p, q)
     res = expm(s * L) @ vec
     return InvForm.from_vector(u.model, p, q, res)
@@ -361,6 +364,15 @@ def flow_pullback(field: InvVectorField, s: float, u: InvForm) -> InvForm:
 # A diff line is: target index k, basis label, re, im with exact Fraction
 # syntax for the two rational parts.  Labels: "ij" for phi^i^phi^j,
 # "i~j" for phi^i^phibar^j, "~i~j" for phibar^i^phibar^j.
+
+
+def data_lines(text: str) -> Iterator[Tuple[int, str, List[str]]]:
+    """(line number, line, tokens) of each line left non-blank once its
+    '#' comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
 
 
 class ParseError(ValueError):
@@ -398,11 +410,7 @@ def parse_model(text: str, path: str = "<model>") -> LieModel:
     dim = None
     vol = Fraction(1)
     diff: Dict[int, List[DiffTerm]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in data_lines(text):
         try:
             if parts[0] == "name" and len(parts) == 2:
                 name = parts[1]

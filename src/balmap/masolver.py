@@ -433,30 +433,6 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     return psi, iters[0], info
 
 
-def linear_oracle_d1(F: ScalarField, gram) -> Tuple[ScalarField, float]:
-    """Independent spectral solution for complex dimension one.
-
-    The determinant is affine in the Hessian, so the equation is the linear
-    problem phi_{z zbar} = C e^F g - g with C = 1/mean(e^F); solved by
-    direct symbol division.
-    """
-    grid = F.grid
-    assert grid.dim == 1
-    g = float(np.asarray(gram, dtype=complex)[0, 0].real)
-    eF = np.exp(F.values)
-    C = 1.0 / float(eF.mean())
-    rhs = C * eF * g - g
-    op = HessianOp(grid)
-    rhat = op.rfft(rhs)
-    sym = op.symbol(1, 1, False)
-    sym[(0, 0)] = 1.0
-    rhat /= sym
-    rhat[(0, 0)] = 0.0
-    phi = op.irfft(rhat)
-    phi -= phi.max()
-    return ScalarField(grid, phi), C
-
-
 # -- sample / mode file formats --------------------------------------------------
 
 

@@ -26,8 +26,9 @@ from .exact import CRat, ONE, I
 from . import symalg
 from .forms import contract, evaluate, lie01, lie10, lie_bracket, wedge
 from .invariant import (ANTI, HOLO, InvForm, InvVectorField, LieModel,
-                        flow_pullback, integrate, wedge_power, ParseError)
-from .hodge import (ClassObstructionError, HermitianMetricSpec,
+                        data_lines, flow_pullback, integrate, wedge_power,
+                        ParseError)
+from .hodge import (ClassObstructionError, HermitianMetricSpec, MetricContext,
                     exact_ddbar_solve, neumann_gamma)
 
 
@@ -489,7 +490,8 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
     recorded as a per-step obstruction).  The centered 3x3 product stencil
     (corner weights; center row and column drop out) approximates the mixed
     second derivative of the potential at the origin, which is compared
-    componentwise with etabar . xi . (pulled power).
+    componentwise with etabar . xi . (pulled power).  All corners share one
+    MetricContext and each field's Lie-derivative matrices.
     """
     for h in steps:
         if not (math.isfinite(h) and h > 0):
@@ -513,9 +515,13 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
     a_norm = A.norm()
     trivial = a_norm == 0.0 and not lie10(xi, Pf) and not lie01(etabar, Pf)
 
+    ctx = MetricContext(metric)
+    xi_gens, eta_gens = {}, {}  # Lie-derivative matrices by bidegree
+
     def gamma_at(s: float, tt: float) -> InvForm:
-        G = flow_pullback(etabar, tt, flow_pullback(xi, s, Pf))
-        return neumann_gamma(G, metric)
+        G = flow_pullback(etabar, tt, flow_pullback(xi, s, Pf, xi_gens),
+                          eta_gens)
+        return neumann_gamma(G, ctx)
 
     records: List[FlowStepRecord] = []
     for h in steps:
@@ -634,11 +640,7 @@ def parse_mapspec(text: str, models: Dict[str, LieModel],
     name = source = target = None
     rows: Dict[int, List[CRat]] = {}
     omega_terms: List[Tuple[int, int, CRat]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in data_lines(text):
         try:
             if parts[0] == "map":
                 name = parts[1]
@@ -693,11 +695,7 @@ def parse_tuple(text: str, models: Dict[str, LieModel],
     policy = "neumann"
     xis: List[InvVectorField] = []
     etabars: List[InvVectorField] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in data_lines(text):
         try:
             if parts[0] == "tuple":
                 name = parts[1]

@@ -270,19 +270,11 @@ def dbar_field_contract(xi: ChartVectorField, u: ChartForm) -> ChartForm:
 
 
 def del_field_contract(eta_bar: ChartVectorField, u: ChartForm) -> ChartForm:
-    """(del eta_bar) . u for a (0,1) field."""
+    """(del eta_bar) . u for a (0,1) field: the conjugate of
+    (dbar conj(eta_bar)) . conj(u)."""
     if eta_bar.kind != ANTI:
         raise ValueError("expects a (0,1) field")
-    out = ChartForm.zero(u.dim)
-    for j in range(1, u.dim + 1):
-        inner = contract(ChartVectorField.frame_bar(u.dim, j), u)
-        if not inner:
-            continue
-        for k in range(1, u.dim + 1):
-            dc = eta_bar.comps[j - 1].dz(k)
-            if dc:
-                out = out + wedge(ChartForm.basis(u.dim, (k,), ()), inner).scale(dc)
-    return out
+    return dbar_field_contract(eta_bar.conj(), u.conj()).conj()
 
 
 def standard_volume(dim: int) -> ChartForm:

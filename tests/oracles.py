@@ -3,9 +3,10 @@
 The rank oracle is fraction-free integer elimination (Bareiss) over
 numerator-cleared Gaussian integers, sharing no code with the production
 elimination; the expansion oracles recompute wedge/contraction results by
-brute-force permutation sums instead of ordered-merge signs, and the wedge
+brute-force permutation sums instead of ordered-merge signs, the wedge
 Gram oracle takes every minor as a permutation sum instead of a compound
-matrix.
+matrix, and the complex-dimension-one solver oracle divides by a ddbar symbol
+derived here with numpy.fft instead of the solver's symbol table.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from balmap.exact import CRat
 
@@ -137,3 +140,27 @@ def richardson_limit(values: Sequence[float], hs: Sequence[float]) -> float:
     (v1, h1), (v2, h2) = (values[-2], hs[-2]), (values[-1], hs[-1])
     r = (h1 / h2) ** 2
     return (r * v2 - v1) / (r - 1)
+
+
+def linear_oracle_d1(F: np.ndarray, gram) -> Tuple[np.ndarray, float]:
+    """Potential and constant of the volume-normalization equation for complex
+    dimension one, from the forcing samples F on a res x res grid.
+
+    In one dimension det(g + phi_{z zbar}) = C e^F g is linear: phi_{z zbar} =
+    C e^F g - g with C = 1 / mean(e^F), the mean of the left side being 0.
+    Samples sit at (x, y) = (i, j) / res on the unit torus with z = x + i y,
+    so d/dz d/dzbar = (d_xx + d_yy) / 4 acts on exp(2 pi i (m x + n y)) as
+    -pi^2 (m^2 + n^2).  Returns phi with sup phi = 0, and C.
+    """
+    res = F.shape[0]
+    assert F.shape == (res, res)
+    g = float(np.asarray(gram, dtype=complex)[0, 0].real)
+    eF = np.exp(F)
+    C = 1.0 / float(eF.mean())
+    m = np.fft.fftfreq(res, d=1.0 / res)
+    sym = -np.pi ** 2 * (m[:, None] ** 2 + m[None, :] ** 2)
+    sym[0, 0] = 1.0
+    rhat = np.fft.fft2(C * eF * g - g) / sym
+    rhat[0, 0] = 0.0
+    phi = np.fft.ifft2(rhat).real
+    return phi - phi.max(), C

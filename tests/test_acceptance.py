@@ -20,13 +20,13 @@ from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
                           aeppli_dim, bc_dim, minimality_residual,
                           neumann_gamma)
 from balmap.forms import wedge
-from balmap.masolver import (ScalarField, TorusGrid, linear_oracle_d1,
-                             solve_ma)
+from balmap.masolver import ScalarField, TorusGrid, solve_ma
 from balmap.moment import (MomentTuple, chart_contraction_derivative_trials,
                            chart_reversal_trials, flow_derivative_check,
                            invariant_contraction_derivative_check, mu_eval,
                            well_definedness_check, x_membership)
 from balmap.symalg import identity_suite
+from oracles import linear_oracle_d1
 
 IW = MODELS["iwasawa"]
 T3 = MODELS["torus3"]
@@ -181,8 +181,8 @@ def test_criterion_8_volume_normalization_solver():
     g1 = TorusGrid(1, 64)
     F1 = ScalarField.from_modes(g1, [((1, 0), 0.3), ((0, 2), 0.1)])
     r1 = solve_ma(F1, [[1.0]], tol=1e-12)
-    o1, C1 = linear_oracle_d1(F1, [[1.0]])
-    d1_gap = float(np.abs(r1.phi.values - o1.values).max())
+    o1, C1 = linear_oracle_d1(F1.values, [[1.0]])
+    d1_gap = float(np.abs(r1.phi.values - o1).max())
     ok &= d1_gap <= 1e-10
 
     g2 = TorusGrid(2, 64)
