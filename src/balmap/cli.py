@@ -24,7 +24,7 @@ from .catalog import CATALOG_MAPS, MODELS, get_map
 from .hodge import ClassObstructionError, aeppli_dim, bc_dim
 from .moment import (MapSpec, MomentTuple, ValidationError,
                      flow_derivative_check, load_mapspec, load_tuple,
-                     mu_eval, pg_membership, well_definedness_check,
+                     pg_membership, well_definedness_check,
                      x_membership)
 from .reports import Report
 from .symalg import identity_suite
@@ -182,14 +182,14 @@ def cmd_moment(args) -> int:
     if not (xm.member and pg.member):
         return _emit(rep, args)
     try:
-        value = mu_eval(f, t)
+        # the tuple is admissible here, so the check's base value is mu_eval's
+        wd = well_definedness_check(f, t, trials=args.trials, seed=args.seed)
     except (ClassObstructionError, ValidationError) as e:
         rep.add("pairing-value", "potential-pairing", False, detail=str(e))
         return _emit(rep, args)
     rep.add("pairing-value", "potential-pairing", True,
-            detail="value %r" % value)
-    rep.extra["value"] = [value.real, value.imag]
-    wd = well_definedness_check(f, t, trials=args.trials, seed=args.seed)
+            detail="value %r" % wd.base_value)
+    rep.extra["value"] = [wd.base_value.real, wd.base_value.imag]
     rep.add("gauge-invariance", "pairing-invariant-under-potential-shifts",
             wd.max_deviation <= 1e-10, residual=wd.max_deviation,
             detail="%d random shifts" % args.trials)

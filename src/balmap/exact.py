@@ -2,131 +2,153 @@
 
 All chart-level identities and all invariant-complex cohomology ranks are
 polynomial statements over Q(i), so they are checked with no floating point
-at all.  CRat is a thin immutable wrapper around a pair of Fractions; mixed
+at all.  A CRat is an immutable reduced integer triple (a, b, d) standing for
+(a + b i)/d, so an operation costs a few integer products and one gcd; mixed
 arithmetic with python complex degrades gracefully to complex (used at the
 hodge/flow boundary where eigendecompositions take over).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 
 class CRat:
-    """A Gaussian rational: re + im*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/d in normal form, d > 0 and
+    gcd(a, b, d) == 1, so equal values have equal fields.  The parts read
+    back as Fractions through .re and .im."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _make(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        return _make(re.numerator * (d // re.denominator),
+                     im.numerator * (d // im.denominator), d)
 
     def __setattr__(self, *a):
         raise AttributeError("CRat is immutable")
 
+    re = property(lambda self: Fraction(self._a, self._d))
+    im = property(lambda self: Fraction(self._b, self._d))
+
     # -- arithmetic (exact with CRat/int/Fraction, complex otherwise) --
 
-    def _coerce(self, other):
-        if isinstance(other, CRat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CRat(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) + other
-            return NotImplemented
-        return CRat(self.re + o.re, self.im + o.im)
+    def __add__(self, o):
+        if type(o) is not CRat:
+            return _mixed(operator.add, self, o)
+        d, e = self._d, o._d
+        if d == e:
+            return _reduced(self._a + o._a, self._b + o._b, d)
+        return _reduced(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) - other
-            return NotImplemented
-        return CRat(self.re - o.re, self.im - o.im)
+    def __sub__(self, o):
+        if type(o) is not CRat:
+            return _mixed(operator.sub, self, o)
+        d, e = self._d, o._d
+        if d == e:
+            return _reduced(self._a - o._a, self._b - o._b, d)
+        return _reduced(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return other - complex(self)
-            return NotImplemented
-        return o - self
+    def __rsub__(self, o):
+        return _mixed(operator.sub, o, self)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) * other
-            return NotImplemented
-        return CRat(self.re * o.re - self.im * o.im,
-                    self.re * o.im + self.im * o.re)
+    def __mul__(self, o):
+        if type(o) is not CRat:
+            if type(o) is not int:
+                return _mixed(operator.mul, self, o)
+            o = _make(o, 0, 1)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) / other
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
+    def __truediv__(self, o):
+        if type(o) is not CRat:
+            return _mixed(operator.truediv, self, o)
+        c, e = o._a, o._b
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero CRat")
-        return CRat((self.re * o.re + self.im * o.im) / n,
-                    (self.im * o.re - self.re * o.im) / n)
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b = self._a * o._d, self._b * o._d
+        return _reduced(a * c + b * e, b * c - a * e, self._d * n)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return other / complex(self)
-            return NotImplemented
-        return o / self
+    def __rtruediv__(self, o):
+        return _mixed(operator.truediv, o, self)
 
     def __neg__(self):
-        return CRat(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) == other
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+    def __eq__(self, o):
+        if type(o) is not CRat:
+            return _mixed(operator.eq, self, o)
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, so as an equal int or Fraction
+        return hash((self._a, self._b, self._d)) if self._b else hash(self.re)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __abs__(self):
         return abs(complex(self))
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return "%si" % self.im
-        sign = "+" if self.im > 0 else "-"
-        return "%s%s%si" % (self.re, sign, abs(self.im))
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return "%si" % im
+        return "%s%s%si" % (re, "+" if im > 0 else "-", abs(im))
+
+
+_new = object.__new__
+_set_a, _set_b, _set_d = CRat._a.__set__, CRat._b.__set__, CRat._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> CRat:
+    """The CRat (a + b i)/d from a triple already in normal form."""
+    x = _new(CRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> CRat:
+    """The CRat (a + b i)/d for d > 0, brought to normal form."""
+    g = gcd(a, b, d)
+    return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
+
+
+def _mixed(op, x, y):
+    """op(x, y) for one CRat and one other operand: an int or Fraction is
+    made a CRat, a float or complex makes the CRat complex, and any other
+    type gets NotImplemented."""
+    other = y if type(x) is CRat else x
+    if isinstance(other, (int, Fraction)):
+        return op(*(v if type(v) is CRat else CRat(v) for v in (x, y)))
+    if isinstance(other, (float, complex)):
+        return op(complex(x), complex(y))
+    return NotImplemented
 
 
 ZERO = CRat(0)

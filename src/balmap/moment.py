@@ -378,21 +378,27 @@ def pairing_value(gamma: InvForm, t: MomentTuple, model: LieModel) -> complex:
     return 1j * complex(c) * float(model.volume_scale)
 
 
-def mu_eval(f: MapSpec, t: MomentTuple,
-            metric: Optional[HermitianMetricSpec] = None,
-            gamma_policy: Optional[str] = None) -> complex:
-    """i * integral of Gamma(tuple) dV with Gamma under the chosen policy."""
+def _check_tuple(f: MapSpec, t: MomentTuple, admissible: bool = True) -> None:
+    """Raise ValidationError unless the tuple's arity fits the target and,
+    when `admissible` is asked for, both bracket-contraction sums vanish."""
     n = f.target.n
     if t.arity != n - 2:
         raise ValidationError("tuple arity %d does not match target dimension %d"
                               % (t.arity, n))
-    policy = gamma_policy or t.gamma_policy
+    if admissible:
+        pg = pg_membership(t, f.source)
+        if not pg.member:
+            raise ValidationError("tuple is not admissible: residuals (%.3e, %.3e)"
+                                  % (pg.residual_bar, pg.residual_del))
+
+
+def mu_eval(f: MapSpec, t: MomentTuple,
+            metric: Optional[HermitianMetricSpec] = None,
+            gamma_policy: Optional[str] = None) -> complex:
+    """i * integral of Gamma(tuple) dV with Gamma under the chosen policy."""
+    _check_tuple(f, t)
     metric = metric or HermitianMetricSpec.flat(f.source)
-    pg = pg_membership(t, f.source)
-    if not pg.member:
-        raise ValidationError("tuple is not admissible: residuals (%.3e, %.3e)"
-                              % (pg.residual_bar, pg.residual_del))
-    gamma = _gamma_for(f, metric, policy)
+    gamma = _gamma_for(f, metric, gamma_policy or t.gamma_policy)
     return pairing_value(gamma, t, f.source)
 
 
@@ -415,7 +421,9 @@ def well_definedness_check(f: MapSpec, t: MomentTuple,
     del(conj beta) + delbar(beta); for admissible tuples the pairing is
     unchanged.  Also asserts the two reversal-sign identities and the
     closure consequence (derivatives of the iterated contraction vanish).
+    An inadmissible tuple is measured, not rejected; its arity must fit.
     """
+    _check_tuple(f, t, admissible=False)
     model = f.source
     n = f.target.n
     metric = metric or HermitianMetricSpec.flat(model)

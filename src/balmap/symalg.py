@@ -89,7 +89,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, CRat, Fraction)):
-            other = Poly.const(self.dim, other)
+            return Poly(self.dim, {m: c * other for m, c in self.terms.items()})
         out: Dict[Monomial, CRat] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():

@@ -5,8 +5,10 @@ numerator-cleared Gaussian integers, sharing no code with the production
 elimination; the expansion oracles recompute wedge/contraction results by
 brute-force permutation sums instead of ordered-merge signs, the wedge
 Gram oracle takes every minor as a permutation sum instead of a compound
-matrix, and the complex-dimension-one solver oracle divides by a ddbar symbol
-derived here with numpy.fft instead of the solver's symbol table.
+matrix, the complex-dimension-one solver oracle divides by a ddbar symbol
+derived here with numpy.fft instead of the solver's symbol table, and the
+Gaussian-rational oracle keeps a pair of Fractions with textbook field
+operations instead of CRat's reduced integer triple.
 """
 
 from __future__ import annotations
@@ -164,3 +166,58 @@ def linear_oracle_d1(F: np.ndarray, gram) -> Tuple[np.ndarray, float]:
     rhat[0, 0] = 0.0
     phi = np.fft.ifft2(rhat).real
     return phi - phi.max(), C
+
+
+class FracPair:
+    """Reference Gaussian rational re + im*i held as two Fractions.
+
+    Reads a CRat only through its public .re and .im; equality compares
+    parts, so it also holds between a FracPair and a CRat.
+    """
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @classmethod
+    def of(cls, z: CRat) -> "FracPair":
+        return cls(z.re, z.im)
+
+    def __add__(self, o):
+        return FracPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FracPair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FracPair(self.re * o.re - self.im * o.im,
+                        self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero FracPair")
+        return FracPair((self.re * o.re + self.im * o.im) / n,
+                        (self.im * o.re - self.re * o.im) / n)
+
+    def __neg__(self):
+        return FracPair(-self.re, -self.im)
+
+    def conjugate(self) -> "FracPair":
+        return FracPair(self.re, -self.im)
+
+    def __eq__(self, o):
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        # "re", "imi" or "re+imi"/"re-|im|i", each part as str(Fraction)
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return str(self.im) + "i"
+        return "%s%s%si" % (self.re, "-" if self.im < 0 else "+", abs(self.im))

@@ -108,6 +108,37 @@ def test_moment_structured_deterministic(tmp_path):
     assert json.loads(lines[-1])["ok"] is True
 
 
+def test_moment_solves_for_the_potential_once(tmp_path, capsys, monkeypatch):
+    import balmap.moment as moment
+    calls = []
+    real = moment.neumann_gamma
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moment, "neumann_gamma", spy)
+    tf = tmp_path / "t.tuple"
+    tf.write_text(TUPLE_Z3)
+    code, out, _ = run_cli(["moment", "--map", "iwasawa_to_t3",
+                            "--tuple", str(tf)], capsys)
+    assert code == 0 and "value (-1+0j)" in out
+    assert len(calls) == 1
+
+
+def test_moment_rejects_tuple_of_wrong_arity(tmp_path, capsys):
+    # admissible on iwasawa, but iwasawa_to_t3 pairs one xi with one etabar
+    tf = tmp_path / "t.tuple"
+    tf.write_text("tuple two\nmodel iwasawa\nxi 1 0 0 0 0 0\nxi 0 0 0 0 1 0\n"
+                  "etabar 1 0 0 0 0 0\netabar 0 0 0 0 1 0\n")
+    code, out, _ = run_cli(["moment", "--map", "iwasawa_to_t3",
+                            "--tuple", str(tf)], capsys)
+    assert code == 1
+    assert ("[FAIL] pairing-value (potential-pairing) - tuple arity 2 does "
+            "not match target dimension 3") in out
+    assert "gauge-invariance" not in out
+
+
 def test_moment_reports_obstruction(tmp_path, capsys):
     tf = tmp_path / "t.tuple"
     tf.write_text("tuple t\nmodel torus2\nxi 1 0 0 0\netabar 1 0 0 0\n")

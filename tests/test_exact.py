@@ -1,13 +1,18 @@
 """Gaussian-rational scalars and exact linear algebra."""
 
+import ast
+import math
+import operator
+import pathlib
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from balmap.exact import (CRat, I, ONE, ZERO, exact_nullspace, exact_rank,
                           exact_solve, ipow)
-from oracles import bareiss_rank
+from oracles import FracPair, bareiss_rank
 
 
 def rand_crat(rng):
@@ -73,3 +78,138 @@ def test_exact_solve_and_nullspace():
 def test_exact_solve_reports_inconsistency():
     rows = [[ONE, ONE], [ONE, ONE]]
     assert exact_solve(rows, [ONE, CRat(2)]) is None
+
+
+# -- CRat against the Fraction-pair oracle -------------------------------------
+
+# large coprime denominators: two Mersenne primes, a product of two primes
+# and a power of two
+BIG_DENS = (2 ** 61 - 1, 2 ** 31 - 1, 1000003 * 998244353, 2 ** 64)
+
+
+def oracle_operands(rng, count):
+    def part():
+        kind = rng.random()
+        if kind < 0.2:
+            return Fraction(0)
+        if kind < 0.5:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        return Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.choice(BIG_DENS))
+    out = [CRat(0), CRat(-3), CRat(0, -1), CRat(Fraction(-1, 2 ** 61 - 1))]
+    out += [CRat(part(), part()) for _ in range(count)]
+    return out
+
+
+def assert_normal_form(z):
+    # the stored triple is the one .re and .im give over their common
+    # denominator: positive, and with no common factor left
+    re, im = z.re, z.im
+    d = math.lcm(re.denominator, im.denominator)
+    assert (z._a, z._b, z._d) == (re.numerator * (d // re.denominator),
+                                  im.numerator * (d // im.denominator), d)
+    assert d > 0 and math.gcd(z._a, z._b, z._d) == 1
+
+
+def test_crat_matches_fraction_pair_oracle():
+    rng = random.Random(11)
+    xs = oracle_operands(rng, 40)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for x in xs:
+        X = FracPair.of(x)
+        assert_normal_form(x)
+        assert bool(x) == bool(X) and repr(x) == repr(X)
+        assert (-x) == -X and x.conjugate() == X.conjugate()
+        assert_normal_form(-x)
+        assert_normal_form(x.conjugate())
+        assert complex(x) == complex(X)
+        for y in rng.sample(xs, 8):
+            Y = FracPair.of(y)
+            assert (x == y) == (X == Y) and (x != y) == (not X == Y)
+            for op in ops:
+                if op is operator.truediv and not Y:
+                    with pytest.raises(ZeroDivisionError):
+                        x / y
+                    continue
+                z = op(x, y)
+                assert type(z) is CRat
+                assert z == op(X, Y), (op, x, y)
+                assert repr(z) == repr(op(X, Y))
+                assert_normal_form(z)
+        for k in (0, 1, -7, Fraction(-3, 2 ** 61 - 1)):
+            K = FracPair(k)
+            assert x + k == X + K and k + x == K + X
+            assert x - k == X - K and k - x == K - X
+            assert x * k == X * K and k * x == K * X
+            if k:
+                assert x / k == X / K
+            if X:
+                assert k / x == K / X
+
+
+def test_crat_equal_values_have_equal_fields_and_hashes():
+    rng = random.Random(12)
+    xs = [x for x in oracle_operands(rng, 20) if x]
+    for x, y in zip(xs, xs[1:]):
+        back = (x * y) / y
+        assert back == x and hash(back) == hash(x)
+        assert (back._a, back._b, back._d) == (x._a, x._b, x._d)
+        assert (x + y) - y == x and x - x == ZERO and not (x - x)
+
+
+def test_crat_hash_agrees_with_equality_for_real_values():
+    assert CRat(1) == 1 and len({CRat(1), 1}) == 1
+    half = Fraction(1, 2)
+    assert CRat(half) == half and len({CRat(half), half}) == 1
+    assert {CRat(-3): "x"}[-3] == "x" and {Fraction(2, 6): "y"}[CRat(1, 0) / 3] == "y"
+
+
+def test_crat_division_by_zero():
+    with pytest.raises(ZeroDivisionError, match="division by zero CRat"):
+        ONE / ZERO
+    with pytest.raises(ZeroDivisionError):
+        CRat(Fraction(1, 3), 2) / 0
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
+
+
+def test_crat_is_immutable():
+    x = CRat(Fraction(1, 3), -2)
+    for name in ("re", "im", "_a", "_b", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 5)
+    assert x == FracPair(Fraction(1, 3), -2)
+
+
+def test_crat_degrades_to_complex_with_floats():
+    rng = random.Random(13)
+    for x in oracle_operands(rng, 10):
+        c = complex(FracPair.of(x))
+        for f in (0.5, -2.0, 1.5 - 0.25j, 3j):
+            assert x + f == c + f and f + x == f + c
+            assert x - f == c - f and f - x == f - c
+            assert x * f == c * f and f * x == f * c
+            assert x / f == c / f
+            if c:
+                assert f / x == f / c
+            assert type(x * f) is complex
+        assert (x == c) == (complex(x) == c) and abs(x) == abs(c)
+    assert CRat(Fraction(1, 2)) == 0.5 and CRat(0, 1) == 1j
+    assert CRat(1).__add__("1") is NotImplemented
+    with pytest.raises(TypeError):
+        CRat(1) + "1"
+
+
+def test_oracles_share_no_code_with_src():
+    # tests/oracles.py may take CRat from the library as an input type and
+    # nothing else
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
+    seen = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            seen += [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in oracles.py"
+            seen += [(node.module, a.name) for a in node.names]
+    from_balmap = [(m, n) for m, n in seen
+                   if m == "balmap" or m.startswith("balmap.")]
+    assert from_balmap == [("balmap.exact", "CRat")], from_balmap

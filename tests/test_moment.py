@@ -164,6 +164,8 @@ def test_tuple_arity_guard():
                     [IW.frame_bar(1), IW.frame_bar(2)])
     with pytest.raises(ValidationError):
         mu_eval(f, t)
+    with pytest.raises(ValidationError):
+        well_definedness_check(f, t, trials=1)
 
 
 # -- closed double-sum and reversal identities (chart backend, exact) -----------------

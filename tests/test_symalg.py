@@ -1,5 +1,7 @@
 """Chart-backend calculus: worked examples, laws, and the identity suite."""
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,6 +13,9 @@ from balmap.symalg import (ANTI, HOLO, ChartForm, ChartVectorField, Poly,
                            mixed_second_derivative_check, random_field,
                            random_form, standard_volume, wedge)
 from oracles import wedge_eval_oracle
+
+SUITE_FIXTURE = (pathlib.Path(__file__).parent / "fixtures"
+                 / "identity_suite_golden.json")
 
 
 def test_wedge_alternation_and_sign():
@@ -173,6 +178,16 @@ def test_identity_suite_passes():
     bad = [r for r in rep.records if not r.ok]
     assert not bad, bad
     assert any(r.expected_failure for r in rep.records)
+
+
+def test_identity_suite_outcome_is_pinned():
+    # the drawn data and every equality verdict, record by record, as frozen
+    # in the fixture: a change of arithmetic must not move either
+    golden = json.loads(SUITE_FIXTURE.read_text())
+    for seed, want in sorted(golden["seeds"].items()):
+        rep = identity_suite(seed=int(seed), trials=golden["trials"])
+        got = [[r.name, r.trials, r.failures] for r in rep.records]
+        assert got == want, seed
 
 
 def test_identity_suite_reports_counterexamples():
