@@ -34,6 +34,10 @@ class CRat:
     def __setattr__(self, *a):
         raise AttributeError("CRat is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the triple, not through __setattr__
+        return _make, (self._a, self._b, self._d)
+
     re = property(lambda self: Fraction(self._a, self._d))
     im = property(lambda self: Fraction(self._b, self._d))
 

@@ -5,7 +5,8 @@ the unit torus, H the mixed complex Hessian computed by FFT.  The constant C
 is recomputed from the discrete integral identity every iteration, which
 keeps the linearized right-hand side mean free and removes the constant null
 direction; Newton steps are damped by residual backtracking with a
-positivity guard.
+positivity guard.  The outer residual is always the exact determinant, so
+scaling the inner GMRES solves (``_newton_direction``) moves no tolerance.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
@@ -205,13 +206,16 @@ def _min_eigenvalue(gram: np.ndarray, H: Hessian) -> float:
         a11, a22 = a[(1, 1)], a[(2, 2)]
         disc = np.sqrt((a11 - a22) ** 2 + 4 * np.abs(a[(1, 2)]) ** 2)
         return float(((a11 + a22 - disc) / 2).min())
-    # d == 3: eigvalsh reads the lower triangle and copies M, so the
-    # entries are dropped first
-    M = np.zeros(a[(1, 1)].shape + (d, d), dtype=complex)
-    for (j, k), v in a.items():
-        M[..., k - 1, j - 1] = np.conj(v)
-    del a, v
-    return float(np.linalg.eigvalsh(M)[..., 0].min())
+    # d == 3: the cubic's roots in trigonometric form (Smith, CACM 4, 1961) are
+    # q + 2p cos(arccos(det(B)/2p^3)/3 + 2 pi k/3), B = A - q, q = tr(A)/3
+    q = (a[(1, 1)] + a[(2, 2)] + a[(3, 3)]) / 3
+    b = {(j, k): v - q if j == k else v for (j, k), v in a.items()}
+    p = np.sqrt(sum(v * v if j == k else 2 * _abs2(v)
+                    for (j, k), v in b.items()) / 6)
+    t = _det_and_adjugate(np.zeros((d, d)), b, False)[0]
+    t /= np.maximum(2 * p ** 3, np.finfo(float).tiny)   # cos(3 t)
+    t = np.arccos(np.clip(t, -1.0, 1.0, out=t)) / 3
+    return float((q + 2 * p * np.cos(t + 2 * np.pi / 3)).min())
 
 
 @dataclass
@@ -356,8 +360,8 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
             w = adj[(j, k)].imag if imag else adj[(j, k)].real
             weights.append(w if j == k else 2 * w)
         del adj
-        # forcing term: shrink with the residual, but never ask the linear
-        # solve for more than a tenth of what the outer tolerance can use
+        # forcing term on ||D^-1 (R + L psi)||: shrink with the residual, but
+        # never ask for more than a tenth of what the outer tolerance can use
         inner_tol = max(1e-12, 0.1 * tol / maxres, min(1e-2, 0.1 * maxres / r0))
         psi, iters, info = _newton_direction(op, weights, R, inner_tol)
         del weights
@@ -391,44 +395,55 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
 
 
 def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
-    """GMRES(20) for sum_t w_t irfft(symbol_t * psihat) = -R over the parts t
-    of ``op``, with the mean-weight constant-coefficient preconditioner;
-    returns the mean-free psi, the iteration count and GMRES's info flag
-    (> 0: stopped at maxiter)."""
+    """GMRES(20) on D^-1 L P^-1 y = D^-1 R, psi = -P^-1 y, for L psi = -R with
+    L psi = sum_t w_t irfft(symbol_t * psihat) over the parts t of ``op``; it
+    stops on ||D^-1 (R + L psi)|| / ||D^-1 R||.  P is the mean-weight symbol.
+    D = sum_t c_t w_t(x), c_t = sum_k |Rhat_k|^2 symbol_t(k), is the symbol at
+    x averaged over the residual's spectrum, at mean 1; it scales ``weights``
+    and ``R`` in place.  Returns the mean-free psi, the iteration count and
+    GMRES's info flag (> 0: stopped at maxiter)."""
     grid = op.grid
     n_flat = R.size
     flat_idx = (0,) * (2 * grid.dim)
     parts = op.parts()
 
-    def matvec(psi_flat):
-        vhat = op.rfft(psi_flat.reshape(grid.shape))
+    psym = sum(float(w.mean()) * op.symbol(*part)
+               for w, part in zip(weights, parts))
+    psym[flat_idx] = 1.0
+    power = _abs2(op.rfft(R))
+    scale = np.zeros(grid.shape)
+    for w, part in zip(weights, parts):
+        scale += float((power * op.symbol(*part)).sum()) * w
+    del power
+    scale /= scale.mean()
+    for w in weights:
+        w /= scale
+    R /= scale   # the caller's R: _solve_ma_direct replaces it next
+    del scale
+
+    def inv_p_hat(y):   # the spectrum of P^-1 y, mean free
+        yhat = op.rfft(y.reshape(grid.shape))
+        yhat /= psym
+        yhat[flat_idx] = 0.0
+        return yhat
+
+    def matvec(y_flat):
+        vhat = inv_p_hat(y_flat)
         out = np.zeros(grid.shape)
         for w, part in zip(weights, parts):
             out += w * op.irfft(op.symbol(*part) * vhat)
         return out.ravel()
 
-    psym = sum(float(w.mean()) * op.symbol(*part)
-               for w, part in zip(weights, parts))
-    psym[flat_idx] = 1.0
-
-    def precond(r_flat):
-        rhat = op.rfft(r_flat.reshape(grid.shape))
-        rhat /= psym
-        rhat[flat_idx] = 0.0
-        return op.irfft(rhat).ravel()
-
     iters = [0]
 
     def cb(_):
         iters[0] += 1
-    # solve L x = R and take psi = -x: GMRES is odd in the right-hand side,
-    # and this needs no negated copy of R
-    x, info = gmres(LinearOperator((n_flat, n_flat), matvec=matvec, dtype=float),
-                    R.ravel(), rtol=rtol, atol=0.0,
-                    M=LinearOperator((n_flat, n_flat), matvec=precond, dtype=float),
-                    maxiter=200, callback=cb, callback_type="legacy")
-    psi = x.reshape(grid.shape)
-    psi -= psi.mean()
+    # R, not -R, on the right and psi = -P^-1 y: GMRES is odd in the
+    # right-hand side, and this needs no negated copy of R
+    y, info = gmres(LinearOperator((n_flat, n_flat), matvec=matvec, dtype=float),
+                    R.ravel(), rtol=rtol, atol=0.0, maxiter=200, callback=cb,
+                    callback_type="legacy")
+    psi = op.irfft(inv_p_hat(y))
     np.negative(psi, out=psi)
     return psi, iters[0], info
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import CRat, ONE, ZERO, I, ipow
+from .exact import CRat, ONE, ZERO, I, _reduced, ipow
 from .forms import (ANTI, HOLO, BasisKey, Field, Form, MixedField, add_term,
                     contract, evaluate, lie01, lie10, lie_bracket, lie_std,
                     wedge, wedge_word)
@@ -289,9 +289,8 @@ def standard_volume(dim: int) -> ChartForm:
 def _rand_crat(rng: random.Random) -> CRat:
     num = rng.randint(-2, 2)
     den = rng.randint(1, 2)
-    if rng.random() < 0.4:
-        return CRat(Fraction(num, den), Fraction(rng.randint(-1, 1)))
-    return CRat(Fraction(num, den))
+    im = rng.randint(-1, 1) * den if rng.random() < 0.4 else 0
+    return _reduced(num, im, den)
 
 
 def random_poly(rng: random.Random, dim: int, deg: int = 2, nterms: int = 2,

@@ -1,9 +1,11 @@
 """Gaussian-rational scalars and exact linear algebra."""
 
 import ast
+import copy
 import math
 import operator
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -178,6 +180,16 @@ def test_crat_is_immutable():
         with pytest.raises(AttributeError):
             setattr(x, name, 5)
     assert x == FracPair(Fraction(1, 3), -2)
+
+
+def test_crat_copies_and_pickles():
+    # the default slot-state restore would go through the raising __setattr__
+    rng = random.Random(17)
+    for x in oracle_operands(rng, 20):
+        for y in (copy.copy(x), copy.deepcopy([x])[0],
+                  pickle.loads(pickle.dumps(x))):
+            assert type(y) is CRat and y == x and hash(y) == hash(x)
+            assert_normal_form(y)
 
 
 def test_crat_degrades_to_complex_with_floats():

@@ -1,5 +1,7 @@
 """Volume-normalization solver: oracles, conservation, robustness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -232,8 +234,72 @@ def test_krylov_bound_solve_stops_inner_solves_at_the_outer_tolerance():
     d = res.diagnostics
     assert d.converged
     assert d.inner_unconverged == 0
-    assert d.gmres_iterations <= 150
+    assert d.gmres_iterations <= 80
     assert residual(res.phi, F, np.eye(2)) <= 1e-9
+
+
+def test_z1_only_solve_takes_one_step_of_one_inner_iteration():
+    # forcing, start and solution depend on z_1 alone, where the scale is
+    # constant and the preconditioner is the operator itself; a trace
+    # (Jacobi) scale varies there and took 3 Newton steps, 8 inner iterations
+    g = TorusGrid(2, 16)
+    F = ScalarField.from_modes(g, [((1, 0, 0, 0), 0.1)])
+    seed = ScalarField.from_modes(g, [((0, 1, 0, 0), 0.05)])
+    d = solve_ma(F, np.eye(2), tol=1e-9, phi0=seed).diagnostics
+    assert d.converged
+    assert (d.newton_iterations, d.gmres_iterations) == (1, 1)
+
+
+def test_start_where_the_scale_changes_sign_still_converges():
+    # g + H(phi0) is indefinite, so the pointwise scale of the first inner
+    # solve changes sign on the grid; no division may warn
+    g = TorusGrid(2, 16)
+    F = ScalarField.from_modes(g, [((1, 0, 0, 0), 0.1)])
+    seed = ScalarField.from_modes(g, [((0, 0, 1, 0), 0.2)])
+    assert positivity_check(seed, np.eye(2)) < -0.9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_ma(F, np.eye(2), tol=1e-9, phi0=seed)
+    assert res.diagnostics.converged
+    assert residual(res.phi, F, np.eye(2)) <= 1e-9
+
+
+def _rotated(rng, eigenvalues):
+    """Hermitian matrices with the given eigenvalue rows and random
+    eigenvectors."""
+    mats = []
+    for lam in eigenvalues:
+        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        u, _ = np.linalg.qr(z)
+        mats.append((u * lam) @ u.conj().T)
+    return np.array(mats)
+
+
+def test_d3_min_eigenvalue_matches_eigvalsh():
+    rng = np.random.default_rng(60)
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    gram = b @ b.conj().T + np.eye(3)
+    flat = np.repeat(np.eye(3, dtype=complex)[None], 8, axis=0)
+    # random with near-singular points; near-degenerate, all three
+    # eigenvalues within ~1e-7; flat, g = I and H = 0
+    cases = [(_hermitian_field(rng, 3, 96), gram),
+             (_rotated(rng, 1 + 1e-7 * rng.normal(size=(96, 3))), gram),
+             (flat, np.eye(3, dtype=complex))]
+    for mats, g in cases:
+        want = np.linalg.eigvalsh(mats)[:, 0]
+        for i in range(len(mats)):
+            got = _min_eigenvalue(g, _hessian_dict(mats[i:i + 1], g))
+            assert abs(got - want[i]) <= 1e-12 * np.linalg.norm(mats[i], 2)
+        got = _min_eigenvalue(g, _hessian_dict(mats, g))
+        top = np.linalg.norm(mats, 2, axis=(1, 2)).max()
+        assert abs(got - want.min()) <= 1e-12 * top
+    # where the two smallest roots coincide and the third is apart, arccos
+    # near 1 keeps half the digits: the error is about sqrt(eps) ||A||
+    pair = _rotated(rng, [(1.0, 1.0 + 10.0 ** -e, 3.0) for e in range(6, 17)])
+    want = np.linalg.eigvalsh(pair)[:, 0]
+    for i in range(len(pair)):
+        got = _min_eigenvalue(gram, _hessian_dict(pair[i:i + 1], gram))
+        assert abs(got - want[i]) <= 1e-7 * np.linalg.norm(pair[i], 2)
 
 
 def _counts(diag):
