@@ -38,7 +38,7 @@ from .catalog import CATALOG_MAPS, MODELS, get_map, get_model
 
 
 def __getattr__(name):
-    # the spectral solver imports scipy.fft and scipy.sparse: load on first use
+    # the spectral solver imports scipy.fft: load it on first use
     if name in ("MAResult", "ScalarField", "TorusGrid", "positivity_check",
                 "residual", "solve_ma"):
         from . import masolver

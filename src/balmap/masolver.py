@@ -8,6 +8,11 @@ direction; Newton steps are damped by residual backtracking with a
 positivity guard.  The outer residual is always the exact determinant, so
 scaling the inner GMRES solves (``_newton_direction``) moves no tolerance.
 
+The Newton iterate is kept as its half spectrum, so a line-search candidate
+is a sum of known spectra and phi returns to real space once; a zero start
+builds H = 0 without a transform; and the module's restarted GMRES
+(``gmres``) makes one matvec per inner iteration.
+
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
 (C order) over that axis ordering.
@@ -20,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.sparse.linalg import LinearOperator, gmres
 
 MAX_GRID_POINTS = 2 ** 26
 _FFT_WORKERS = -1  # scipy.fft uses every CPU
@@ -134,6 +138,16 @@ class HessianOp:
 
     def irfft(self, vhat: np.ndarray) -> np.ndarray:
         return sfft.irfftn(vhat, s=self.grid.shape, workers=_FFT_WORKERS)
+
+    def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:
+        """``vhat`` made, in place, the half spectrum of the real field
+        ``irfft(vhat)``: on the planes k_last = 0 and k_last = res/2, which
+        hold both k and -k, only the part (v_k + conj v_-k)/2 is kept."""
+        for plane in (vhat[..., 0], vhat[..., -1]):
+            plane += np.conj(np.roll(np.flip(plane), 1,
+                                     axis=tuple(range(plane.ndim))))
+            plane /= 2
+        return vhat
 
     def parts(self) -> List[Tuple[int, int, bool]]:
         """(j, k, imag) for each real part of H[j,k], j <= k: the real part,
@@ -328,21 +342,29 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
     op = HessianOp(grid)
     diag = MADiagnostics()
 
-    phi = (phi0.values.copy() if phi0 is not None else np.zeros(grid.shape))
-    phi -= phi.mean()
+    # the iterate is kept as its half spectrum, mean free; a zero start
+    # needs no transform
+    if phi0 is not None:
+        phat = op.rfft(phi0.values)
+        phat[(0,) * phat.ndim] = 0.0
+        H = op.entries(phat)
+    else:
+        phat = np.zeros(grid.shape[:-1] + (grid.res // 2 + 1,), dtype=complex)
+        H = {(j, k): np.zeros(grid.shape) for j, k, imag in op.parts()
+             if not imag}
 
-    def assemble(p):
-        H = op.entries(op.rfft(p))
+    def assemble(H):
         det, _, positive = _det_and_adjugate(g, H, False)
         C = float(det.mean() / (eF_mean * detg))
-        return H, C, det - C * eF * detg, positive
+        return C, det - C * eF * detg, positive
 
     def fail(msg):
         diag.failure = msg
+        phi = op.irfft(phat)
         raise NewtonFailure(msg, MAResult(ScalarField(grid, phi - phi.max()),
                                           C, diag))
 
-    H, C, R, _ = assemble(phi)
+    C, R, _ = assemble(H)
     maxres = float(np.abs(R).max() / detg)
     diag.residual_history.append(maxres)
     r0 = max(maxres, 1e-30)
@@ -363,15 +385,16 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
         # forcing term on ||D^-1 (R + L psi)||: shrink with the residual, but
         # never ask for more than a tenth of what the outer tolerance can use
         inner_tol = max(1e-12, 0.1 * tol / maxres, min(1e-2, 0.1 * maxres / r0))
-        psi, iters, info = _newton_direction(op, weights, R, inner_tol)
+        psi_hat, iters, info = _newton_direction(op, weights, R, inner_tol)
         del weights
         diag.gmres_iterations += iters
-        diag.inner_unconverged += int(info > 0)
+        diag.inner_unconverged += info
 
         step = 1.0
         for _ in range(25):
-            cand = phi + step * psi
-            Hc, Cc, Rc, positive = assemble(cand)
+            cand = phat + step * psi_hat
+            Hc = op.entries(cand)
+            Cc, Rc, positive = assemble(Hc)
             res_c = float(np.abs(Rc).max() / detg)
             if res_c < maxres and positive:
                 break
@@ -380,17 +403,18 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
             diag.damping_events += 1
         else:
             diag.residual_history.append(maxres)
-            diag.min_eigenvalue = _min_eigenvalue(g, op.entries(op.rfft(phi)))
+            diag.min_eigenvalue = _min_eigenvalue(g, op.entries(phat))
             fail("damping stalled at residual %.3e" % maxres)
-        phi, H, C, R, maxres = cand, Hc, Cc, Rc, res_c
+        phat, H, C, R, maxres = cand, Hc, Cc, Rc, res_c
         # drop the aliases, so that the next step's `del H` frees H
-        del cand, Hc, Rc, psi
+        del cand, Hc, Rc, psi_hat
         diag.residual_history.append(maxres)
 
     diag.converged = True
     diag.min_eigenvalue = _min_eigenvalue(g, H)
     # conservation: C * int e^F gamma^d = int gamma^d
     diag.conservation_gap = abs(C * eF_mean * detg - detg) / detg
+    phi = op.irfft(phat)
     return MAResult(ScalarField(grid, phi - phi.max()), C, diag)
 
 
@@ -400,10 +424,10 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     stops on ||D^-1 (R + L psi)|| / ||D^-1 R||.  P is the mean-weight symbol.
     D = sum_t c_t w_t(x), c_t = sum_k |Rhat_k|^2 symbol_t(k), is the symbol at
     x averaged over the residual's spectrum, at mean 1; it scales ``weights``
-    and ``R`` in place.  Returns the mean-free psi, the iteration count and
-    GMRES's info flag (> 0: stopped at maxiter)."""
+    and ``R`` in place.  Returns the half spectrum psihat of the mean-free
+    psi, the iteration count, and 1 if GMRES stopped at its iteration limit
+    (0 otherwise)."""
     grid = op.grid
-    n_flat = R.size
     flat_idx = (0,) * (2 * grid.dim)
     parts = op.parts()
 
@@ -434,18 +458,59 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
             out += w * op.irfft(op.symbol(*part) * vhat)
         return out.ravel()
 
-    iters = [0]
-
-    def cb(_):
-        iters[0] += 1
     # R, not -R, on the right and psi = -P^-1 y: GMRES is odd in the
     # right-hand side, and this needs no negated copy of R
-    y, info = gmres(LinearOperator((n_flat, n_flat), matvec=matvec, dtype=float),
-                    R.ravel(), rtol=rtol, atol=0.0, maxiter=200, callback=cb,
-                    callback_type="legacy")
-    psi = op.irfft(inv_p_hat(y))
-    np.negative(psi, out=psi)
-    return psi, iters[0], info
+    y, iters, info = gmres(matvec, R.ravel(), rtol)
+    # P^-1 y is not a real field's spectrum where psym is not even in k:
+    # keep the part that the real psi = irfft(P^-1 y) has
+    psi_hat = op.real_spectrum(inv_p_hat(y))
+    np.negative(psi_hat, out=psi_hat)
+    return psi_hat, iters, info
+
+
+def gmres(matvec, b: np.ndarray, rtol: float):
+    """GMRES(20) (Saad & Schultz 1986) for A x = b from x = 0, where
+    ``matvec(v)`` is A v on flat float arrays.
+
+    Each inner iteration is one matvec, orthogonalised by classical
+    Gram-Schmidt applied twice; the small Hessenberg least-squares problem
+    gives the residual estimate, and the restart residual comes from the
+    Arnoldi relation A V_k = V_{k+1} H_k, not from a matvec.  Stops once the
+    estimate is <= rtol ||b||, or after 200 inner iterations.  Returns x,
+    the inner iteration count and info: 0 converged, 1 not."""
+    restart, maxiter = 20, 200
+    x = np.zeros(b.size)
+    beta = float(np.linalg.norm(b))
+    bound = rtol * beta
+    if beta == 0.0:
+        return x, 0, 0
+    V = np.empty((restart + 1, b.size))
+    V[0] = b / beta
+    iters = 0
+    while True:
+        hess = np.zeros((restart + 1, restart))
+        for k in range(restart):
+            w = matvec(V[k])
+            for _ in range(2):
+                h = V[:k + 1] @ w
+                w -= h @ V[:k + 1]
+                hess[:k + 1, k] += h
+            hess[k + 1, k] = norm_w = float(np.linalg.norm(w))
+            iters += 1
+            res = np.zeros(k + 2)
+            res[0] = beta
+            coef = np.linalg.lstsq(hess[:k + 2, :k + 1], res, rcond=None)[0]
+            res -= hess[:k + 2, :k + 1] @ coef   # b - A x in V[:k + 2]
+            res_norm = float(np.linalg.norm(res))
+            # a zero norm_w is an invariant Krylov space: coef is exact
+            if res_norm <= bound or iters == maxiter or norm_w == 0.0:
+                x += coef @ V[:k + 1]
+                return x, iters, int(res_norm > bound)
+            V[k + 1] = w / norm_w
+        x += coef @ V[:restart]
+        V[0] = res @ V
+        beta = res_norm
+        V[0] /= beta
 
 
 # -- sample / mode file formats --------------------------------------------------

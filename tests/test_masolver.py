@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from balmap import masolver
-from balmap.masolver import (GridError, NewtonFailure, ScalarField, TorusGrid,
-                             _det_and_adjugate, _min_eigenvalue, format_samples,
-                             parse_modes, parse_samples, positivity_check,
-                             residual, solve_ma)
+from balmap.masolver import (GridError, HessianOp, NewtonFailure, ScalarField,
+                             TorusGrid, _det_and_adjugate, _min_eigenvalue,
+                             format_samples, gmres, parse_modes, parse_samples,
+                             positivity_check, residual, solve_ma)
 from oracles import linear_oracle_d1
 
 
@@ -339,3 +339,77 @@ def test_continuation_counts_cover_every_attempt(monkeypatch, amps, max_iter,
         assert len(attempts) >= 2 and attempts[-1][0]
     assert attempts[0][0]   # the direct attempt failed
     assert _counts(diag) == [sum(col) for col in zip(*(c for _, c in attempts))]
+
+
+@pytest.mark.parametrize("n", [12, 60])
+def test_gmres_matches_a_direct_solve(n):
+    # n = 60 needs more inner iterations than one 20-vector cycle holds: the
+    # restart residual comes from the Arnoldi relation, not from a matvec
+    rng = np.random.default_rng(n)
+    A = 4 * np.eye(n) + 3 * rng.normal(size=(n, n)) / np.sqrt(n)
+    b = rng.normal(size=n)
+    matvecs = []
+
+    def matvec(v):
+        matvecs.append(1)
+        return A @ v
+    x, iters, info = gmres(matvec, b, 1e-10)
+    assert info == 0 and len(matvecs) == iters
+    assert (iters > 20) == (n > 20)
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    want = np.linalg.solve(A, b)
+    cond = np.linalg.cond(A)
+    assert np.linalg.norm(x - want) <= 2e-10 * cond * np.linalg.norm(want)
+
+
+def test_gmres_stops_at_maxiter_and_on_a_zero_right_hand_side():
+    # eigenvalues spread around 0: restarted GMRES stagnates
+    rng = np.random.default_rng(0)
+    A, b = rng.normal(size=(60, 60)), rng.normal(size=60)
+    x, iters, info = gmres(lambda v: A @ v, b, 1e-10)
+    assert (iters, info) == (200, 1)
+    assert np.linalg.norm(b - A @ x) < np.linalg.norm(b)
+    x, iters, info = gmres(lambda v: A @ v, np.zeros(60), 1e-10)
+    assert (iters, info) == (0, 0) and not x.any()
+
+
+@pytest.mark.parametrize("grid,modes", [
+    # the benchmark's Krylov-bound shape and a d = 3 solve
+    (TorusGrid(2, 16), [((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0),
+                        ((1, 1, 0, 0), 2 / 3)]),
+    (TorusGrid(3, 8), [((1, 0, 0, 0, 0, 0), 0.1), ((0, 0, 1, 1, 0, 0), 0.05)]),
+])
+def test_transform_budget_of_a_zero_start_solve(monkeypatch, grid, modes):
+    # per inner iteration 1 forward and d^2 inverse transforms; per Newton
+    # step 1 forward for the residual's power and 1 for psihat = -P^-1 yhat;
+    # per line-search candidate d^2 inverse; 1 inverse for phi at the end
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        real = getattr(HessianOp, name)
+
+        def spy(self, v, name=name, real=real):
+            calls[name] += 1
+            return real(self, v)
+        monkeypatch.setattr(HessianOp, name, spy)
+    F = ScalarField.from_modes(grid, modes)
+    d = solve_ma(F, np.eye(grid.dim), tol=1e-9).diagnostics
+    assert d.converged and d.continuation_stages == 0
+    assert calls["irfft"] == grid.dim ** 2 * (
+        d.gmres_iterations + d.newton_iterations + d.damping_events) + 1
+    assert calls["rfft"] == d.gmres_iterations + 2 * d.newton_iterations
+
+
+def test_line_search_candidates_are_real_fields():
+    # under a non-diagonal gram the mean-weight symbol is not even in k on
+    # the planes that hold both k and -k; the reported residual must be the
+    # residual of the returned real phi
+    g = TorusGrid(3, 8)
+    b = (np.random.default_rng(3).normal(size=(3, 3))
+         + 1j * np.random.default_rng(4).normal(size=(3, 3)))
+    gram = b @ b.conj().T + np.eye(3)
+    F = ScalarField.from_modes(g, [((1, 0, 1, 0, 0, 0), 0.2),
+                                   ((0, 1, 0, 0, 1, 1), 0.1)])
+    res = solve_ma(F, gram, tol=1e-10)
+    reported = res.diagnostics.residual_history[-1]
+    assert reported <= 1e-10
+    assert residual(res.phi, F, gram) == pytest.approx(reported, rel=1e-6)

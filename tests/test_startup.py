@@ -1,10 +1,10 @@
 """Start-up cost and call-site stability.
 
-The commands that never solve on a grid must not import scipy; the solver
-names stay reachable from ``balmap`` and ``balmap.cli`` and load on first
-access.  A flow-derivative check builds each Gram once, and a wrapper
-installed on ``balmap.masolver.solve_ma`` still sees the ``ma`` command's
-solve.
+The commands that never solve on a grid must not import scipy, and ``ma``
+imports no ``scipy.sparse`` module; the solver names stay reachable from
+``balmap`` and ``balmap.cli`` and load on first access.  A flow-derivative
+check builds each Gram once, and a wrapper installed on
+``balmap.masolver.solve_ma`` still sees the ``ma`` command's solve.
 """
 
 import math
@@ -60,6 +60,22 @@ def test_commands_without_a_grid_never_import_scipy(tmp_path):
     proc = _fresh_python(["-c", script], cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_ma_imports_no_scipy_sparse(tmp_path):
+    # the solver's GMRES is its own; scipy.fft is its only scipy dependency
+    script = textwrap.dedent("""
+        import sys
+        import balmap.masolver
+        import balmap.cli
+        assert balmap.cli.main(["ma", "--dim", "2", "--res", "8",
+                                "--output", "report.txt"]) == 0
+        print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+        print("scipy.fft" in sys.modules)
+    """)
+    proc = _fresh_python(["-c", script], cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_ma_runs_as_main_module():
