@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class CRat:
@@ -169,68 +169,73 @@ def is_exact(x) -> bool:
     return isinstance(x, (CRat, int, Fraction))
 
 
-# -- exact dense linear algebra over CRat ------------------------------------
+# -- exact sparse linear algebra over CRat -----------------------------------
 #
-# Matrices are lists of rows of CRat.  Sizes here never exceed a few hundred
-# (wedge-basis dimensions of invariant complexes), so textbook Gaussian
-# elimination with exact pivoting is plenty.
+# A matrix is a list of rows {column: CRat} holding only nonzero entries:
+# operator matrices between wedge bases have a few nonzeros per row, so one
+# forward elimination that touches only stored entries serves both the rank
+# and the solve.  Each pivot comes from the sparsest row holding its column
+# (Markowitz, Management Sci. 3, 1957), which keeps the fill small.
+
+Row = Dict[int, CRat]
 
 
-def _rref(rows: Sequence[Sequence[CRat]],
-          ncols: int) -> Tuple[List[List[CRat]], List[int]]:
-    """Gauss-Jordan elimination with pivots searched in the first ncols
-    columns; returns the reduced rows and the pivot column of each pivot row."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots: List[int] = []
+def _echelon(rows: Sequence[Row],
+             ncols: int) -> Tuple[Dict[int, Row], List[Row]]:
+    """Forward elimination with pivot columns taken in increasing order from
+    the first ncols columns.  Returns {pivot column: pivot row scaled to 1
+    there} and the nonzero rows left over; the input rows are not modified.
+    A pivot row holds no column left of its own, so the pivot columns are
+    the leftmost independent ones."""
+    # rows by first column: eliminating a column moves a row to a later
+    # bucket, so the bucket of a column is complete when the loop reaches it
+    buckets: Dict[int, List[Row]] = {}
+
+    def place(row):
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+
+    for r in rows:
+        place(dict(r))
+    pivots: Dict[int, Row] = {}
     for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
+        bucket = buckets.pop(col, None)
+        if not bucket:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = ONE / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-    return m, pivots
+        bucket.sort(key=len)
+        inv = ONE / bucket[0].pop(col)
+        piv = pivots[col] = {c: x * inv for c, x in bucket[0].items()}
+        for row in bucket[1:]:
+            f = row.pop(col)
+            for c, x in piv.items():
+                v = row.get(c)
+                v = -(f * x) if v is None else v - f * x
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            place(row)
+        piv[col] = ONE
+    # what is left starts at column ncols or beyond
+    return pivots, [row for bucket in buckets.values() for row in bucket]
 
 
-def _ncols(rows: Sequence[Sequence[CRat]]) -> int:
-    return len(rows[0]) if rows else 0
+def exact_rank(rows: Sequence[Row]) -> int:
+    ncols = 1 + max((c for r in rows for c in r), default=-1)
+    return len(_echelon(rows, ncols)[0])
 
 
-def exact_rank(rows: Sequence[Sequence[CRat]]) -> int:
-    return len(_rref(rows, _ncols(rows))[1])
-
-
-def exact_solve(rows: Sequence[Sequence[CRat]],
-                rhs: Sequence[CRat]) -> Optional[List[CRat]]:
-    """One solution of A x = b over Q(i), or None if inconsistent."""
-    ncols = _ncols(rows)
-    m, pivots = _rref([list(r) + [rhs[i]] for i, r in enumerate(rows)], ncols)
-    if any(m[r][ncols] for r in range(len(pivots), len(m))):
+def exact_solve(rows: Sequence[Row], rhs: Sequence[CRat],
+                ncols: int) -> Optional[List[CRat]]:
+    """The solution of A x = b over Q(i) that is 0 on the non-pivot columns,
+    or None if inconsistent.  b is column ncols of the augmented rows."""
+    pivots, left = _echelon([{**r, ncols: b} if b else r
+                             for r, b in zip(rows, rhs)], ncols)
+    if left:
         return None
     x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        x[col] = row.get(ncols, ZERO) - sum(
+            (a * x[c] for c, a in row.items() if col < c < ncols), ZERO)
     return x
-
-
-def exact_nullspace(rows: Sequence[Sequence[CRat]]) -> List[List[CRat]]:
-    """Basis of the right nullspace of A over Q(i)."""
-    ncols = _ncols(rows)
-    m, pivots = _rref(rows, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][fc]
-        basis.append(v)
-    return basis

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .exact import CRat, ZERO, exact_rank
+from .exact import CRat, I, ZERO, exact_rank, exact_solve
 from .invariant import (InvForm, LieModel, operator_matrix, operator_rows_exact)
 
 ADJOINT_TOL = 1e-12
@@ -95,16 +95,10 @@ class MetricContext:
             self._cache[key] = build()
         return self._cache[key]
 
-    def _keys(self, p: int, q: int):
-        # basis_keys is already empty above dim; below 0 the space is too
-        return self.model.basis_keys(p, q) if min(p, q) >= 0 else []
-
-    def dim(self, p: int, q: int) -> int:
-        return len(self._keys(p, q))
-
     def gram(self, p: int, q: int) -> np.ndarray:
         return self._cached(("gram", p, q), lambda: _minor_gram(
-            self.metric.gram, self._keys(p, q), float(self.model.volume_scale)))
+            self.metric.gram, self.model.basis_keys(p, q),
+            float(self.model.volume_scale)))
 
     def chol(self, p: int, q: int) -> np.ndarray:
         """Lower factor L with H = L L^H; x -> L^H x is an isometry."""
@@ -130,14 +124,10 @@ class MetricContext:
     # raw operator matrices (wedge-basis coordinates, metric independent)
 
     def _op(self, op, p: int, q: int, p2: int, q2: int) -> np.ndarray:
-        # (p,q) -> (p2,q2); an operator from or into an empty space is empty.
-        # del, delbar and ddbar shift the bidegree differently, so the four
-        # bidegrees name the operator
-        def build():
-            shape = (self.dim(p2, q2), self.dim(p, q))
-            return (np.zeros(shape, dtype=complex) if 0 in shape
-                    else operator_matrix(self.model, op, p, q, p2, q2))
-        return self._cached(("op", p, q, p2, q2), build)
+        # (p,q) -> (p2,q2); del, delbar and ddbar shift the bidegree
+        # differently, so the four bidegrees name the operator
+        return self._cached(("op", p, q, p2, q2), lambda: operator_matrix(
+            self.model, op, p, q, p2, q2))
 
     def op_del(self, p: int, q: int) -> np.ndarray:
         return self._op(self.model.ce_del, p, q, p + 1, q)
@@ -312,32 +302,28 @@ def three_space_decompose(u: InvForm, metric: HermitianMetricSpec,
 # -- exact cohomology dimensions -------------------------------------------------
 
 
-def _rows(model: LieModel, op, p, q, p2, q2) -> List[List[CRat]]:
-    """Exact rows of op: (p,q) -> (p2,q2); [] when either space is empty."""
-    if min(p, q, p2, q2) < 0 or max(p, q, p2, q2) > model.dim:
-        return []
-    return operator_rows_exact(model, op, p, q, p2, q2)
-
-
 def aeppli_dim(model: LieModel, p: int, q: int) -> int:
     """dim ker(ddbar) - dim(Im del + Im delbar) at bidegree (p,q), exact."""
     n = len(model.basis_keys(p, q))
     ddbar = lambda u: model.ce_del(model.ce_delbar(u))
-    ker = n - exact_rank(_rows(model, ddbar, p, q, p + 1, q + 1))
-    # stack the two image maps side by side (as columns, i.e. rank of rows^T)
-    cols = [list(col) for rows in (_rows(model, model.ce_del, p - 1, q, p, q),
-                                   _rows(model, model.ce_delbar, p, q - 1, p, q))
-            for col in zip(*rows)]
-    return ker - exact_rank(cols)
+    ker = n - exact_rank(operator_rows_exact(model, ddbar, p, q, p + 1, q + 1))
+    # the two image maps side by side: delbar's columns follow del's
+    shift = len(model.basis_keys(p - 1, q))
+    img = [{**r, **{c + shift: x for c, x in s.items()}} for r, s in zip(
+        operator_rows_exact(model, model.ce_del, p - 1, q, p, q),
+        operator_rows_exact(model, model.ce_delbar, p, q - 1, p, q))]
+    return ker - exact_rank(img)
 
 
 def bc_dim(model: LieModel, p: int, q: int) -> int:
     """dim(ker del ∩ ker delbar) - rank(ddbar into (p,q)), exact."""
     n = len(model.basis_keys(p, q))
-    ker = n - exact_rank(_rows(model, model.ce_del, p, q, p + 1, q)
-                         + _rows(model, model.ce_delbar, p, q, p, q + 1))
+    ker = n - exact_rank(
+        operator_rows_exact(model, model.ce_del, p, q, p + 1, q)
+        + operator_rows_exact(model, model.ce_delbar, p, q, p, q + 1))
     ddbar = lambda u: model.ce_del(model.ce_delbar(u))
-    return ker - exact_rank(_rows(model, ddbar, p - 1, q - 1, p, q))
+    return ker - exact_rank(
+        operator_rows_exact(model, ddbar, p - 1, q - 1, p, q))
 
 
 def exact_ddbar_solve(model: LieModel, target: InvForm):
@@ -355,16 +341,15 @@ def exact_ddbar_solve(model: LieModel, target: InvForm):
     p, q = bid
     if p < 1 or q < 1:
         return None if target else model.zero()
-    from .exact import exact_solve, I as Iunit
-    op = lambda u: model.ce_del(model.ce_delbar(u)).scale(Iunit)
+    op = lambda u: model.ce_del(model.ce_delbar(u)).scale(I)
     rows = operator_rows_exact(model, op, p - 1, q - 1, p, q)
     keys_cod = model.basis_keys(p, q)
     rhs = [target.coeffs.get(k, ZERO) for k in keys_cod]
     rhs = [c if isinstance(c, CRat) else None for c in rhs]
     if any(c is None for c in rhs):
         raise ValueError("exact solve needs exact coefficients")
-    sol = exact_solve(rows, rhs)
+    keys_dom = model.basis_keys(p - 1, q - 1)
+    sol = exact_solve(rows, rhs, len(keys_dom))
     if sol is None:
         return None
-    keys_dom = model.basis_keys(p - 1, q - 1)
     return InvForm(model, dict(zip(keys_dom, sol)))

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CRat, ONE, ZERO, ipow, is_exact
+from .exact import CRat, ONE, ZERO, Row, ipow, is_exact
 from .forms import (ANTI, HOLO, BasisKey, Field, Form, MixedField, add_term,
                     evaluate, lie01, lie10, wedge, wedge_word)
 
@@ -104,6 +104,10 @@ class LieModel:
         return InvForm(self, {(tuple(I_), tuple(J_)): coeff})
 
     def basis_keys(self, p: int, q: int) -> List[BasisKey]:
+        """I-major keys of the wedge basis at (p,q); [] outside 0..dim, where
+        the space is zero."""
+        if p < 0 or q < 0:
+            return []
         Is = list(combinations(range(1, self.dim + 1), p))
         Js = list(combinations(range(1, self.dim + 1), q))
         return [(Iidx, Jidx) for Iidx in Is for Jidx in Js]
@@ -314,10 +318,11 @@ def operator_matrix(model: LieModel, op, p: int, q: int,
 
 
 def operator_rows_exact(model: LieModel, op, p: int, q: int,
-                        p_out: int, q_out: int) -> List[List[CRat]]:
-    """Exact CRat matrix of an operator between wedge bases (rows)."""
-    nrows, ncols, entries = _operator_entries(model, op, p, q, p_out, q_out)
-    rows = [[ZERO] * ncols for _ in range(nrows)]
+                        p_out: int, q_out: int) -> List[Row]:
+    """Exact matrix of an operator between wedge bases as sparse rows
+    {column: CRat} of its nonzero entries."""
+    nrows, _, entries = _operator_entries(model, op, p, q, p_out, q_out)
+    rows: List[Row] = [{} for _ in range(nrows)]
     for r, col, c in entries:
         rows[r][col] = c
     return rows

@@ -26,6 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.fft as sfft
 
+from .invariant import data_lines
+
 MAX_GRID_POINTS = 2 ** 26
 _FFT_WORKERS = -1  # scipy.fft uses every CPU
 
@@ -111,7 +113,7 @@ class ScalarField:
         Reported as a smoothness diagnostic; unresolved inputs show a tail
         that does not decay, but nothing is enforced here.
         """
-        vhat = sfft.rfftn(self.values)
+        vhat = HessianOp(self.grid).rfft(self.values)
         power = np.abs(vhat) ** 2
         power[(0,) * power.ndim] = 0.0
         total = power.sum()
@@ -519,29 +521,22 @@ def gmres(matvec, b: np.ndarray, rtol: float):
 def parse_modes(text: str, grid: TorusGrid, path: str = "<modes>") -> ScalarField:
     """Mode lines: 2d integer indices then amplitude re [im]."""
     modes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        n = 2 * grid.dim
+    n = 2 * grid.dim
+    for lineno, line, parts in data_lines(text):
         try:
             k = [int(x) for x in parts[:n]]
             re = float(parts[n])
             im = float(parts[n + 1]) if len(parts) > n + 1 else 0.0
             modes.append((k, complex(re, im)))
         except (ValueError, IndexError):
-            raise GridError("%s:%d: bad mode line %r" % (path, lineno, raw))
+            raise GridError("%s:%d: bad mode line %r" % (path, lineno, line))
     return ScalarField.from_modes(grid, modes)
 
 
 def parse_samples(text: str, grid: TorusGrid, path: str = "<samples>") -> ScalarField:
     vals = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for tok in line.split():
+    for lineno, _, parts in data_lines(text):
+        for tok in parts:
             try:
                 vals.append(float(tok))
             except ValueError:

@@ -431,7 +431,7 @@ def well_definedness_check(f: MapSpec, t: MomentTuple,
     base = pairing_value(gamma, t, model)
     rng = random.Random(seed)
     p, q = n - 2, n - 3
-    keys = model.basis_keys(p, q) if q >= 0 else []
+    keys = model.basis_keys(p, q)
     devs = []
     dV = model.volume_form()
     reversal_ok = True
@@ -442,9 +442,10 @@ def well_definedness_check(f: MapSpec, t: MomentTuple,
                      Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
             if c:
                 beta = beta + model.form_basis(p, q, k, c)
-        shift = model.ce_del(beta.conj()) + model.ce_delbar(beta)
+        pieces = (model.ce_del(beta.conj()), model.ce_delbar(beta))
+        shift = pieces[0] + pieces[1]
         if shift.is_exact_coeffs():
-            for piece in (model.ce_del(beta.conj()), model.ce_delbar(beta)):
+            for piece in pieces:
                 if not reversal_sign_check(piece, t.xis, t.etabars, dV):
                     reversal_ok = False
         shifted = gamma + InvForm(model, {k: complex(c)

@@ -12,8 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from balmap.exact import (CRat, I, ONE, ZERO, exact_nullspace, exact_rank,
-                          exact_solve, ipow)
+from balmap.exact import CRat, I, ONE, ZERO, exact_rank, exact_solve, ipow
+from balmap.hodge import bc_dim
+from balmap.invariant import HH, DiffTerm, LieModel, operator_rows_exact
 from oracles import FracPair, bareiss_rank
 
 
@@ -46,40 +47,93 @@ def test_mixed_arithmetic_degrades_to_complex():
     assert (a * 2j) == complex(a) * 2j
 
 
+def sparse(rows):
+    """Dense rows as the rows {column: CRat} of their nonzero entries."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def apply(rows, x):
+    return [sum((a * x[j] for j, a in r.items()), ZERO) for r in rows]
+
+
 def test_exact_rank_against_integer_oracle():
     rng = random.Random(1)
     for _ in range(30):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rand_crat(rng) if rng.random() < 0.7 else ZERO
                  for _ in range(nc)] for _ in range(nr)]
-        assert exact_rank(rows) == bareiss_rank(rows)
+        assert exact_rank(sparse(rows)) == bareiss_rank(rows)
 
 
-def test_exact_solve_and_nullspace():
+def test_exact_solve_round_trips():
     rng = random.Random(2)
     for _ in range(30):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[rand_crat(rng) if rng.random() < 0.7 else ZERO
-                 for _ in range(nc)] for _ in range(nr)]
-        x0 = [rand_crat(rng) for _ in range(nc)]
-        rhs = [sum((rows[i][j] * x0[j] for j in range(nc)), ZERO)
-               for i in range(nr)]
-        x = exact_solve(rows, rhs)
-        assert x is not None
-        back = [sum((rows[i][j] * x[j] for j in range(nc)), ZERO)
-                for i in range(nr)]
-        assert back == rhs
-        null = exact_nullspace(rows)
-        assert len(null) == nc - exact_rank(rows)
-        for v in null:
-            img = [sum((rows[i][j] * v[j] for j in range(nc)), ZERO)
-                   for i in range(nr)]
-            assert all(not c for c in img)
+        rows = sparse([[rand_crat(rng) if rng.random() < 0.7 else ZERO
+                        for _ in range(nc)] for _ in range(nr)])
+        x0 = [rand_crat(rng) if rng.random() < 0.7 else ZERO
+              for _ in range(nc)]
+        rhs = apply(rows, x0)
+        before = [dict(r) for r in rows]
+        x = exact_solve(rows, rhs, nc)
+        assert x is not None and len(x) == nc
+        assert apply(rows, x) == rhs
+        assert rows == before
+        # x is 0 off the leftmost independent columns, as an RREF gives it
+        dense = [[r.get(j, ZERO) for j in range(nc)] for r in rows]
+        ranks = [bareiss_rank([row[:j] for row in dense]) if j else 0
+                 for j in range(nc + 1)]
+        assert all(ranks[j + 1] > ranks[j] or not x[j] for j in range(nc))
 
 
 def test_exact_solve_reports_inconsistency():
-    rows = [[ONE, ONE], [ONE, ONE]]
-    assert exact_solve(rows, [ONE, CRat(2)]) is None
+    rows = sparse([[ONE, ONE], [ONE, ONE]])
+    assert exact_solve(rows, [ONE, CRat(2)], 2) is None
+    # a zero row with a nonzero right-hand side
+    assert exact_solve([{0: ONE}, {}], [ONE, I], 1) is None
+
+
+def test_sparse_elimination_edge_cases():
+    assert exact_rank([]) == 0 and exact_rank([{}, {}]) == 0
+    assert exact_solve([], [], 3) == [ZERO] * 3
+    # a zero right-hand-side entry is no entry: zero rows stay consistent
+    assert exact_solve([{}, {}], [ZERO, ZERO], 2) == [ZERO, ZERO]
+    # free unknowns are 0
+    assert exact_solve([{0: ONE, 1: ONE}], [ONE], 2) == [ONE, ZERO]
+    assert exact_solve([{1: CRat(2)}], [I], 3) == [ZERO, CRat(0, Fraction(1, 2)),
+                                                   ZERO]
+    rows = [{0: ONE, 2: I}, {1: CRat(3)}, {0: CRat(2), 2: CRat(0, 2)}]
+    assert exact_rank(rows) == 2
+    x = exact_solve(rows, [I, ZERO, CRat(0, 2)], 3)
+    assert x == [I, ZERO, ZERO]
+
+
+def filiform(n):
+    """d(phi_k) = phi_1 ^ phi_(k-1) for k >= 3."""
+    return LieModel("filiform%d" % n, n, {k: [DiffTerm(HH, 1, k - 1, ONE)]
+                                           for k in range(3, n + 1)})
+
+
+def test_rank_of_operator_rows_against_integer_oracle():
+    model = filiform(4)
+    ddbar = lambda u: model.ce_del(model.ce_delbar(u))
+    for p in range(-1, 5):
+        for q in range(-1, 5):
+            ops = ((model.ce_del, p + 1, q), (model.ce_delbar, p, q + 1),
+                   (ddbar, p + 1, q + 1))
+            for op, p2, q2 in ops:
+                rows = operator_rows_exact(model, op, p, q, p2, q2)
+                ncols = len(model.basis_keys(p, q))
+                assert all(all(r.values()) and max(r, default=-1) < ncols
+                           for r in rows)
+                dense = [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
+                assert exact_rank(rows) == bareiss_rank(dense), (p, q, p2, q2)
+
+
+def test_filiform_bott_chern_dimensions_at_the_middle_bidegree():
+    # the dense Gauss-Jordan elimination this one replaced gave these
+    assert bc_dim(filiform(6), 3, 3) == 80
+    assert bc_dim(filiform(7), 3, 3) == 180
 
 
 # -- CRat against the Fraction-pair oracle -------------------------------------
