@@ -10,7 +10,7 @@ scaling the inner GMRES solves (``_newton_direction``) moves no tolerance.
 
 The Newton iterate is kept as its half spectrum, so a line-search candidate
 is a sum of known spectra and phi returns to real space once; a zero start
-builds H = 0 without a transform; and the module's restarted GMRES
+builds A = g + H = g without a transform; and the module's restarted GMRES
 (``gmres``) makes one matvec per inner iteration.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
@@ -90,15 +90,18 @@ class ScalarField:
     @staticmethod
     def from_modes(grid: TorusGrid,
                    modes: Sequence[Tuple[Sequence[int], complex]]) -> "ScalarField":
-        """Sum of re*cos(2 pi k.u) + im*sin(2 pi k.u) over mode lines."""
+        """Sum of re*cos(2 pi k.u) + im*sin(2 pi k.u) over mode lines; each
+        phase spans only the axes where k is nonzero, and broadcasts."""
         u = grid.coords()
         vals = np.zeros(grid.shape)
         for k, amp in modes:
             if len(k) != 2 * grid.dim:
                 raise GridError("mode index needs %d entries" % (2 * grid.dim))
-            phase = sum(int(ki) * ui for ki, ui in zip(k, u)) * (2 * np.pi)
+            phase = sum(ki * ui for ki, ui in zip(map(int, k), u) if ki) * (2 * np.pi)
             amp = complex(amp)
-            vals = vals + amp.real * np.cos(phase) + amp.imag * np.sin(phase)
+            for a, wave in ((amp.real, np.cos), (amp.imag, np.sin)):
+                if a != 0:
+                    vals += a * wave(phase)
         return ScalarField(grid, vals)
 
     def mean(self) -> float:
@@ -139,7 +142,10 @@ class HessianOp:
         return sfft.rfftn(v, workers=_FFT_WORKERS)
 
     def irfft(self, vhat: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(vhat, s=self.grid.shape, workers=_FFT_WORKERS)
+        """Real field of the half spectrum ``vhat``, overwritten on the way."""
+        lead = tuple(range(vhat.ndim - 1))
+        vhat = sfft.ifftn(vhat, axes=lead, overwrite_x=True, workers=_FFT_WORKERS)
+        return sfft.irfft(vhat, n=self.grid.res, axis=-1, workers=_FFT_WORKERS)
 
     def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:
         """``vhat`` made, in place, the half spectrum of the real field
@@ -162,46 +168,49 @@ class HessianOp:
         """Real Fourier symbol of Re H[j,k], or of Im H[j,k] if ``imag``."""
         mj, nj = self._wav[2 * j - 2], self._wav[2 * j - 1]
         mk, nk = self._wav[2 * k - 2], self._wav[2 * k - 1]
-        if imag:
-            return -np.pi ** 2 * (mj * nk - nj * mk)
-        return -np.pi ** 2 * (mj * mk + nj * nk)
+        s = mj * nk - nj * mk if imag else mj * mk + nj * nk
+        s *= -np.pi ** 2
+        return s
 
-    def entries(self, vhat: np.ndarray) -> Hessian:
-        """Entries H[j,k] for j <= k; H[k,j] is the conjugate."""
+    def entries(self, vhat: np.ndarray, gram: np.ndarray) -> Hessian:
+        """Upper triangle of A = g + H, j <= k, with a real diagonal; A[k,j]
+        is the conjugate.  g is added into each transform's output."""
         out: Hessian = {}
         for j, k, imag in self.parts():
             part = self.irfft(self.symbol(j, k, imag) * vhat)
-            out[(j, k)] = out[(j, k)] + 1j * part if imag else part
+            if j == k:
+                out[(j, k)] = part
+            elif not imag:
+                out[(j, k)] = np.empty(part.shape, dtype=complex)
+            a, g = out[(j, k)], gram[j - 1, k - 1]
+            np.add(part, g.imag if imag else g.real, out=a.imag if imag else a.real)
         return out
 
 
-def _hermitian(gram: np.ndarray, H: Hessian) -> Hessian:
-    """Upper triangle of g + H, j <= k, with a real diagonal."""
-    return {(j, k): (gram[j - 1, j - 1].real if j == k else gram[j - 1, k - 1]) + h
-            for (j, k), h in H.items()}
-
-
 def _abs2(z: np.ndarray) -> np.ndarray:
-    return (z * np.conj(z)).real
+    out = np.square(z.real)
+    out += np.square(z.imag)
+    return out
 
 
-def _det_and_adjugate(gram: np.ndarray, H: Hessian, need_adj: bool):
-    """det(g + H), the upper triangle of its adjugate (None unless
-    ``need_adj``) and whether g + H is positive definite at every grid
-    point, by Sylvester's criterion on the leading principal minors."""
-    a = _hermitian(gram, H)
-    d = gram.shape[0]
-    a11 = a[(1, 1)]
+def _det_and_adjugate(A: Hessian, need_adj: bool):
+    """det(A) as a new array, the upper triangle of adj(A) (None unless
+    ``need_adj``; at d = 2 built in A's own arrays) and whether A is positive
+    definite at every grid point, by Sylvester's criterion."""
+    d = max(A)[0]
+    a11 = A[(1, 1)]
     if d == 1:
         adj = {(1, 1): np.ones_like(a11)} if need_adj else None
-        return a11, adj, bool(a11.min() > 0)
-    a22, a12 = a[(2, 2)], a[(1, 2)]
-    m2 = a11 * a22 - _abs2(a12)
+        return a11.copy(), adj, bool(a11.min() > 0)
+    a22, a12 = A[(2, 2)], A[(1, 2)]
+    m2 = _abs2(a12)
+    np.subtract(a11 * a22, m2, out=m2)
     if d == 2:
-        adj = {(1, 1): a22, (2, 2): a11, (1, 2): -a12} if need_adj else None
+        adj = ({(1, 1): a22, (2, 2): a11, (1, 2): np.negative(a12, out=a12)}
+               if need_adj else None)
         return m2, adj, bool(m2.min() > 0 and a11.min() > 0)
     # d == 3 (TorusGrid admits no other dimension)
-    a33, a13, a23 = a[(3, 3)], a[(1, 3)], a[(2, 3)]
+    a33, a13, a23 = A[(3, 3)], A[(1, 3)], A[(2, 3)]
     det = (a33 * m2 - a11 * _abs2(a23) - a22 * _abs2(a13)
            + 2 * (a12 * a23 * np.conj(a13)).real)
     # adj[j,k] is the cofactor of entry (k, j)
@@ -212,23 +221,22 @@ def _det_and_adjugate(gram: np.ndarray, H: Hessian, need_adj: bool):
     return det, adj, bool(det.min() > 0 and a11.min() > 0 and m2.min() > 0)
 
 
-def _min_eigenvalue(gram: np.ndarray, H: Hessian) -> float:
-    """Smallest eigenvalue of g + H over the grid."""
-    a = _hermitian(gram, H)
-    d = gram.shape[0]
+def _min_eigenvalue(A: Hessian) -> float:
+    """Smallest eigenvalue of A over the grid."""
+    d = max(A)[0]
     if d == 1:
-        return float(a[(1, 1)].min())
+        return float(A[(1, 1)].min())
     if d == 2:
-        a11, a22 = a[(1, 1)], a[(2, 2)]
-        disc = np.sqrt((a11 - a22) ** 2 + 4 * np.abs(a[(1, 2)]) ** 2)
+        a11, a22 = A[(1, 1)], A[(2, 2)]
+        disc = np.sqrt((a11 - a22) ** 2 + 4 * np.abs(A[(1, 2)]) ** 2)
         return float(((a11 + a22 - disc) / 2).min())
     # d == 3: the cubic's roots in trigonometric form (Smith, CACM 4, 1961) are
     # q + 2p cos(arccos(det(B)/2p^3)/3 + 2 pi k/3), B = A - q, q = tr(A)/3
-    q = (a[(1, 1)] + a[(2, 2)] + a[(3, 3)]) / 3
-    b = {(j, k): v - q if j == k else v for (j, k), v in a.items()}
+    q = (A[(1, 1)] + A[(2, 2)] + A[(3, 3)]) / 3
+    b = {(j, k): v - q if j == k else v for (j, k), v in A.items()}
     p = np.sqrt(sum(v * v if j == k else 2 * _abs2(v)
                     for (j, k), v in b.items()) / 6)
-    t = _det_and_adjugate(np.zeros((d, d)), b, False)[0]
+    t = _det_and_adjugate(b, False)[0]
     t /= np.maximum(2 * p ** 3, np.finfo(float).tiny)   # cos(3 t)
     t = np.arccos(np.clip(t, -1.0, 1.0, out=t)) / 3
     return float((q + 2 * p * np.cos(t + 2 * np.pi / 3)).min())
@@ -271,24 +279,30 @@ class NewtonFailure(RuntimeError):
         self.result = result
 
 
-def _hessian(phi: ScalarField) -> Hessian:
+def _g_plus_hessian(phi: ScalarField, gram) -> Hessian:
     op = HessianOp(phi.grid)
-    return op.entries(op.rfft(phi.values))
+    return op.entries(op.rfft(phi.values), np.asarray(gram, dtype=complex))
+
+
+def _residual(det: np.ndarray, F: ScalarField, detg: float):
+    """C, R = det - C e^F det g in det's own array, and max |R| / det g."""
+    eF = np.exp(F.values)
+    C = float(det.mean() / (eF.mean() * detg))
+    eF *= C * detg
+    det -= eF
+    return C, det, float(max(det.max(), -det.min()) / detg)
 
 
 def residual(phi: ScalarField, F: ScalarField, gram: np.ndarray) -> float:
     """max |det(g + H phi) - C e^F det g| / det g with C from the identity."""
     g = np.asarray(gram, dtype=complex)
-    det, _, _ = _det_and_adjugate(g, _hessian(phi), False)
-    detg = float(np.linalg.det(g).real)
-    eF = np.exp(F.values)
-    C = float(det.mean() / (eF.mean() * detg))
-    return float(np.abs(det - C * eF * detg).max() / detg)
+    det, _, _ = _det_and_adjugate(_g_plus_hessian(phi, g), False)
+    return _residual(det, F, float(np.linalg.det(g).real))[2]
 
 
 def positivity_check(phi: ScalarField, gram: np.ndarray) -> float:
     """Minimum over the grid of the smallest eigenvalue of g + H(phi)."""
-    return _min_eigenvalue(np.asarray(gram, dtype=complex), _hessian(phi))
+    return _min_eigenvalue(_g_plus_hessian(phi, gram))
 
 
 def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
@@ -338,8 +352,7 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
                      max_iter: int, phi0: Optional[ScalarField]) -> MAResult:
     grid = F.grid
     detg = float(np.linalg.det(g).real)
-    eF = np.exp(F.values)
-    eF_mean = float(eF.mean())
+    eF_mean = float(np.exp(F.values).mean())
 
     op = HessianOp(grid)
     diag = MADiagnostics()
@@ -349,16 +362,16 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
     if phi0 is not None:
         phat = op.rfft(phi0.values)
         phat[(0,) * phat.ndim] = 0.0
-        H = op.entries(phat)
+        A = op.entries(phat, g)
     else:
         phat = np.zeros(grid.shape[:-1] + (grid.res // 2 + 1,), dtype=complex)
-        H = {(j, k): np.zeros(grid.shape) for j, k, imag in op.parts()
-             if not imag}
+        A = {(j, k): np.full(grid.shape, g[j - 1, k - 1].real if j == k
+                             else g[j - 1, k - 1])
+             for j, k, imag in op.parts() if not imag}
 
-    def assemble(H):
-        det, _, positive = _det_and_adjugate(g, H, False)
-        C = float(det.mean() / (eF_mean * detg))
-        return C, det - C * eF * detg, positive
+    def assemble(A):
+        det, _, positive = _det_and_adjugate(A, False)
+        return _residual(det, F, detg) + (positive,)
 
     def fail(msg):
         diag.failure = msg
@@ -366,8 +379,7 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
         raise NewtonFailure(msg, MAResult(ScalarField(grid, phi - phi.max()),
                                           C, diag))
 
-    C, R, _ = assemble(H)
-    maxres = float(np.abs(R).max() / detg)
+    C, R, maxres, _ = assemble(A)
     diag.residual_history.append(maxres)
     r0 = max(maxres, 1e-30)
 
@@ -376,44 +388,42 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
             fail("newton did not converge in %d iterations" % max_iter)
         diag.newton_iterations += 1
         # the linearization sum_jk adj_jk H_jk(psi) as one real weight per
-        # symbol part; H and the adjugate are not needed once the weights exist
-        _, adj, _ = _det_and_adjugate(g, H, True)
-        del H
-        weights = []
-        for j, k, imag in op.parts():
-            w = adj[(j, k)].imag if imag else adj[(j, k)].real
-            weights.append(w if j == k else 2 * w)
+        # symbol part, read from the adjugate's arrays (at d = 2, A's own)
+        _, adj, _ = _det_and_adjugate(A, True)
+        del A
+        for jk in [(j, k) for j, k in adj if j < k]:
+            adj[jk] *= 2   # A[j,k] and A[k,j] = conj A[j,k] both enter
+        weights = [adj[(j, k)].imag if imag else adj[(j, k)].real
+                   for j, k, imag in op.parts()]
         del adj
         # forcing term on ||D^-1 (R + L psi)||: shrink with the residual, but
         # never ask for more than a tenth of what the outer tolerance can use
         inner_tol = max(1e-12, 0.1 * tol / maxres, min(1e-2, 0.1 * maxres / r0))
         psi_hat, iters, info = _newton_direction(op, weights, R, inner_tol)
-        del weights
+        del weights, R
         diag.gmres_iterations += iters
         diag.inner_unconverged += info
 
         step = 1.0
         for _ in range(25):
-            cand = phat + step * psi_hat
-            Hc = op.entries(cand)
-            Cc, Rc, positive = assemble(Hc)
-            res_c = float(np.abs(Rc).max() / detg)
+            A = op.entries(phat + step * psi_hat, g)
+            Cc, R, res_c, positive = assemble(A)
             if res_c < maxres and positive:
                 break
-            del cand, Hc, Rc
+            del A, R
             step /= 2
             diag.damping_events += 1
         else:
             diag.residual_history.append(maxres)
-            diag.min_eigenvalue = _min_eigenvalue(g, op.entries(phat))
+            diag.min_eigenvalue = _min_eigenvalue(op.entries(phat, g))
             fail("damping stalled at residual %.3e" % maxres)
-        phat, H, C, R, maxres = cand, Hc, Cc, Rc, res_c
-        # drop the aliases, so that the next step's `del H` frees H
-        del cand, Hc, Rc, psi_hat
+        phat += step * psi_hat   # the accepted candidate: the same sum, same bits
+        C, maxres = Cc, res_c
+        del psi_hat
         diag.residual_history.append(maxres)
 
     diag.converged = True
-    diag.min_eigenvalue = _min_eigenvalue(g, H)
+    diag.min_eigenvalue = _min_eigenvalue(A)
     # conservation: C * int e^F gamma^d = int gamma^d
     diag.conservation_gap = abs(C * eF_mean * detg - detg) / detg
     phi = op.irfft(phat)
@@ -444,7 +454,7 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     scale /= scale.mean()
     for w in weights:
         w /= scale
-    R /= scale   # the caller's R: _solve_ma_direct replaces it next
+    R /= scale   # the caller's R, which _solve_ma_direct drops next
     del scale
 
     def inv_p_hat(y):   # the spectrum of P^-1 y, mean free
@@ -453,11 +463,15 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
         yhat[flat_idx] = 0.0
         return yhat
 
+    def term(vhat, w, part):   # w irfft(symbol vhat); freed once summed
+        t = op.irfft(op.symbol(*part) * vhat)
+        return np.multiply(t, w, out=t)
+
     def matvec(y_flat):
         vhat = inv_p_hat(y_flat)
-        out = np.zeros(grid.shape)
-        for w, part in zip(weights, parts):
-            out += w * op.irfft(op.symbol(*part) * vhat)
+        out = term(vhat, weights[0], parts[0])
+        for w, part in zip(weights[1:], parts[1:]):
+            out += term(vhat, w, part)
         return out.ravel()
 
     # R, not -R, on the right and psi = -P^-1 y: GMRES is odd in the
@@ -481,13 +495,13 @@ def gmres(matvec, b: np.ndarray, rtol: float):
     estimate is <= rtol ||b||, or after 200 inner iterations.  Returns x,
     the inner iteration count and info: 0 converged, 1 not."""
     restart, maxiter = 20, 200
-    x = np.zeros(b.size)
     beta = float(np.linalg.norm(b))
     bound = rtol * beta
     if beta == 0.0:
-        return x, 0, 0
+        return np.zeros(b.size), 0, 0
+    x = 0.0   # an array from the first update on
     V = np.empty((restart + 1, b.size))
-    V[0] = b / beta
+    np.divide(b, beta, out=V[0])
     iters = 0
     while True:
         hess = np.zeros((restart + 1, restart))
@@ -508,7 +522,8 @@ def gmres(matvec, b: np.ndarray, rtol: float):
             if res_norm <= bound or iters == maxiter or norm_w == 0.0:
                 x += coef @ V[:k + 1]
                 return x, iters, int(res_norm > bound)
-            V[k + 1] = w / norm_w
+            np.divide(w, norm_w, out=V[k + 1])
+            del w   # before the next matvec makes its successor
         x += coef @ V[:restart]
         V[0] = res @ V
         beta = res_norm

@@ -1,5 +1,6 @@
 """Volume-normalization solver: oracles, conservation, robustness."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,14 +178,18 @@ def _hermitian_field(rng, d, n):
     return np.array(mats)
 
 
-def _hessian_dict(mats, gram):
+def _g_plus_h(mats, gram):
+    """Upper triangle of A = g + H for the Hessian H = mats - g, summed in
+    that order, as the solver adds g to H."""
     d = gram.shape[0]
-    H = {}
+    A = {}
     for j in range(1, d + 1):
-        H[(j, j)] = mats[:, j - 1, j - 1].real - gram[j - 1, j - 1].real
+        g = gram[j - 1, j - 1].real
+        A[(j, j)] = g + (mats[:, j - 1, j - 1].real - g)
         for k in range(j + 1, d + 1):
-            H[(j, k)] = mats[:, j - 1, k - 1] - gram[j - 1, k - 1]
-    return H
+            g = gram[j - 1, k - 1]
+            A[(j, k)] = g + (mats[:, j - 1, k - 1] - g)
+    return A
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -194,14 +199,13 @@ def test_sylvester_guard_agrees_with_eigenvalues(d):
     gram = b @ b.conj().T + np.eye(d)
     mats = _hermitian_field(rng, d, 96)
     for i in range(len(mats)):
-        H = _hessian_dict(mats[i:i + 1], gram)
-        positive = _det_and_adjugate(gram, H, False)[2]
-        assert positive == (_min_eigenvalue(gram, H) > 0)
+        A = _g_plus_h(mats[i:i + 1], gram)
+        positive = _det_and_adjugate(A, False)[2]
+        assert positive == (_min_eigenvalue(A) > 0)
     # whole fields: one indefinite point makes the field fail
     positive = mats[np.linalg.eigvalsh(mats)[:, 0] > 0]
     for field_mats, want in ((positive, True), (mats, False)):
-        H = _hessian_dict(field_mats, gram)
-        assert _det_and_adjugate(gram, H, False)[2] is want
+        assert _det_and_adjugate(_g_plus_h(field_mats, gram), False)[2] is want
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -212,7 +216,7 @@ def test_det_and_adjugate_against_numpy(d):
     b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     gram = b @ b.conj().T + np.eye(d)
     mats = _hermitian_field(rng, d, 96)
-    det, adj, _ = _det_and_adjugate(gram, _hessian_dict(mats, gram), True)
+    det, adj, _ = _det_and_adjugate(_g_plus_h(mats, gram), True)
     full = np.empty_like(mats)
     for (j, k), v in adj.items():
         full[:, j - 1, k - 1] = v
@@ -288,9 +292,9 @@ def test_d3_min_eigenvalue_matches_eigvalsh():
     for mats, g in cases:
         want = np.linalg.eigvalsh(mats)[:, 0]
         for i in range(len(mats)):
-            got = _min_eigenvalue(g, _hessian_dict(mats[i:i + 1], g))
+            got = _min_eigenvalue(_g_plus_h(mats[i:i + 1], g))
             assert abs(got - want[i]) <= 1e-12 * np.linalg.norm(mats[i], 2)
-        got = _min_eigenvalue(g, _hessian_dict(mats, g))
+        got = _min_eigenvalue(_g_plus_h(mats, g))
         top = np.linalg.norm(mats, 2, axis=(1, 2)).max()
         assert abs(got - want.min()) <= 1e-12 * top
     # where the two smallest roots coincide and the third is apart, arccos
@@ -298,7 +302,7 @@ def test_d3_min_eigenvalue_matches_eigvalsh():
     pair = _rotated(rng, [(1.0, 1.0 + 10.0 ** -e, 3.0) for e in range(6, 17)])
     want = np.linalg.eigvalsh(pair)[:, 0]
     for i in range(len(pair)):
-        got = _min_eigenvalue(gram, _hessian_dict(pair[i:i + 1], gram))
+        got = _min_eigenvalue(_g_plus_h(pair[i:i + 1], gram))
         assert abs(got - want[i]) <= 1e-7 * np.linalg.norm(pair[i], 2)
 
 
@@ -413,3 +417,62 @@ def test_line_search_candidates_are_real_fields():
     reported = res.diagnostics.residual_history[-1]
     assert reported <= 1e-10
     assert residual(res.phi, F, gram) == pytest.approx(reported, rel=1e-6)
+
+
+_GRAM2 = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]])
+
+
+@pytest.mark.parametrize("grid,modes,gram", [
+    (TorusGrid(1, 16), [((1, 0), 0.3), ((0, 2), 0.1), ((2, 1), 0.05 + 0.02j)],
+     [[1.5]]),
+    (TorusGrid(2, 16), [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
+                        ((1, 1, 0, 1), complex(0.15, 0.1))], _GRAM2),
+    (TorusGrid(3, 8), [((1, 0, 0, 0, 0, 0), 0.1), ((0, 0, 1, 1, 0, 0), 0.05)],
+     np.eye(3)),
+])
+def test_reported_diagnostics_match_a_recomputation(grid, modes, gram):
+    # the solver builds the adjugate in A's arrays and the residual in the
+    # determinant's; a write into an A that is still needed (at d = 1 the
+    # determinant is a11 itself) shows as a reported minimum eigenvalue or
+    # residual that the returned phi does not have.  tol 1e-5 stops d = 2
+    # and 3 well above round-off; the linear d = 1 solve ends at round-off
+    F = ScalarField.from_modes(grid, modes)
+    res = solve_ma(F, gram, tol=1e-5)
+    d = res.diagnostics
+    assert d.min_eigenvalue == pytest.approx(positivity_check(res.phi, gram),
+                                             rel=1e-12)
+    assert d.residual_history[-1] == pytest.approx(
+        residual(res.phi, F, gram), rel=1e-6, abs=1e-13)
+
+
+def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
+    # tracemalloc peaks inside the determinant and inside GMRES, counted from
+    # the solve's start (the forcing is the caller's) in float64 grid arrays;
+    # a copy of A, or a temporary per matvec term, breaks the bound.  GMRES's
+    # Krylov block is allocated whole but touched row by row, so it is not
+    # counted; these inner solves do not restart, so x stays unallocated
+    grid = TorusGrid(2, 16)
+    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
+                                      ((1, 1, 0, 1), complex(0.15, 0.1))])
+    grid_array = 8 * grid.res ** 4
+    krylov_rows = 21   # gmres: restart 20, plus one
+    peaks = {}
+    for name in ("_det_and_adjugate", "gmres"):
+        real = getattr(masolver, name)
+
+        def spy(*args, name=name, real=real):
+            tracemalloc.reset_peak()
+            out = real(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+            if name == "gmres":
+                peak -= krylov_rows * args[1].nbytes
+            peaks[name] = max(peaks.get(name, 0.0), peak / grid_array)
+            return out
+        monkeypatch.setattr(masolver, name, spy)
+    tracemalloc.start()
+    try:
+        assert solve_ma(F, _GRAM2, tol=1e-10).diagnostics.converged
+    finally:
+        tracemalloc.stop()
+    assert peaks["_det_and_adjugate"] <= 11
+    assert peaks["gmres"] <= 11
