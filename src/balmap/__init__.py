@@ -9,8 +9,9 @@ Layers, bottom up:
 * symalg  -- polynomial chart backend (coefficients, split derivatives by
              partials, the exact identity suite)
 * invariant -- structure-constant models and their finite complexes
-* hodge   -- metric adjoints, the six-term Laplacian, Green operator,
-             minimal potentials, exact cohomology ranks
+* hodge   -- exact operator rows built once per model, then densified; the
+             six-term Laplacian, Green operator, minimal potentials, exact
+             cohomology ranks
 * moment  -- balanced targets, map and tuple membership, the pairing and
              its invariances, the flow-derivative confirmation
 * masolver -- spectral Newton solver for volume normalization on flat tori
@@ -28,8 +29,7 @@ from .symalg import (ChartForm, ChartVectorField, Poly, chart_d, chart_del,
 from .invariant import (InvForm, InvVectorField, LieModel, flow_pullback,
                         integrate, load_model, parse_model, save_model)
 from .hodge import (ClassObstructionError, HermitianMetricSpec, MetricContext,
-                    aeppli_dim, bc_dim, delta_bc, green_apply, neumann_gamma,
-                    three_space_decompose)
+                    aeppli_dim, bc_dim, green_apply, neumann_gamma)
 from .moment import (BalancedTarget, MapSpec, MomentTuple, check_balanced,
                      flow_derivative_check, lie_g_membership, mu_eval,
                      omega_eval, pg_membership, well_definedness_check,

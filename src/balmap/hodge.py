@@ -1,10 +1,11 @@
 """Metric-dependent operators on the invariant complex.
 
 The coframe Gram matrix induces inner products on every wedge space by
-minors (compound matrices, by Cauchy-Binet); operators are assembled as dense
-matrices over the wedge bases and orthonormalized through the Cholesky factor
-of the Gram, so adjoints are plain conjugate transposes and the Laplacian is
-an honest Hermitian matrix.
+minors (compound matrices, by Cauchy-Binet).  del, delbar and ddbar are exact
+sparse rows over the wedge bases, built once per model (ddbar as the product
+of the other two); a MetricContext densifies them and orthonormalizes them
+through the Cholesky factor of the Gram, so adjoints are plain conjugate
+transposes and the Laplacian is an honest Hermitian matrix.
 A bidegree outside 0..dim is a zero-dimensional space, so boundary terms need
 no special cases.
 
@@ -26,8 +27,6 @@ import numpy as np
 from .exact import CRat, I, ZERO, exact_rank, exact_solve
 from .invariant import (InvForm, LieModel, operator_matrix, operator_rows_exact)
 
-ADJOINT_TOL = 1e-12
-PSD_TOL = 1e-10
 RANK_CUTOFF = 1e-9
 
 
@@ -123,21 +122,19 @@ class MetricContext:
 
     # raw operator matrices (wedge-basis coordinates, metric independent)
 
-    def _op(self, op, p: int, q: int, p2: int, q2: int) -> np.ndarray:
-        # (p,q) -> (p2,q2); del, delbar and ddbar shift the bidegree
-        # differently, so the four bidegrees name the operator
-        return self._cached(("op", p, q, p2, q2), lambda: operator_matrix(
-            self.model, op, p, q, p2, q2))
+    def _op(self, kind: str, p: int, q: int) -> np.ndarray:
+        return self._cached(("op", kind, p, q), lambda: operator_matrix(
+            operator_rows(self.model, kind, p, q),
+            len(self.model.basis_keys(p, q))))
 
     def op_del(self, p: int, q: int) -> np.ndarray:
-        return self._op(self.model.ce_del, p, q, p + 1, q)
+        return self._op("del", p, q)
 
     def op_delbar(self, p: int, q: int) -> np.ndarray:
-        return self._op(self.model.ce_delbar, p, q, p, q + 1)
+        return self._op("delbar", p, q)
 
     def op_deldelbar(self, p: int, q: int) -> np.ndarray:
-        return self._op(lambda u: self.model.ce_del(self.model.ce_delbar(u)),
-                        p, q, p + 1, q + 1)
+        return self._op("ddbar", p, q)
 
     def laplacian_pinv(self, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
         """Pseudo-inverse and kernel projector of the orthonormal Bott-Chern
@@ -152,14 +149,6 @@ class MetricContext:
         Ld = self.chol(*dom)
         Lc = self.chol(*cod)
         return Lc.conj().T @ A @ np.linalg.inv(Ld.conj().T)
-
-
-def adjoint(ctx: MetricContext, A: np.ndarray, dom: Tuple[int, int],
-            cod: Tuple[int, int]) -> np.ndarray:
-    """Adjoint of A: dom -> cod with respect to the induced inner products."""
-    Hd = ctx.gram(*dom)
-    Hc = ctx.gram(*cod)
-    return np.linalg.solve(Hd, A.conj().T @ Hc)
 
 
 def delta_bc_ortho(ctx: MetricContext, p: int, q: int) -> np.ndarray:
@@ -178,13 +167,6 @@ def delta_bc_ortho(ctx: MetricContext, p: int, q: int) -> np.ndarray:
     Db2 = O(ctx.op_delbar(p + 1, q - 1), (p + 1, q - 1), (p + 1, q))
     factors = (D, Db, P, P2.conj().T, D2.conj().T @ Db, Db2.conj().T @ D)
     return sum(F.conj().T @ F for F in factors)
-
-
-def delta_bc(ctx: MetricContext, p: int, q: int) -> np.ndarray:
-    """Bott-Chern Laplacian in raw wedge-basis coordinates."""
-    A = delta_bc_ortho(ctx, p, q)
-    L = ctx.chol(p, q)
-    return np.linalg.solve(L.conj().T, A @ L.conj().T)
 
 
 def _pinv_psd(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -279,51 +261,55 @@ def minimality_residual(gamma: InvForm, metric: HermitianMetricSpec) -> float:
     return float(np.linalg.norm(v - proj) / max(np.linalg.norm(v), 1e-300))
 
 
-def three_space_decompose(u: InvForm, metric: HermitianMetricSpec,
-                          p: int = 1, q: int = 1):
-    """Split u into harmonic + ddbar-image + (del*-image + delbar*-image)."""
-    bid = u.bidegree()
-    if bid is not None:
-        p, q = bid
-    ctx = MetricContext(metric)
-    _, kerp = ctx.laplacian_pinv(p, q)
-    v = ctx.to_ortho(p, q, u.to_vector(p, q))
-    h = kerp @ v
-    cols = _range(ctx.ortho_op(ctx.op_deldelbar(p - 1, q - 1),
-                               (p - 1, q - 1), (p, q)))
-    mid = cols @ (cols.conj().T @ v)
-    rest = v - h - mid
-
-    def back(w):
-        return InvForm.from_vector(ctx.model, p, q, ctx.from_ortho(p, q, w))
-    return back(h), back(mid), back(rest)
+# -- exact operators and cohomology dimensions --------------------------------
 
 
-# -- exact cohomology dimensions -------------------------------------------------
+def operator_rows(model: LieModel, kind: str, p: int, q: int) -> list:
+    """Exact sparse rows of del, delbar or ddbar ("del", "delbar", "ddbar")
+    from bidegree (p,q), built once per model and shared by every caller,
+    which must not modify them.  ddbar at (p,q) is the row product of del
+    at (p,q+1) and delbar at (p,q)."""
+    key = (kind, p, q)
+    rows = model.op_rows.get(key)
+    if rows is not None:
+        return rows
+    if kind == "ddbar":
+        Db = operator_rows(model, "delbar", p, q)
+        rows = []
+        for r in operator_rows(model, "del", p, q + 1):
+            acc: Dict[int, CRat] = {}
+            for k, a in r.items():
+                for c, b in Db[k].items():
+                    acc[c] = acc.get(c, ZERO) + a * b
+            rows.append({c: x for c, x in acc.items() if x})
+    elif kind == "del":
+        rows = operator_rows_exact(model, model.ce_del, p, q, p + 1, q)
+    elif kind == "delbar":
+        rows = operator_rows_exact(model, model.ce_delbar, p, q, p, q + 1)
+    else:
+        raise ValueError("unknown operator %r" % kind)
+    model.op_rows[key] = rows
+    return rows
 
 
 def aeppli_dim(model: LieModel, p: int, q: int) -> int:
     """dim ker(ddbar) - dim(Im del + Im delbar) at bidegree (p,q), exact."""
     n = len(model.basis_keys(p, q))
-    ddbar = lambda u: model.ce_del(model.ce_delbar(u))
-    ker = n - exact_rank(operator_rows_exact(model, ddbar, p, q, p + 1, q + 1))
+    ker = n - exact_rank(operator_rows(model, "ddbar", p, q))
     # the two image maps side by side: delbar's columns follow del's
     shift = len(model.basis_keys(p - 1, q))
     img = [{**r, **{c + shift: x for c, x in s.items()}} for r, s in zip(
-        operator_rows_exact(model, model.ce_del, p - 1, q, p, q),
-        operator_rows_exact(model, model.ce_delbar, p, q - 1, p, q))]
+        operator_rows(model, "del", p - 1, q),
+        operator_rows(model, "delbar", p, q - 1))]
     return ker - exact_rank(img)
 
 
 def bc_dim(model: LieModel, p: int, q: int) -> int:
     """dim(ker del ∩ ker delbar) - rank(ddbar into (p,q)), exact."""
     n = len(model.basis_keys(p, q))
-    ker = n - exact_rank(
-        operator_rows_exact(model, model.ce_del, p, q, p + 1, q)
-        + operator_rows_exact(model, model.ce_delbar, p, q, p, q + 1))
-    ddbar = lambda u: model.ce_del(model.ce_delbar(u))
-    return ker - exact_rank(
-        operator_rows_exact(model, ddbar, p - 1, q - 1, p, q))
+    ker = n - exact_rank(operator_rows(model, "del", p, q)
+                         + operator_rows(model, "delbar", p, q))
+    return ker - exact_rank(operator_rows(model, "ddbar", p - 1, q - 1))
 
 
 def exact_ddbar_solve(model: LieModel, target: InvForm):
@@ -341,15 +327,13 @@ def exact_ddbar_solve(model: LieModel, target: InvForm):
     p, q = bid
     if p < 1 or q < 1:
         return None if target else model.zero()
-    op = lambda u: model.ce_del(model.ce_delbar(u)).scale(I)
-    rows = operator_rows_exact(model, op, p - 1, q - 1, p, q)
-    keys_cod = model.basis_keys(p, q)
-    rhs = [target.coeffs.get(k, ZERO) for k in keys_cod]
-    rhs = [c if isinstance(c, CRat) else None for c in rhs]
-    if any(c is None for c in rhs):
+    rhs = [target.coeffs.get(k, ZERO) for k in model.basis_keys(p, q)]
+    if not all(isinstance(c, CRat) for c in rhs):
         raise ValueError("exact solve needs exact coefficients")
     keys_dom = model.basis_keys(p - 1, q - 1)
-    sol = exact_solve(rows, rhs, len(keys_dom))
+    # i ddbar Gamma = target is ddbar Gamma = -i target
+    sol = exact_solve(operator_rows(model, "ddbar", p - 1, q - 1),
+                      [-I * c for c in rhs], len(keys_dom))
     if sol is None:
         return None
     return InvForm(model, dict(zip(keys_dom, sol)))

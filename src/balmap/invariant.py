@@ -77,6 +77,10 @@ class LieModel:
                 norm[k] = tuple(kept)
         self.diff = norm
         self._check_d_squared()
+        # exact operator rows by (kind, p, q), filled on first use by
+        # hodge.operator_rows; the model is not changed after this point,
+        # so they never go stale
+        self.op_rows: Dict[Tuple[str, int, int], List[Row]] = {}
 
     # -- construction helpers --
 
@@ -296,36 +300,26 @@ def integrate(u: InvForm):
 # -- operator matrices over the wedge bases -----------------------------------
 
 
-def _operator_entries(model: LieModel, op, p: int, q: int, p_out: int, q_out: int
-                      ) -> Tuple[int, int, Iterator[Tuple[int, int, object]]]:
-    """Shape and nonzero (row, col, coefficient) entries of an operator
-    between wedge bases, column by column."""
-    dom = model.basis_keys(p, q)
-    index = {k: i for i, k in enumerate(model.basis_keys(p_out, q_out))}
-    entries = ((index[k2], col, c) for col, key in enumerate(dom)
-               for k2, c in op(model.form_basis(p, q, key)).coeffs.items())
-    return len(index), len(dom), entries
-
-
-def operator_matrix(model: LieModel, op, p: int, q: int,
-                    p_out: int, q_out: int) -> np.ndarray:
-    """Dense complex matrix of a linear operator between wedge bases."""
-    nrows, ncols, entries = _operator_entries(model, op, p, q, p_out, q_out)
-    A = np.zeros((nrows, ncols), dtype=complex)
-    for r, col, c in entries:
-        A[r, col] = complex(c)
-    return A
-
-
 def operator_rows_exact(model: LieModel, op, p: int, q: int,
                         p_out: int, q_out: int) -> List[Row]:
-    """Exact matrix of an operator between wedge bases as sparse rows
-    {column: CRat} of its nonzero entries."""
-    nrows, _, entries = _operator_entries(model, op, p, q, p_out, q_out)
-    rows: List[Row] = [{} for _ in range(nrows)]
-    for r, col, c in entries:
-        rows[r][col] = c
+    """Matrix of a linear operator between wedge bases as sparse rows
+    {column: coefficient} of its nonzero entries; exact CRat rows when op
+    has exact coefficients."""
+    index = {k: i for i, k in enumerate(model.basis_keys(p_out, q_out))}
+    rows: List[Row] = [{} for _ in index]
+    for col, key in enumerate(model.basis_keys(p, q)):
+        for k2, c in op(model.form_basis(p, q, key)).coeffs.items():
+            rows[index[k2]][col] = c
     return rows
+
+
+def operator_matrix(rows: List[Row], ncols: int) -> np.ndarray:
+    """Dense complex matrix of sparse rows with ncols columns."""
+    A = np.zeros((len(rows), ncols), dtype=complex)
+    for r, row in enumerate(rows):
+        for col, c in row.items():
+            A[r, col] = complex(c)
+    return A
 
 
 def flow_pullback(field: InvVectorField, s: float, u: InvForm,
@@ -348,8 +342,9 @@ def flow_pullback(field: InvVectorField, s: float, u: InvForm,
     p, q = bid
     if bid not in generators:
         lie = lie10 if field.kind == HOLO else lie01
-        generators[bid] = operator_matrix(u.model, lambda v: lie(field, v),
-                                          p, q, p, q)
+        rows = operator_rows_exact(u.model, lambda v: lie(field, v),
+                                   p, q, p, q)
+        generators[bid] = operator_matrix(rows, len(rows))
     L = generators[bid]
     vec = u.to_vector(p, q)
     res = expm(s * L) @ vec

@@ -5,10 +5,12 @@ numerator-cleared Gaussian integers, sharing no code with the production
 elimination; the expansion oracles recompute wedge/contraction results by
 brute-force permutation sums instead of ordered-merge signs, the wedge
 Gram oracle takes every minor as a permutation sum instead of a compound
-matrix, the complex-dimension-one solver oracle divides by a ddbar symbol
-derived here with numpy.fft instead of the solver's symbol table, and the
-Gaussian-rational oracle keeps a pair of Fractions with textbook field
-operations instead of CRat's reduced integer triple.
+matrix, the adjoint oracle solves against raw Grams instead of
+orthonormalizing through a Cholesky factor, the complex-dimension-one
+solver oracle divides by a ddbar symbol derived here with numpy.fft instead
+of the solver's symbol table, and the Gaussian-rational oracle keeps a pair
+of Fractions with textbook field operations instead of CRat's reduced
+integer triple.
 """
 
 from __future__ import annotations
@@ -108,6 +110,17 @@ def wedge_gram_oracle(g, keys, vol: float) -> List[List[complex]]:
         return leibniz_det([[g[r - 1][c - 1] for c in cols] for r in rows])
     return [[vol * minor(I, K) * minor(J, L).conjugate() for K, L in keys]
             for I, J in keys]
+
+
+def adjoint(A, gram_dom, gram_cod) -> np.ndarray:
+    """Adjoint of the matrix A: dom -> cod under the Grams of both spaces
+    (as wedge_gram_oracle gives them): <A u, v> = <u, A* v> with
+    <u, v> = v^H H u gives A* = H_dom^-1 A^H H_cod."""
+    A = np.asarray(A, dtype=complex)
+    n, m = A.shape
+    Hd = np.asarray(gram_dom, dtype=complex).reshape(m, m)
+    Hc = np.asarray(gram_cod, dtype=complex).reshape(n, n)
+    return np.linalg.solve(Hd, A.conj().T @ Hc)
 
 
 def _perm_sign(perm: Tuple[int, ...]) -> int:

@@ -12,10 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from balmap import hodge
+from balmap.catalog import MODELS
 from balmap.exact import CRat, I, ONE, ZERO, exact_rank, exact_solve, ipow
-from balmap.hodge import bc_dim
-from balmap.invariant import HH, DiffTerm, LieModel, operator_rows_exact
+from balmap.hodge import (HermitianMetricSpec, MetricContext, aeppli_dim,
+                          bc_dim, exact_ddbar_solve, operator_rows)
+from balmap.invariant import (HH, MIX, DiffTerm, InvForm, LieModel,
+                              operator_rows_exact)
 from oracles import FracPair, bareiss_rank
+from test_properties import random_nilpotent_model
 
 
 def rand_crat(rng):
@@ -114,20 +119,86 @@ def filiform(n):
                                            for k in range(3, n + 1)})
 
 
+def fresh_rows(model, top):
+    """Rows of del, delbar and ddbar at every (p,q) in -1..top, each built
+    anew by applying the operator to every basis form; ddbar is applied as
+    del after delbar, not as a product of rows."""
+    ddbar = lambda u: model.ce_del(model.ce_delbar(u))
+    ops = {"del": (model.ce_del, 1, 0), "delbar": (model.ce_delbar, 0, 1),
+           "ddbar": (ddbar, 1, 1)}
+    return {(kind, p, q): operator_rows_exact(model, op, p, q, p + a, q + b)
+            for kind, (op, a, b) in ops.items()
+            for p in range(-1, top + 1) for q in range(-1, top + 1)}
+
+
 def test_rank_of_operator_rows_against_integer_oracle():
     model = filiform(4)
-    ddbar = lambda u: model.ce_del(model.ce_delbar(u))
-    for p in range(-1, 5):
-        for q in range(-1, 5):
-            ops = ((model.ce_del, p + 1, q), (model.ce_delbar, p, q + 1),
-                   (ddbar, p + 1, q + 1))
-            for op, p2, q2 in ops:
-                rows = operator_rows_exact(model, op, p, q, p2, q2)
-                ncols = len(model.basis_keys(p, q))
-                assert all(all(r.values()) and max(r, default=-1) < ncols
-                           for r in rows)
-                dense = [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
-                assert exact_rank(rows) == bareiss_rank(dense), (p, q, p2, q2)
+    for (kind, p, q), want in fresh_rows(model, 4).items():
+        rows = operator_rows(model, kind, p, q)
+        assert rows == want, (kind, p, q)
+        ncols = len(model.basis_keys(p, q))
+        assert all(all(r.values()) and max(r, default=-1) < ncols
+                   for r in rows)
+        dense = [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
+        assert exact_rank(rows) == bareiss_rank(dense), (kind, p, q)
+
+
+def test_operator_store_matches_fresh_rows_after_use():
+    generated = [random_nilpotent_model(random.Random(s), 4) for s in (3, 4)]
+    # d(phi4) = d(phi5) = phi1 ^ phibar1 + phi2 ^ phi3: on phi4 ^ phi5 the
+    # two paths through delbar then del cancel, so the ddbar row product
+    # holds sums that vanish and must drop them
+    d45 = [DiffTerm(MIX, 1, 1, ONE), DiffTerm(HH, 2, 3, ONE)]
+    cancelling = LieModel("cancelling", 5, {4: d45, 5: d45})
+    for model in [*MODELS.values(), *generated, cancelling]:
+        n = model.dim
+        # callers reach one bidegree past dim: aeppli_dim at q = n asks for
+        # ddbar at (p, n), hence del at (p, n + 1)
+        want = fresh_rows(model, n + 1)
+        for p, q in np.ndindex(n + 2, n + 2):
+            assert operator_rows(model, "ddbar", p - 1, q - 1) == want[
+                ("ddbar", p - 1, q - 1)], (model.name, p, q)
+        for p, q in np.ndindex(n + 1, n + 1):
+            bc_dim(model, p, q)
+            aeppli_dim(model, p, q)
+            ones = InvForm(model, {k: ONE for k in model.basis_keys(p, q)})
+            for target in (ones, model.ce_del(model.ce_delbar(ones))):
+                if target.bidegree() is not None:
+                    exact_ddbar_solve(model, target)
+        # no caller modified the shared rows
+        assert model.op_rows and all(
+            rows == want[key] for key, rows in model.op_rows.items())
+        ctx = MetricContext(HermitianMetricSpec.flat(model))
+        ops = {"del": ctx.op_del, "delbar": ctx.op_delbar,
+               "ddbar": ctx.op_deldelbar}
+        for (kind, p, q), rows in want.items():
+            ncols = len(model.basis_keys(p, q))
+            dense = np.zeros((len(rows), ncols), dtype=complex)
+            for i, r in enumerate(rows):
+                for j, c in r.items():
+                    dense[i, j] = complex(c)
+            assert np.array_equal(ops[kind](p, q), dense), (kind, p, q)
+
+
+def test_operator_rows_are_built_once_per_operator_and_bidegree(monkeypatch):
+    model = filiform(5)
+    builds = []
+    build = hodge.operator_rows_exact
+
+    def counted(model, op, p, q, p_out, q_out):
+        builds.append((p, q, p_out, q_out))
+        return build(model, op, p, q, p_out, q_out)
+
+    monkeypatch.setattr(hodge, "operator_rows_exact", counted)
+    totals = []
+    for _ in range(2):
+        for p, q in np.ndindex(6, 6):
+            bc_dim(model, p, q)
+            aeppli_dim(model, p, q)
+        totals.append(len(builds))
+    # del and delbar, each at most once per bidegree (ddbar is their
+    # product), and nothing more in the second round
+    assert len(set(builds)) == totals[0] == totals[1] <= 96
 
 
 def test_filiform_bott_chern_dimensions_at_the_middle_bidegree():

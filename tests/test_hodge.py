@@ -10,14 +10,13 @@ import pytest
 from balmap.catalog import MODELS
 from balmap.exact import CRat, I
 from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
-                          MetricContext, adjoint, aeppli_dim, bc_dim,
-                          delta_bc, delta_bc_ortho, exact_ddbar_solve,
-                          green_apply, minimality_residual, neumann_gamma,
-                          three_space_decompose)
+                          MetricContext, aeppli_dim, bc_dim, delta_bc_ortho,
+                          exact_ddbar_solve, green_apply, minimality_residual,
+                          neumann_gamma)
 from balmap.forms import wedge
 from balmap.invariant import HH, DiffTerm, InvForm, LieModel
 
-from oracles import wedge_gram_oracle
+from oracles import adjoint, wedge_gram_oracle
 
 IW = MODELS["iwasawa"]
 T3 = MODELS["torus3"]
@@ -40,6 +39,14 @@ def rand_form(rng, model, p, q):
     return InvForm.from_vector(model, p, q, vec)
 
 
+def oracle_gram(metric, p, q):
+    """Gram of the wedge basis at (p,q) from the permutation-sum oracle."""
+    model = metric.model
+    return np.array(wedge_gram_oracle(metric.gram.tolist(),
+                                      model.basis_keys(p, q),
+                                      float(model.volume_scale)))
+
+
 def test_metric_validation():
     with pytest.raises(ValueError):
         HermitianMetricSpec(IW, np.array([[1, 2], [3, 4]]))
@@ -56,7 +63,8 @@ def test_adjointness_random_metrics():
             m = rand_metric(rng, model)
             ctx = MetricContext(m)
             D = ctx.op_del(1, 1)
-            Ds = adjoint(ctx, D, (1, 1), (2, 1))
+            H11, H21 = oracle_gram(m, 1, 1), oracle_gram(m, 2, 1)
+            Ds = adjoint(D, H11, H21)
             for _ in range(5):
                 u = rand_form(rng, model, 1, 1)
                 v = rand_form(rng, model, 2, 1)
@@ -66,7 +74,7 @@ def test_adjointness_random_metrics():
                                                        Ds @ v.to_vector(2, 1)))
                 assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
             # involution
-            assert np.linalg.norm(adjoint(ctx, Ds, (2, 1), (1, 1)) - D) < 1e-10
+            assert np.linalg.norm(adjoint(Ds, H21, H11) - D) < 1e-10
 
 
 def test_torus_laplacian_vanishes():
@@ -114,23 +122,28 @@ def test_gram_matches_leibniz_minor_oracle():
 
 def test_laplacian_is_the_six_term_sum_in_raw_coordinates():
     # sum of F* F over del, delbar, ddbar, (ddbar)*, del* delbar, delbar* del,
-    # with adjoints from the Grams; outside 0..dim a space is empty
+    # with adjoints from the oracle Grams; outside 0..dim a space is empty
     rng = random.Random(5)
     for model in (IW, HM):
-        ctx = MetricContext(rand_metric(rng, model))
+        m = rand_metric(rng, model)
+        ctx = MetricContext(m)
+        H = lambda p, q: oracle_gram(m, p, q)
         for p, q in np.ndindex(model.dim + 1, model.dim + 1):
             D, Db = ctx.op_del(p, q), ctx.op_delbar(p, q)
             P2 = ctx.op_deldelbar(p - 1, q - 1)
             factors = [
                 (D, (p + 1, q)), (Db, (p, q + 1)),
                 (ctx.op_deldelbar(p, q), (p + 1, q + 1)),
-                (adjoint(ctx, P2, (p - 1, q - 1), (p, q)), (p - 1, q - 1)),
-                (adjoint(ctx, ctx.op_del(p - 1, q + 1), (p - 1, q + 1),
-                         (p, q + 1)) @ Db, (p - 1, q + 1)),
-                (adjoint(ctx, ctx.op_delbar(p + 1, q - 1), (p + 1, q - 1),
-                         (p + 1, q)) @ D, (p + 1, q - 1))]
-            want = sum(adjoint(ctx, F, (p, q), cod) @ F for F, cod in factors)
-            assert np.abs(delta_bc(ctx, p, q) - want).max() < 1e-9 * max(
+                (adjoint(P2, H(p - 1, q - 1), H(p, q)), (p - 1, q - 1)),
+                (adjoint(ctx.op_del(p - 1, q + 1), H(p - 1, q + 1),
+                         H(p, q + 1)) @ Db, (p - 1, q + 1)),
+                (adjoint(ctx.op_delbar(p + 1, q - 1), H(p + 1, q - 1),
+                         H(p + 1, q)) @ D, (p + 1, q - 1))]
+            want = sum(adjoint(F, H(p, q), H(*cod)) @ F for F, cod in factors)
+            # orthonormal coordinates x -> L^H x with H = L L^H, back to raw
+            Lh = np.linalg.cholesky(H(p, q)).conj().T
+            raw = np.linalg.solve(Lh, delta_bc_ortho(ctx, p, q) @ Lh)
+            assert np.abs(raw - want).max() < 1e-9 * max(
                 1.0, np.abs(want).max()), (model.name, p, q)
 
 
@@ -201,29 +214,6 @@ def test_exact_solver_matches_float_solvability():
     assert exact_ddbar_solve(T3, bad) is None
 
 
-def test_three_space_decomposition():
-    rng = random.Random(3)
-    m = HermitianMetricSpec.flat(IW)
-    ctx = MetricContext(m)
-    for _ in range(8):
-        u = rand_form(rng, IW, 1, 1)
-        h, mid, rest = three_space_decompose(u, m)
-        assert (h + mid + rest - u).norm() < 1e-12
-        for a, b in [(h, mid), (h, rest), (mid, rest)]:
-            assert abs(ctx.inner(a, b)) < 1e-10
-        # harmonic part is killed by the Laplacian
-        A = delta_bc(ctx, 1, 1)
-        assert np.linalg.norm(A @ h.to_vector(1, 1)) < 1e-9
-
-
-def test_three_space_reproduces_exact_input():
-    ex = IW.ce_del(IW.ce_delbar(wedge(IW.phi(3), IW.phibar(3)))).scale(I)
-    exf = InvForm(IW, {k: complex(c) for k, c in ex.coeffs.items()})
-    h, mid, rest = three_space_decompose(exf, HermitianMetricSpec.flat(IW))
-    assert h.norm() < 1e-10 and rest.norm() < 1e-10
-    assert (mid - exf).norm() < 1e-10
-
-
 def test_dimensions_match_frozen_oracle_goldens():
     golden = json.loads(FIXTURE.read_text())
     for name, table in golden["models"].items():
@@ -249,4 +239,5 @@ def test_torus_adjoint_of_derivative_vanishes():
     ctx = MetricContext(HermitianMetricSpec.flat(T3))
     D = ctx.op_del(1, 1)
     assert np.linalg.norm(D) == 0.0
-    assert np.linalg.norm(adjoint(ctx, D, (1, 1), (2, 1))) == 0.0
+    H = lambda p, q: oracle_gram(ctx.metric, p, q)
+    assert np.linalg.norm(adjoint(D, H(1, 1), H(2, 1))) == 0.0

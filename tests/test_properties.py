@@ -43,10 +43,15 @@ def random_nilpotent_model(rng: random.Random, dim: int) -> LieModel:
             return model
 
 
-@pytest.mark.parametrize("seed", range(6))
+def dim_of(seed: int) -> int:
+    """Seeds 0-2 draw dim-3 models, 3-5 dim 4 and 6-9 dim 5."""
+    return 3 if seed < 3 else 4 if seed < 6 else 5
+
+
+@pytest.mark.parametrize("seed", range(10))
 def test_duality_and_conjugation_symmetry_on_generated_models(seed):
     rng = random.Random(seed)
-    model = random_nilpotent_model(rng, 3 if seed < 3 else 4)
+    model = random_nilpotent_model(rng, dim_of(seed))
     n = model.dim
     bc = {(p, q): bc_dim(model, p, q) for p in range(n + 1) for q in range(n + 1)}
     ae = {(p, q): aeppli_dim(model, p, q) for p in range(n + 1) for q in range(n + 1)}
@@ -55,10 +60,10 @@ def test_duality_and_conjugation_symmetry_on_generated_models(seed):
         assert h == bc[(q, p)], ("conjugation symmetry", model.diff, p, q)
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(10))
 def test_harmonic_kernel_has_the_exact_dimension_on_generated_models(seed):
     rng = random.Random(seed)
-    model = random_nilpotent_model(rng, 3 if seed < 3 else 4)
+    model = random_nilpotent_model(rng, dim_of(seed))
     n = model.dim
     B = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
                   for _ in range(n)])
