@@ -43,13 +43,6 @@ def merge_sorted(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, Tupl
     return (-1) ** inversions, tuple(sorted(a + b))
 
 
-def remove_index(idx: Sequence[int], j: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    for k, v in enumerate(idx):
-        if v == j:
-            return ((-1) ** k, tuple(idx[:k]) + tuple(idx[k + 1:]))
-    return None
-
-
 def wedge_word(left: BasisKey, right: BasisKey) -> Optional[Tuple[int, BasisKey]]:
     """Sign and normalized key of word(left) ^ word(right), None if it vanishes."""
     (I1, J1), (I2, J2) = left, right
@@ -296,18 +289,18 @@ def contract(v, u: Form) -> Form:
     holo = v.kind == HOLO
     out: Dict[BasisKey, object] = {}
     for (I, J), c in u.coeffs.items():
-        for j, comp in enumerate(v.comps, start=1):
+        # only the letters of the word can pair; the one at pos moves to the
+        # front past pos letters (a barred one also past the I block)
+        for pos, j in enumerate(I if holo else J):
+            comp = v.comps[j - 1]
             if not comp:
                 continue
-            r = remove_index(I if holo else J, j)
-            if r is None:
-                continue
-            sign, rest = r
             if holo:
-                key = (rest, J)
+                key = (I[:pos] + I[pos + 1:], J)
+                sign = (-1) ** pos
             else:
-                sign *= (-1) ** len(I)  # the barred letter passes the I block
-                key = (I, rest)
+                key = (I, J[:pos] + J[pos + 1:])
+                sign = (-1) ** (pos + len(I))
             add_term(out, key, c * comp * sign)
     return u._like(out)
 

@@ -1,14 +1,20 @@
 """Invariant calculus on compact models given by structure constants.
 
-A LieModel fixes a (1,0)-coframe phi^1..phi^d and the expansion of each
-d(phi^k) over the basis {phi^i^phi^j (i<j), phi^i^phibar^j, phibar^i^phibar^j
-(i<j)}.  The conjugate relations d(phibar^k) = conj(d phi^k) are derived, not
-stored.  Everything downstream (cohomology, Hodge theory, the moment-map
-checks) is finite-dimensional linear algebra over this complex.
+A LieModel fixes a (1,0)-coframe phi^1..phi^d, with dual frame Z_1..Z_d,
+and the expansion of each d(phi^k) over the basis {phi^i^phi^j (i<j),
+phi^i^phibar^j, phibar^i^phibar^j (i<j)}; repeated labels are summed.
+d(phibar^k) is conj(d phi^k).  On invariant forms d is the
+Chevalley-Eilenberg differential
 
-The form algebra and its sign conventions are the shared ones of
-``balmap.forms``; this module supplies the split derivatives from the
-structure constants and the frame bracket.  The volume form is
+    d u = sum_k d(phi^k) ^ (Z_k . u) + d(phibar^k) ^ (Zbar_k . u),
+
+and del, delbar are its parts that raise the bidegree by (1,0), (0,1).
+Everything downstream (cohomology, Hodge theory, the moment-map checks) is
+finite-dimensional linear algebra over this complex.
+
+Every sign (wedge merge, contraction, conjugation) comes from
+``balmap.forms``; this module supplies only the stored d(phi^k) and the
+frame bracket read from them.  The volume form is
 dV = i^(d^2) phi^{1..d} ^ phibar^{1..d} and integrate is the linear
 functional with integrate(dV) = volume_scale.
 """
@@ -24,7 +30,7 @@ import numpy as np
 
 from .exact import CRat, ONE, ZERO, Row, ipow, is_exact
 from .forms import (ANTI, HOLO, BasisKey, Field, Form, MixedField, add_term,
-                    evaluate, lie01, lie10, wedge, wedge_word)
+                    contract, evaluate, lie01, lie10, wedge, wedge_word)
 
 # labels for the three families of basis 2-forms in d(phi^k)
 HH = "hh"   # phi^i ^ phi^j, i < j
@@ -44,6 +50,11 @@ class DiffTerm:
     coeff: CRat
 
 
+def _word(t: DiffTerm) -> BasisKey:
+    """Wedge word of a (2,0) or (1,1) basis label."""
+    return ((t.i, t.j), ()) if t.family == HH else ((t.i,), (t.j,))
+
+
 class LieModel:
     """Compact model manifold described by invariant structure constants."""
 
@@ -52,6 +63,8 @@ class LieModel:
                  volume_scale: Fraction = Fraction(1)):
         self.name = name
         self.dim = dim
+        if dim < 1:
+            raise ModelError("model %s: dim %d must be at least 1" % (name, dim))
         self.volume_scale = Fraction(volume_scale)
         if self.volume_scale <= 0:
             raise ModelError("volume_scale must be positive")
@@ -59,7 +72,7 @@ class LieModel:
         for k, terms in diff.items():
             if not 1 <= k <= dim:
                 raise ModelError("diff target index %d out of range" % k)
-            kept = []
+            summed: Dict[Tuple[str, int, int], CRat] = {}
             for t in terms:
                 if t.family not in (HH, MIX, AA):
                     raise ModelError("unknown basis family %r" % t.family)
@@ -67,15 +80,30 @@ class LieModel:
                     raise ModelError("indices must be increasing in %r" % (t,))
                 if not (1 <= t.i <= dim and 1 <= t.j <= dim):
                     raise ModelError("index out of range in %r" % (t,))
-                if t.family == AA and t.coeff:
-                    raise ModelError(
-                        "model %s: d(phi^%d) has a (0,2)-component; "
-                        "the complex structure is not integrable" % (name, k))
-                if t.coeff:
-                    kept.append(t)
-            if kept:
-                norm[k] = tuple(kept)
+                add_term(summed, (t.family, t.i, t.j), t.coeff)
+            if any(fam == AA for fam, _, _ in summed):
+                raise ModelError(
+                    "model %s: d(phi^%d) has a (0,2)-component; "
+                    "the complex structure is not integrable" % (name, k))
+            if summed:
+                norm[k] = tuple(DiffTerm(*key, c) for key, c in summed.items())
         self.diff = norm
+        # d(phi^k) once per generator; d(phibar^k) is its conjugate
+        self.dphi = [InvForm(self, {_word(t): t.coeff for t in norm.get(k, ())})
+                     for k in range(1, dim + 1)]
+        dphibar = [u.conj() for u in self.dphi]
+        # the (field, 2-form part) pairs of the Chevalley-Eilenberg sum by the
+        # bidegree shift they make: Z_k with the (1,0)+shift part of
+        # d(phi^k), Zbar_k with the (0,1)+shift part of d(phibar^k)
+        self._ce_pieces: Dict[Tuple[int, int], list] = {(1, 0): [], (0, 1): []}
+        for (a, b), pieces in self._ce_pieces.items():
+            for frame, forms, bid in ((self.frame, self.dphi, (1 + a, b)),
+                                      (self.frame_bar, dphibar, (a, 1 + b))):
+                for k, u in enumerate(forms, start=1):
+                    part = [(key, c) for key, c in u.coeffs.items()
+                            if (len(key[0]), len(key[1])) == bid]
+                    if part:
+                        pieces.append((frame(k), part))
         self._check_d_squared()
         # exact operator rows by (kind, p, q), filled on first use by
         # hodge.operator_rows; the model is not changed after this point,
@@ -89,13 +117,11 @@ class LieModel:
         return LieModel(name or ("torus%d" % dim), dim, {})
 
     def _check_d_squared(self):
+        # dd(phibar^k) = conj(dd phi^k), so the phi^k suffice
         for k in range(1, self.dim + 1):
-            for gen in (self.form_basis(1, 0, ((k,), ())),
-                        self.form_basis(0, 1, ((), (k,)))):
-                dd = gen.d().d()
-                if dd:
-                    raise ModelError(
-                        "model %s: d(d(generator %d)) != 0" % (self.name, k))
+            if self.phi(k).d().d():
+                raise ModelError(
+                    "model %s: d(d(generator %d)) != 0" % (self.name, k))
 
     # -- forms --
 
@@ -136,41 +162,16 @@ class LieModel:
         c[k - 1] = coeff
         return InvVectorField(self, ANTI, c)
 
-    # d of a single coframe letter, as expansion over basis keys
-    def _d_letter(self, bar: bool, k: int) -> List[Tuple[BasisKey, CRat]]:
-        out = []
-        for t in self.diff.get(k, ()):
-            c = t.coeff
-            if not bar:
-                if t.family == HH:
-                    out.append((((t.i, t.j), ()), c))
-                elif t.family == MIX:
-                    out.append((((t.i,), (t.j,)), c))
-            else:
-                # d(phibar^k) = conj(d phi^k)
-                if t.family == HH:
-                    out.append((((), (t.i, t.j)), c.conjugate()))
-                elif t.family == MIX:
-                    # conj(phi^i ^ phibar^j) = -phi^j ^ phibar^i
-                    out.append((((t.j,), (t.i,)), -c.conjugate()))
-        return out
-
     def _derive(self, u: "InvForm", shift: Tuple[int, int]) -> "InvForm":
-        """Antiderivation extension of d, keeping the terms that raise the
-        bidegree by shift: (1, 0) for del, (0, 1) for delbar."""
+        """The part of d u = sum_k dphi^k ^ (Z_k . u) + dphibar^k ^ (Zbar_k . u)
+        that raises the bidegree by shift: (1, 0) for del, (0, 1) for delbar."""
         out: Dict[BasisKey, object] = {}
-        for (Iidx, Jidx), c in u.coeffs.items():
-            target = (len(Iidx) + shift[0], len(Jidx) + shift[1])
-            letters = [(False, i) for i in Iidx] + [(True, j) for j in Jidx]
-            for pos, (bar, k) in enumerate(letters):
-                rest = letters[:pos] + letters[pos + 1:]
-                rest_key = (tuple(i for b, i in rest if not b),
-                            tuple(j for b, j in rest if b))
-                for dkey, dc in self._d_letter(bar, k):
-                    w = wedge_word(dkey, rest_key)
-                    if w is None or (len(w[1][0]), len(w[1][1])) != target:
-                        continue
-                    add_term(out, w[1], c * dc * ((-1) ** pos * w[0]))
+        for field, part in self._ce_pieces[shift]:
+            for k2, c2 in contract(field, u).coeffs.items():
+                for k1, c1 in part:
+                    w = wedge_word(k1, k2)
+                    if w is not None:
+                        add_term(out, w[1], c1 * c2 * w[0])
         return InvForm(self, out)
 
     def ce_del(self, u: "InvForm") -> "InvForm":
@@ -179,9 +180,6 @@ class LieModel:
     def ce_delbar(self, u: "InvForm") -> "InvForm":
         return self._derive(u, (0, 1))
 
-    def ce_d(self, u: "InvForm") -> "InvForm":
-        return u.d()
-
     # -- frame bracket table -------------------------------------------------
     #
     # For invariant 1-forms and frame fields, d(alpha)(X, Y) = -alpha([X, Y]).
@@ -189,11 +187,9 @@ class LieModel:
     def bracket(self, a, b) -> MixedField:
         holo = [ZERO] * self.dim
         anti = [ZERO] * self.dim
-        for k in range(1, self.dim + 1):
-            dphi = InvForm(self, dict(self._d_letter(False, k)))
-            holo[k - 1] = -evaluate(dphi, [a, b])
-            dphibar = InvForm(self, dict(self._d_letter(True, k)))
-            anti[k - 1] = -evaluate(dphibar, [a, b])
+        for k, dphi in enumerate(self.dphi):
+            holo[k] = -evaluate(dphi, [a, b])
+            anti[k] = -evaluate(dphi.conj(), [a, b])
         h = InvVectorField(self, HOLO, holo) if any(holo) else None
         t = InvVectorField(self, ANTI, anti) if any(anti) else None
         return MixedField(self, h, t)

@@ -139,7 +139,7 @@ class BalancedTarget:
                 "omega is not positive definite (min eigenvalue %.3e)" % eig.min())
         power = wedge_power(omega, n - 1) if n > 1 else _one_form(model)
         self.omega_top_minus_one = power.scale(CRat(Fraction(1, math.factorial(n - 1))))
-        if model.ce_d(self.omega_top_minus_one):
+        if self.omega_top_minus_one.d():
             raise ValidationError("d(omega^(n-1)) != 0: the form is not balanced")
 
     def hermitian_matrix(self) -> np.ndarray:
@@ -179,15 +179,11 @@ class MapSpec:
                        for row in matrix]
         self._check_compatibility()
 
-    def _pull_letter(self, bar: bool, k: int) -> InvForm:
-        row = self.matrix[k - 1]
+    def _pull_letter(self, k: int) -> InvForm:
+        """f* phi^k on the source; f* phibar^k is its conjugate."""
         out = self.source.zero()
-        for j, c in enumerate(row, start=1):
-            if not c:
-                continue
-            if bar:
-                out = out + self.source.phibar(j).scale(c.conjugate())
-            else:
+        for j, c in enumerate(self.matrix[k - 1], start=1):
+            if c:
                 out = out + self.source.phi(j).scale(c)
         return out
 
@@ -198,17 +194,17 @@ class MapSpec:
         for (Iidx, Jidx), c in u.coeffs.items():
             term = InvForm(self.source, {((), ()): c})
             for i in Iidx:
-                term = wedge(term, self._pull_letter(False, i))
+                term = wedge(term, self._pull_letter(i))
             for j in Jidx:
-                term = wedge(term, self._pull_letter(True, j))
+                term = wedge(term, self._pull_letter(j).conj())
             out = out + term
         return out
 
     def _check_compatibility(self):
         X = self.target.model
         for k in range(1, X.dim + 1):
-            lhs = self.pullback(X.ce_d(X.phi(k)))
-            rhs = self.source.ce_d(self._pull_letter(False, k))
+            lhs = self.pullback(X.phi(k).d())
+            rhs = self._pull_letter(k).d()
             if lhs != rhs:
                 raise ValidationError(
                     "map %s: pullback does not commute with d on generator %d "

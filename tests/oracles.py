@@ -6,7 +6,10 @@ elimination; the expansion oracles recompute wedge/contraction results by
 brute-force permutation sums instead of ordered-merge signs, the wedge
 Gram oracle takes every minor as a permutation sum instead of a compound
 matrix, the adjoint oracle solves against raw Grams instead of
-orthonormalizing through a Cholesky factor, the complex-dimension-one
+orthonormalizing through a Cholesky factor, the invariant-differential
+oracle applies d letter by letter (Leibniz rule) from the raw structure
+constants and sorts each word by a permutation sign instead of contracting
+and merging, the complex-dimension-one
 solver oracle divides by a ddbar symbol derived here with numpy.fft instead
 of the solver's symbol table, and the Gaussian-rational oracle keeps a pair
 of Fractions with textbook field operations instead of CRat's reduced
@@ -121,6 +124,41 @@ def adjoint(A, gram_dom, gram_cod) -> np.ndarray:
     Hd = np.asarray(gram_dom, dtype=complex).reshape(m, m)
     Hc = np.asarray(gram_cod, dtype=complex).reshape(n, n)
     return np.linalg.solve(Hd, A.conj().T @ Hc)
+
+
+# letters of the basis 2-form of each structure-constant family, as
+# (barred, index slot) pairs: "hh" phi^i^phi^j, "mx" phi^i^phibar^j,
+# "aa" phibar^i^phibar^j
+_FAMILY_LETTERS = {"hh": (False, False), "mx": (False, True),
+                   "aa": (True, True)}
+
+
+def leibniz_d_oracle(diff, key) -> dict:
+    """d of the basis word phi_I ^ phibar_J, key = (I, J), of a
+    structure-constant model with d(phi^k) = sum of diff[k]'s DiffTerms.
+
+    d(l_1 ^ ... ^ l_m) = sum_pos (-1)^pos l_1 ^ .. ^ d(l_pos) ^ .. ^ l_m,
+    with d(phibar^k) the letterwise conjugate of d(phi^k); each word is
+    sorted to unbarred-then-barred increasing order by a permutation sign.
+    Repeated DiffTerms add.  Returns {(I, J): coefficient}, zeros dropped.
+    """
+    I, J = key
+    letters = [(False, i) for i in I] + [(True, j) for j in J]
+    out = {}
+    for pos, (bar, k) in enumerate(letters):
+        for t in diff.get(k, ()):
+            (b1, b2), c = _FAMILY_LETTERS[t.family], t.coeff
+            pair = [(b1 != bar, t.i), (b2 != bar, t.j)]
+            word = letters[:pos] + pair + letters[pos + 1:]
+            if len(set(word)) < len(word):
+                continue
+            order = tuple(sorted(range(len(word)), key=lambda n: word[n]))
+            coeff = (c.conjugate() if bar else c) * (
+                (-1) ** pos * _perm_sign(order))
+            w = tuple(word[n] for n in order)
+            k2 = (tuple(i for b, i in w if not b), tuple(i for b, i in w if b))
+            out[k2] = out[k2] + coeff if k2 in out else coeff
+    return {k2: c for k2, c in out.items() if c}
 
 
 def _perm_sign(perm: Tuple[int, ...]) -> int:

@@ -298,8 +298,15 @@ def test_solution_out_into_missing_directory_exits_2(tmp_path, capsys):
                   "etabar 0 0 0 0 1 0\n",
      ["moment", "--map", "iwasawa_to_t3", "--tuple"],
      "too large for floating point"),
+    ("d.model", "name d\ndim 0\n",
+     ["cohomology", "--p", "0", "--q", "0", "--kind", "bottchern", "--model"],
+     "d.model:0: model d: dim 0 must be at least 1"),
+    ("d.model", "name d\ndim -2\n",
+     ["cohomology", "--p", "0", "--q", "0", "--kind", "bottchern", "--model"],
+     "d.model:0: model d: dim -2 must be at least 1"),
 ], ids=["tuple-zero-denominator", "model-zero-denominator",
-        "map-zero-denominator", "non-finite-forcing", "tuple-beyond-float"])
+        "map-zero-denominator", "non-finite-forcing", "tuple-beyond-float",
+        "model-dim-zero", "model-dim-negative"])
 def test_malformed_file_exits_2_naming_the_problem(tmp_path, capsys, name,
                                                    text, argv, bad):
     path = tmp_path / name

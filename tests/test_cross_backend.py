@@ -89,7 +89,7 @@ def test_coframe_realizes_structure_constants():
         phis = coframe(model)
         for k in range(1, 4):
             got = chart_d(phis[k - 1])
-            want = embed_form(model, model.ce_d(model.phi(k)))
+            want = embed_form(model, model.phi(k).d())
             assert got == want, (model.name, k)
         # duality phi^i(Z_j) = delta_ij, phi^i(Zbar_j) = 0
         Zs = frames(model)

@@ -98,7 +98,7 @@ def test_pullback_naturality_random_maps():
         f = MapSpec("rnd", IW, bt, rows)
         for k in range(1, 4):
             u = T3.phi(k)
-            assert f.pullback(T3.ce_d(u)) == IW.ce_d(f.pullback(u))
+            assert f.pullback(u.d()) == f.pullback(u).d()
         u = wedge(T3.phi(1), T3.phibar(2))
         assert f.pullback(T3.ce_delbar(u)) == IW.ce_delbar(f.pullback(u))
 

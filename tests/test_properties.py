@@ -9,6 +9,9 @@ exact Bott-Chern and Aeppli dimensions must satisfy
 * conjugation symmetry: h_BC^{p,q} = h_BC^{q,p};
 * the kernel of the float Bott-Chern Laplacian, under a random Hermitian
   metric, has the exact dimension h_BC^{p,q}.
+
+On these models and the catalog ones, del and delbar of every basis word
+must also be the two bidegree parts of the letter-by-letter Leibniz oracle.
 """
 
 import random
@@ -16,10 +19,12 @@ import random
 import numpy as np
 import pytest
 
+from balmap.catalog import MODELS
 from balmap.exact import CRat
 from balmap.hodge import (HermitianMetricSpec, MetricContext, aeppli_dim,
                           bc_dim, delta_bc_ortho)
 from balmap.invariant import HH, MIX, DiffTerm, LieModel, ModelError
+from oracles import leibniz_d_oracle
 
 
 def random_nilpotent_model(rng: random.Random, dim: int) -> LieModel:
@@ -72,3 +77,22 @@ def test_harmonic_kernel_has_the_exact_dimension_on_generated_models(seed):
         w = np.linalg.eigvalsh(delta_bc_ortho(ctx, p, q))
         kdim = int((w <= 1e-9 * max(w.max(), 1.0)).sum())
         assert kdim == bc_dim(model, p, q), (model.diff, p, q)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + ["seed%d" % s for s in range(10)])
+def test_del_and_delbar_match_the_leibniz_oracle(name):
+    if name in MODELS:
+        model = MODELS[name]
+    else:
+        seed = int(name[4:])
+        model = random_nilpotent_model(random.Random(seed), dim_of(seed))
+    n = model.dim
+    for p, q in np.ndindex(n + 1, n + 1):
+        for key in model.basis_keys(p, q):
+            u = model.form_basis(p, q, key)
+            want = leibniz_d_oracle(model.diff, key)
+            parts = {(p + 1, q): {}, (p, q + 1): {}}
+            for k2, c in want.items():
+                parts[(len(k2[0]), len(k2[1]))][k2] = c
+            assert model.ce_del(u).coeffs == parts[(p + 1, q)], (name, key)
+            assert model.ce_delbar(u).coeffs == parts[(p, q + 1)], (name, key)
