@@ -10,7 +10,8 @@ scaling the inner GMRES solves (``_newton_direction``) moves no tolerance.
 
 The Newton iterate is kept as its half spectrum, so a line-search candidate
 is a sum of known spectra and phi returns to real space once; a zero start
-builds A = g + H = g without a transform; and the module's restarted GMRES
+builds A = g as one-point arrays, so the first step's determinant, adjugate,
+weights and scale broadcast from one point; and the module's restarted GMRES
 (``gmres``) makes one matvec per inner iteration.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
@@ -285,12 +286,13 @@ def _g_plus_hessian(phi: ScalarField, gram) -> Hessian:
 
 
 def _residual(det: np.ndarray, F: ScalarField, detg: float):
-    """C, R = det - C e^F det g in det's own array, and max |R| / det g."""
-    eF = np.exp(F.values)
-    C = float(det.mean() / (eF.mean() * detg))
-    eF *= C * detg
-    det -= eF
-    return C, det, float(max(det.max(), -det.min()) / detg)
+    """C, R = det - C e^F det g, and max |R| / det g.  R is formed in e^F's
+    array, which is grid-sized even where det is one point (a zero start)."""
+    R = np.exp(F.values)
+    C = float(det.mean() / (R.mean() * detg))
+    R *= -C * detg
+    R += det
+    return C, R, float(max(R.max(), -R.min()) / detg)
 
 
 def residual(phi: ScalarField, F: ScalarField, gram: np.ndarray) -> float:
@@ -325,6 +327,11 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
         raise GridError("gram must be Hermitian positive definite")
     if not np.isfinite(F.values).all():
         raise GridError("forcing has non-finite values")
+    with np.errstate(over="ignore"):
+        eF_mean = float(np.exp(F.values).mean())
+    if not 0 < eF_mean < np.inf:
+        raise GridError("forcing F has mean(e^F) %r, not in (0, inf)"
+                        % eF_mean)
     try:
         return _solve_ma_direct(F, g, tol, max_iter, phi0)
     except NewtonFailure as failure:
@@ -358,15 +365,15 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
     diag = MADiagnostics()
 
     # the iterate is kept as its half spectrum, mean free; a zero start
-    # needs no transform
+    # needs no transform, and its A = g is one point per entry
     if phi0 is not None:
         phat = op.rfft(phi0.values)
         phat[(0,) * phat.ndim] = 0.0
         A = op.entries(phat, g)
     else:
         phat = np.zeros(grid.shape[:-1] + (grid.res // 2 + 1,), dtype=complex)
-        A = {(j, k): np.full(grid.shape, g[j - 1, k - 1].real if j == k
-                             else g[j - 1, k - 1])
+        A = {(j, k): np.full((1,) * (2 * grid.dim), g[j - 1, k - 1].real
+                             if j == k else g[j - 1, k - 1])
              for j, k, imag in op.parts() if not imag}
 
     def assemble(A):
@@ -435,10 +442,12 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     L psi = sum_t w_t irfft(symbol_t * psihat) over the parts t of ``op``; it
     stops on ||D^-1 (R + L psi)|| / ||D^-1 R||.  P is the mean-weight symbol.
     D = sum_t c_t w_t(x), c_t = sum_k |Rhat_k|^2 symbol_t(k), is the symbol at
-    x averaged over the residual's spectrum, at mean 1; it scales ``weights``
-    and ``R`` in place.  Returns the half spectrum psihat of the mean-free
-    psi, the iteration count, and 1 if GMRES stopped at its iteration limit
-    (0 otherwise)."""
+    x averaged over the residual's spectrum, at mean 1 (one point if the
+    weights are); it scales ``weights`` and ``R`` in place.  Once GMRES has
+    its normalized copy of R, each matvec sums into R's array, so the
+    caller's R is spent and no second copy of it is held.  Returns the half
+    spectrum psihat of the mean-free psi, the iteration count, and 1 if
+    GMRES stopped at its iteration limit (0 otherwise)."""
     grid = op.grid
     flat_idx = (0,) * (2 * grid.dim)
     parts = op.parts()
@@ -447,10 +456,9 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
                for w, part in zip(weights, parts))
     psym[flat_idx] = 1.0
     power = _abs2(op.rfft(R))
-    scale = np.zeros(grid.shape)
-    for w, part in zip(weights, parts):
-        scale += float((power * op.symbol(*part)).sum()) * w
+    coef = [float((power * op.symbol(*part)).sum()) for part in parts]
     del power
+    scale = sum(c * w for c, w in zip(coef, weights))
     scale /= scale.mean()
     for w in weights:
         w /= scale
@@ -463,13 +471,13 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
         yhat[flat_idx] = 0.0
         return yhat
 
-    def term(vhat, w, part):   # w irfft(symbol vhat); freed once summed
+    def term(vhat, w, part, out=None):   # w irfft(symbol vhat), in t or out
         t = op.irfft(op.symbol(*part) * vhat)
-        return np.multiply(t, w, out=t)
+        return np.multiply(t, w, out=t if out is None else out)
 
-    def matvec(y_flat):
+    def matvec(y_flat):   # summed in R's array, which gmres no longer reads
         vhat = inv_p_hat(y_flat)
-        out = term(vhat, weights[0], parts[0])
+        out = term(vhat, weights[0], parts[0], out=R)
         for w, part in zip(weights[1:], parts[1:]):
             out += term(vhat, w, part)
         return out.ravel()
@@ -486,7 +494,8 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
 
 def gmres(matvec, b: np.ndarray, rtol: float):
     """GMRES(20) (Saad & Schultz 1986) for A x = b from x = 0, where
-    ``matvec(v)`` is A v on flat float arrays.
+    ``matvec(v)`` is A v on flat float arrays.  ``b`` is read only before the
+    first matvec, so ``matvec`` may return its result in b's array.
 
     Each inner iteration is one matvec, orthogonalised by classical
     Gram-Schmidt applied twice; the small Hessenberg least-squares problem
@@ -538,12 +547,11 @@ def parse_modes(text: str, grid: TorusGrid, path: str = "<modes>") -> ScalarFiel
     modes = []
     n = 2 * grid.dim
     for lineno, line, parts in data_lines(text):
-        try:
+        try:   # exactly one or two amplitude tokens: unpacking checks
             k = [int(x) for x in parts[:n]]
-            re = float(parts[n])
-            im = float(parts[n + 1]) if len(parts) > n + 1 else 0.0
+            re, im = map(float, parts[n:n + 1] + (parts[n + 1:] or ["0"]))
             modes.append((k, complex(re, im)))
-        except (ValueError, IndexError):
+        except ValueError:
             raise GridError("%s:%d: bad mode line %r" % (path, lineno, line))
     return ScalarField.from_modes(grid, modes)
 

@@ -304,9 +304,27 @@ def test_solution_out_into_missing_directory_exits_2(tmp_path, capsys):
     ("d.model", "name d\ndim -2\n",
      ["cohomology", "--p", "0", "--q", "0", "--kind", "bottchern", "--model"],
      "d.model:0: model d: dim -2 must be at least 1"),
+    # mean(e^F) overflows (the sum of e^709 terms) or underflows to 0
+    ("e709.modes", "1 0 0 0 709\n", ["ma", "--dim", "2", "--res", "8", "--modes"],
+     "forcing F has mean(e^F) inf"),
+    ("e710.modes", "1 0 0 0 710\n", ["ma", "--dim", "2", "--res", "8", "--modes"],
+     "forcing F has mean(e^F) inf"),
+    ("c800.modes", "0 0 0 0 800\n", ["ma", "--dim", "2", "--res", "8", "--modes"],
+     "forcing F has mean(e^F) inf"),
+    ("c-1000.modes", "0 0 0 0 -1000\n",
+     ["ma", "--dim", "2", "--res", "8", "--modes"],
+     "forcing F has mean(e^F) 0.0"),
+    ("e308.samples", "1e308\n" + "0\n" * 63,
+     ["ma", "--dim", "1", "--res", "8", "--samples"],
+     "forcing F has mean(e^F) inf"),
+    ("long.modes", "1 0 0 0 0.1 0.2 0.3\n",
+     ["ma", "--dim", "2", "--res", "8", "--modes"],
+     "long.modes:1: bad mode line '1 0 0 0 0.1 0.2 0.3'"),
 ], ids=["tuple-zero-denominator", "model-zero-denominator",
         "map-zero-denominator", "non-finite-forcing", "tuple-beyond-float",
-        "model-dim-zero", "model-dim-negative"])
+        "model-dim-zero", "model-dim-negative", "forcing-exp-709",
+        "forcing-exp-710", "forcing-constant-800", "forcing-constant-minus-1000",
+        "forcing-sample-1e308", "mode-line-too-long"])
 def test_malformed_file_exits_2_naming_the_problem(tmp_path, capsys, name,
                                                    text, argv, bad):
     path = tmp_path / name

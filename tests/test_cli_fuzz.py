@@ -9,7 +9,9 @@ no exception may escape.
 Only malformed values are drawn, not well-formed large ones: a huge trial
 count or model dimension is valid input whose cost no size guard bounds yet.
 Solver grids have at most 8**4 points unless the grid is one that TorusGrid
-rejects before any array is allocated.
+rejects before any array is allocated.  The one exception is the forcing's
+amplitude, whose cost is bounded: well-formed mode files with amplitudes
+from 1e1 to 1e308 must give a report or an input error.
 """
 
 import random
@@ -132,3 +134,25 @@ def test_malformed_input_never_escapes(seed, tmp_path, capsys):
             code = e.code
         assert code in (0, 1, 2), argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_large_forcing_amplitudes_report_or_exit_2(seed, tmp_path, capsys):
+    # e^F overflows or underflows in the forcing's mean from |F| of about 700
+    # on, and an amplitude past 1.8e308 reads as inf: either is an input
+    # error naming the forcing, never a traceback
+    rng = random.Random(seed)
+    path = tmp_path / "large.modes"
+    for _ in range(40):
+        dim = rng.choice((1, 2))
+        amp = "%s%.1fe%d" % (rng.choice(("", "-")), rng.uniform(1, 10),
+                             rng.randint(1, 308))
+        index = rng.choice(([0] * 2 * dim, [1] + [0] * (2 * dim - 1)))
+        path.write_text(" ".join(map(str, index)) + " " + amp + "\n")
+        code = main(["ma", "--dim", str(dim), "--res", "8", "--modes",
+                     str(path)])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert "input error: forcing" in err, (index, amp)
+        else:
+            assert code in (0, 1) and "checks" in out, (index, amp)
