@@ -20,6 +20,8 @@ Layers, bottom up:
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .exact import CRat
 from .forms import (Form, Field, MixedField, contract, evaluate, lie01, lie10,
                     lie_bracket, lie_std, wedge)
@@ -28,19 +30,25 @@ from .symalg import (ChartForm, ChartVectorField, Poly, chart_d, chart_del,
                      mixed_second_derivative_check)
 from .invariant import (InvForm, InvVectorField, LieModel, flow_pullback,
                         integrate, load_model, parse_model, save_model)
-from .hodge import (ClassObstructionError, HermitianMetricSpec, MetricContext,
-                    aeppli_dim, bc_dim, green_apply, neumann_gamma)
-from .moment import (BalancedTarget, MapSpec, MomentTuple, check_balanced,
-                     flow_derivative_check, lie_g_membership, mu_eval,
-                     omega_eval, pg_membership, well_definedness_check,
-                     x_membership)
 from .catalog import CATALOG_MAPS, MODELS, get_map, get_model
+
+# the float layers load on first use: hodge and moment import numpy, the
+# spectral solver scipy.fft
+LAZY_NAMES = {
+    "hodge": ("ClassObstructionError", "HermitianMetricSpec", "MetricContext",
+              "aeppli_dim", "bc_dim", "green_apply", "neumann_gamma"),
+    "moment": ("BalancedTarget", "MapSpec", "MomentTuple", "check_balanced",
+               "flow_derivative_check", "lie_g_membership", "mu_eval",
+               "omega_eval", "pg_membership", "well_definedness_check",
+               "x_membership"),
+    "masolver": ("MAResult", "ScalarField", "TorusGrid", "positivity_check",
+                 "residual", "solve_ma"),
+}
 
 
 def __getattr__(name):
-    # the spectral solver imports scipy.fft: load it on first use
-    if name in ("MAResult", "ScalarField", "TorusGrid", "positivity_check",
-                "residual", "solve_ma"):
-        from . import masolver
-        return getattr(masolver, name)
+    for module, names in LAZY_NAMES.items():
+        if name in names:
+            return getattr(importlib.import_module("." + module, __name__),
+                           name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

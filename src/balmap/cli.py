@@ -12,22 +12,18 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
 from .exact import CRat
 from .invariant import (HOLO, InvVectorField, LieModel, ModelError,
                         ParseError, load_model)
 from .catalog import CATALOG_MAPS, MODELS, get_map
-from .hodge import ClassObstructionError, aeppli_dim, bc_dim
-from .moment import (MapSpec, MomentTuple, ValidationError,
-                     flow_derivative_check, load_mapspec, load_tuple,
-                     pg_membership, well_definedness_check,
-                     x_membership)
 from .reports import Report
 from .symalg import identity_suite
+
+if TYPE_CHECKING:
+    from .moment import MapSpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,7 +31,11 @@ EXIT_INPUT_ERROR = 2
 
 
 def __getattr__(name):
-    # only ``ma`` loads the spectral solver (and scipy); the name stays public
+    # each command imports the float layers it runs: ``hodge`` and ``moment``
+    # load numpy, the spectral solver scipy.fft; these names stay public
+    if name in ("flow_derivative_check", "well_definedness_check"):
+        from . import moment
+        return getattr(moment, name)
     if name == "solve_ma":
         from .masolver import solve_ma
         return solve_ma
@@ -43,12 +43,14 @@ def __getattr__(name):
 
 
 def _resolve_map(ref: str, models) -> MapSpec:
+    from .moment import load_mapspec
     if ref in CATALOG_MAPS:
         return get_map(ref)
     return load_mapspec(ref, models)
 
 
 def _parse_field_coeffs(model: LieModel, text: str, kind: str) -> InvVectorField:
+    from .moment import ValidationError
     parts = text.split(",")
     if len(parts) != model.dim:
         raise ValidationError("field needs %d comma-separated entries" % model.dim)
@@ -130,6 +132,8 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .hodge import aeppli_dim, bc_dim
+    from .moment import ValidationError
     rep = Report(command="cohomology", seed=None)
     try:
         model = MODELS[args.model] if args.model in MODELS else load_model(args.model)
@@ -152,6 +156,9 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_moment(args) -> int:
+    from .hodge import ClassObstructionError
+    from .moment import (MomentTuple, ValidationError, load_tuple,
+                         pg_membership, well_definedness_check, x_membership)
     try:
         f = _resolve_map(args.map, MODELS)
         tuple_name, t = load_tuple(args.tuple, MODELS)
@@ -202,6 +209,8 @@ def cmd_moment(args) -> int:
 
 
 def cmd_theorem(args) -> int:
+    from .hodge import ClassObstructionError
+    from .moment import ValidationError, flow_derivative_check
     try:
         f = _resolve_map(args.map, MODELS)
         xi = _parse_field_coeffs(f.source, args.xi, HOLO)
@@ -239,6 +248,7 @@ def cmd_theorem(args) -> int:
 
 def cmd_ma(args) -> int:
     # imported at call time: ``solve_ma`` is what ``balmap.masolver`` holds now
+    import numpy as np
     from .masolver import (GridError, NewtonFailure, ScalarField, TorusGrid,
                            format_samples, parse_modes, parse_samples, solve_ma)
     try:
@@ -257,14 +267,17 @@ def cmd_ma(args) -> int:
     rep = Report(command="ma", seed=args.seed)
     rep.extra["dim"] = args.dim
     rep.extra["res"] = args.res
-    rep.extra["forcing_spectral_tail"] = F.spectral_tail()
     try:
         result = solve_ma(F, gram, tol=args.tol)
     except GridError as e:
         return _input_error(e)
     except NewtonFailure as e:
+        rep.extra["forcing_spectral_tail"] = F.spectral_tail()
         rep.add("solve", "volume-normalization-equation", False, detail=str(e))
         return _emit(rep, args)
+    # taken once solve_ma has accepted the forcing: the spectrum of a
+    # rejected one may overflow
+    rep.extra["forcing_spectral_tail"] = F.spectral_tail()
     d = result.diagnostics
     rep.add("solve", "volume-normalization-equation", d.converged,
             residual=d.residual_history[-1],

@@ -21,16 +21,21 @@ functional with integrate(dV) = volume_scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .exact import CRat, ONE, ZERO, Row, ipow, is_exact
 from .forms import (ANTI, HOLO, BasisKey, Field, Form, MixedField, add_term,
                     contract, evaluate, lie01, lie10, wedge, wedge_word)
+
+if TYPE_CHECKING:
+    # numpy is imported where a float array is built: the exact layers and
+    # the commands built on them never load it
+    import numpy as np
 
 # labels for the three families of basis 2-forms in d(phi^k)
 HH = "hh"   # phi^i ^ phi^j, i < j
@@ -241,6 +246,7 @@ class InvForm(Form):
         return all(is_exact(c) for c in self.coeffs.values())
 
     def to_vector(self, p: int, q: int) -> np.ndarray:
+        import numpy as np
         keys = self.model.basis_keys(p, q)
         return np.array([complex(self.coeffs.get(k, ZERO)) for k in keys],
                         dtype=complex)
@@ -251,8 +257,8 @@ class InvForm(Form):
         return InvForm(model, {k: complex(v) for k, v in zip(keys, vec)})
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(complex(c)) ** 2
-                                 for c in self.coeffs.values()))) if self.coeffs else 0.0
+        return math.sqrt(sum(abs(complex(c)) ** 2
+                             for c in self.coeffs.values()))
 
 
 def wedge_power(u: InvForm, k: int) -> InvForm:
@@ -311,11 +317,37 @@ def operator_rows_exact(model: LieModel, op, p: int, q: int,
 
 def operator_matrix(rows: List[Row], ncols: int) -> np.ndarray:
     """Dense complex matrix of sparse rows with ncols columns."""
+    import numpy as np
     A = np.zeros((len(rows), ncols), dtype=complex)
     for r, row in enumerate(rows):
         for col, c in row.items():
             A[r, col] = complex(c)
     return A
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) for a small square complex matrix.
+
+    A diagonal A gives the exponential of its diagonal, as in
+    ``scipy.linalg.expm``.  Otherwise scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 2005): with ||A / 2^j||_1 < 2, the degree-24
+    Taylor polynomial of A / 2^j, whose remainder is below 3e-18, squared j
+    times.
+    """
+    import numpy as np
+    diag = np.diagonal(A)
+    if np.count_nonzero(A) == np.count_nonzero(diag):
+        return np.diag(np.exp(diag))
+    # the least j >= 0 with ||A||_1 < 2^(j+1); a non-finite norm gives j = 0
+    j = max(0, int(np.frexp(np.abs(A).sum(axis=0).max() / 2)[1]))
+    X = A / 2.0 ** j
+    eye = np.eye(len(A), dtype=complex)
+    E = eye
+    for k in range(24, 0, -1):
+        E = eye + X @ E / k
+    for _ in range(j):
+        E = E @ E
+    return E
 
 
 def flow_pullback(field: InvVectorField, s: float, u: InvForm,
@@ -325,7 +357,6 @@ def flow_pullback(field: InvVectorField, s: float, u: InvForm,
     ``generators`` holds the Lie-derivative matrices L of ``field`` by
     bidegree; calls that share it build each L once.
     """
-    from scipy.linalg import expm
     generators = {} if generators is None else generators
     bid = u.bidegree()
     if bid is None:

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from balmap.catalog import MODELS, standard_metric_form
+from balmap.catalog import MODELS, get_map, standard_metric_form
 from balmap.exact import CRat, I, ONE
 from balmap.forms import (MixedField, contract, evaluate, lie01, lie10,
                           lie_std, wedge)
 from balmap.hodge import aeppli_dim, bc_dim
 from balmap.invariant import (AA, HH, MIX, ANTI, HOLO, DiffTerm, InvForm,
-                              InvVectorField, LieModel, ModelError,
+                              InvVectorField, LieModel, ModelError, expm,
                               flow_pullback, format_model, integrate,
                               parse_model, wedge_power, ParseError)
 from oracles import wedge_eval_oracle
@@ -177,6 +178,42 @@ def test_flow_pullback_properties():
     # nakamura eigen-flow
     out = flow_pullback(NK.frame(1), 0.25, NK.phi(3))
     assert abs(out.coeffs[((3,), ())] - np.exp(0.25)) < 1e-13
+
+
+def _expm_error(A):
+    """Relative 1-norm distance of expm(A) from scipy.linalg.expm(A)."""
+    ref = scipy.linalg.expm(A)
+    return (np.abs(expm(A) - ref).sum(axis=0).max()
+            / np.abs(ref).sum(axis=0).max())
+
+
+def test_expm_matches_scipy():
+    # the theorem stencil's generators are diagonal: exactly scipy's values
+    f = get_map("nakamura_shear")
+    xi = InvVectorField(f.source, HOLO, [CRat(Fraction(1, 2)), CRat(0), CRat(0)])
+    Pf = InvForm(f.source, {k: complex(c)
+                            for k, c in f.pulled_power().coeffs.items()})
+    gens = {}, {}
+    for field, g in zip((xi, xi.conj()), gens):
+        flow_pullback(field, 0.0, Pf, g)
+    Ls = list(gens[0].values()) + list(gens[1].values())
+    assert Ls and all(L.shape == (9, 9) for L in Ls)
+    for L in Ls:
+        for s in (1e-4, 0.1, 3.0, 40.0):
+            for A in (s * L, -s * L):
+                assert np.array_equal(expm(A), scipy.linalg.expm(A))
+    # scaling and squaring: a nilpotent Jordan block, whose series ends, and
+    # random complex matrices of 1-norm 1e-4 to 50 (worst measured 2.5e-15)
+    J = np.eye(9, k=1, dtype=complex)
+    assert max(_expm_error(s * J) for s in (1e-4, 1.0, 40.0)) < 2e-15
+    rng = np.random.default_rng(15)
+    worst = 0.0
+    for norm in np.geomspace(1e-4, 50, 12):
+        for _ in range(4):
+            A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+            worst = max(worst, _expm_error(A * norm
+                                           / np.abs(A).sum(axis=0).max()))
+    assert worst < 2e-14
 
 
 def test_model_file_round_trip_bit_exact():

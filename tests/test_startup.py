@@ -1,12 +1,15 @@
 """Start-up cost and call-site stability.
 
-The commands that never solve on a grid must not import scipy, and ``ma``
-imports no ``scipy.sparse`` module; the solver names stay reachable from
+Each command imports only the layers it runs: ``import balmap.cli``,
+``catalog`` and ``verify-identities`` load no numpy, the commands that never
+solve on a grid (``theorem`` included) load no scipy, and ``ma`` imports no
+``scipy.sparse`` module.  The names of the float layers stay reachable from
 ``balmap`` and ``balmap.cli`` and load on first access.  A flow-derivative
 check builds each Gram once, and a wrapper installed on
 ``balmap.masolver.solve_ma`` still sees the ``ma`` command's solve.
 """
 
+import importlib
 import math
 import os
 import subprocess
@@ -43,12 +46,16 @@ def test_commands_without_a_grid_never_import_scipy(tmp_path):
         for argv in (["catalog"],
                      ["cohomology", "--model", "iwasawa", "--p", "1",
                       "--q", "1", "--kind", "bottchern"],
-                     ["moment", "--map", "iwasawa_to_t3", "--tuple", %r]):
+                     ["moment", "--map", "iwasawa_to_t3", "--tuple", %r],
+                     ["theorem", "--map", "nakamura_shear", "--xi", "1/2,0,0",
+                      "--eta", "1/2,0,0"]):
             assert balmap.cli.main(argv + ["--output", "report.txt"]) == 0
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         import balmap
         assert balmap.solve_ma is balmap.masolver.solve_ma
-        assert callable(balmap.cli.solve_ma)
+        for name in ("solve_ma", "flow_derivative_check",
+                     "well_definedness_check"):
+            assert callable(getattr(balmap.cli, name)), name
         for module in (balmap, balmap.cli):
             try:
                 module.no_such_name
@@ -60,6 +67,30 @@ def test_commands_without_a_grid_never_import_scipy(tmp_path):
     proc = _fresh_python(["-c", script], cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        import balmap.cli
+        assert "numpy" not in sys.modules
+        for argv in (["catalog"], ["verify-identities", "--trials", "3"]):
+            assert balmap.cli.main(argv + ["--output", "report.txt"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+    """)
+    proc = _fresh_python(["-c", script], cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_lazy_package_names_are_the_module_attributes():
+    import balmap
+    served = [(module, name) for module, names in balmap.LAZY_NAMES.items()
+              for name in names]
+    assert served
+    for module, name in served:
+        owner = importlib.import_module("balmap." + module)
+        assert getattr(balmap, name) is getattr(owner, name), name
 
 
 def test_ma_imports_no_scipy_sparse(tmp_path):
