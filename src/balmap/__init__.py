@@ -16,6 +16,10 @@ Layers, bottom up:
              its invariances, the flow-derivative confirmation
 * masolver -- spectral Newton solver for volume normalization on flat tori
 * cli     -- the command-line surface with deterministic reports
+
+``import balmap`` loads the exact layers (exact, forms, invariant, catalog).
+The names of symalg, hodge, moment and masolver load their module on first
+access (``LAZY_NAMES``), so a command pays only for the layers it runs.
 """
 
 __version__ = "0.1.0"
@@ -25,16 +29,18 @@ import importlib
 from .exact import CRat
 from .forms import (Form, Field, MixedField, contract, evaluate, lie01, lie10,
                     lie_bracket, lie_std, wedge)
-from .symalg import (ChartForm, ChartVectorField, Poly, chart_d, chart_del,
-                     chart_delbar, identity_suite,
-                     mixed_second_derivative_check)
 from .invariant import (InvForm, InvVectorField, LieModel, flow_pullback,
                         integrate, load_model, parse_model, save_model)
 from .catalog import CATALOG_MAPS, MODELS, get_map, get_model
 
-# the float layers load on first use: hodge and moment import numpy, the
-# spectral solver scipy.fft
+# these layers load on first use: symalg is the chart calculus that only the
+# identity suite and moment's chart trials run, hodge and moment import numpy,
+# and the spectral solver numpy (scipy.fft once a grid reaches
+# masolver.SCIPY_FFT_POINTS points)
 LAZY_NAMES = {
+    "symalg": ("ChartForm", "ChartVectorField", "Poly", "chart_d", "chart_del",
+               "chart_delbar", "identity_suite",
+               "mixed_second_derivative_check"),
     "hodge": ("ClassObstructionError", "HermitianMetricSpec", "MetricContext",
               "aeppli_dim", "bc_dim", "green_apply", "neumann_gamma"),
     "moment": ("BalancedTarget", "MapSpec", "MomentTuple", "check_balanced",

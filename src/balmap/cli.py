@@ -20,7 +20,6 @@ from .invariant import (HOLO, InvVectorField, LieModel, ModelError,
                         ParseError, load_model)
 from .catalog import CATALOG_MAPS, MODELS, get_map
 from .reports import Report
-from .symalg import identity_suite
 
 if TYPE_CHECKING:
     from .moment import MapSpec
@@ -31,14 +30,18 @@ EXIT_INPUT_ERROR = 2
 
 
 def __getattr__(name):
-    # each command imports the float layers it runs: ``hodge`` and ``moment``
-    # load numpy, the spectral solver scipy.fft; these names stay public
+    # each command imports the layers it runs: ``hodge`` and ``moment`` load
+    # numpy, the spectral solver numpy (scipy.fft on large grids) and the
+    # identity suite the chart calculus; these names stay public
     if name in ("flow_derivative_check", "well_definedness_check"):
         from . import moment
         return getattr(moment, name)
     if name == "solve_ma":
         from .masolver import solve_ma
         return solve_ma
+    if name == "identity_suite":
+        from .symalg import identity_suite
+        return identity_suite
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
@@ -120,6 +123,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    # the chart calculus loads for this command only
+    from .symalg import identity_suite
     rep = Report(command="verify-identities", seed=args.seed)
     suite = identity_suite(seed=args.seed, trials=args.trials)
     for r in suite.records:
@@ -132,23 +137,22 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    from .hodge import aeppli_dim, bc_dim
-    from .moment import ValidationError
     rep = Report(command="cohomology", seed=None)
     try:
         model = MODELS[args.model] if args.model in MODELS else load_model(args.model)
-        for flag, v in (("--p", args.p), ("--q", args.q)):
-            if not 0 <= v <= model.dim:
-                raise ValidationError("%s %d is outside 0..%d for model %s"
-                                      % (flag, v, model.dim, model.name))
-        if args.kind == "aeppli":
-            dim = aeppli_dim(model, args.p, args.q)
-            law = "aeppli-dimension-exact-rank"
-        else:
-            dim = bc_dim(model, args.p, args.q)
-            law = "bott-chern-dimension-exact-rank"
-    except (ParseError, ModelError, ValidationError, OSError) as e:
+    except (ParseError, ModelError, OSError) as e:
         return _input_error(e)
+    for flag, v in (("--p", args.p), ("--q", args.q)):
+        if not 0 <= v <= model.dim:
+            return _input_error("%s %d is outside 0..%d for model %s"
+                                % (flag, v, model.dim, model.name))
+    from .hodge import aeppli_dim, bc_dim
+    if args.kind == "aeppli":
+        dim = aeppli_dim(model, args.p, args.q)
+        law = "aeppli-dimension-exact-rank"
+    else:
+        dim = bc_dim(model, args.p, args.q)
+        law = "bott-chern-dimension-exact-rank"
     rep.add("%s-%s-%d-%d" % (args.kind, model.name, args.p, args.q), law, True,
             detail="dimension %d" % dim, provenance="exact rational elimination")
     rep.extra["dimension"] = dim

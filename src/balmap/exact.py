@@ -139,6 +139,8 @@ def _make(a: int, b: int, d: int) -> CRat:
 
 def _reduced(a: int, b: int, d: int) -> CRat:
     """The CRat (a + b i)/d for d > 0, brought to normal form."""
+    if d == 1:
+        return _make(a, b, 1)
     g = gcd(a, b, d)
     return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
 

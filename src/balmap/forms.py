@@ -114,6 +114,14 @@ class Form:
     def _like(self, coeffs: Dict[BasisKey, object]) -> "Form":
         return type(self)(self.space, coeffs)
 
+    def _kept(self, coeffs: Dict[BasisKey, object]) -> "Form":
+        """A form on this space with ``coeffs``, which hold no zero (as
+        ``add_term`` leaves them), taken without a copy."""
+        out = object.__new__(type(self))
+        out.space = self.space
+        out.coeffs = coeffs
+        return out
+
     def d(self) -> "Form":
         return self.del_() + self.delbar()
 
@@ -131,10 +139,10 @@ class Form:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             add_term(out, k, c)
-        return self._like(out)
+        return self._kept(out)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
+        return self._kept({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -177,8 +185,9 @@ def wedge(u: Form, v: Form) -> Form:
         for k2, c2 in v.coeffs.items():
             w = wedge_word(k1, k2)
             if w is not None:
-                add_term(out, w[1], c1 * c2 * w[0])
-    return u._like(out)
+                c = c1 * c2
+                add_term(out, w[1], c if w[0] > 0 else -c)
+    return u._kept(out)
 
 
 # -- vector fields -------------------------------------------------------------------
@@ -297,12 +306,13 @@ def contract(v, u: Form) -> Form:
                 continue
             if holo:
                 key = (I[:pos] + I[pos + 1:], J)
-                sign = (-1) ** pos
+                odd = pos % 2
             else:
                 key = (I, J[:pos] + J[pos + 1:])
-                sign = (-1) ** (pos + len(I))
-            add_term(out, key, c * comp * sign)
-    return u._like(out)
+                odd = (pos + len(I)) % 2
+            t = c * comp
+            add_term(out, key, -t if odd else t)
+    return u._kept(out)
 
 
 def evaluate(u: Form, fields: Sequence):

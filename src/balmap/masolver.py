@@ -14,6 +14,11 @@ builds A = g as one-point arrays, so the first step's determinant, adjugate,
 weights and scale broadcast from one point; and the module's restarted GMRES
 (``gmres``) makes one matvec per inner iteration.
 
+Transforms: a grid of fewer than ``SCIPY_FFT_POINTS`` points goes through
+``numpy.fft``, which is as fast there and loads with numpy; a larger grid
+goes through ``scipy.fft`` on every CPU, imported when the first such
+``HessianOp`` is built, since numpy.fft is up to 3.3x slower there.
+
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
 (C order) over that axis ordering.
@@ -25,12 +30,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.fft as sfft
 
 from .invariant import data_lines
 
 MAX_GRID_POINTS = 2 ** 26
-_FFT_WORKERS = -1  # scipy.fft uses every CPU
+# grids of this many points or more transform with scipy.fft on every CPU
+SCIPY_FFT_POINTS = 2 ** 16
 
 
 class GridError(ValueError):
@@ -47,9 +52,13 @@ class TorusGrid:
             raise GridError("dim %r is outside the supported 1..3" % (self.dim,))
         if self.res < 8 or self.res & (self.res - 1):
             raise GridError("res must be a power of two, at least 8")
-        if self.res ** (2 * self.dim) > MAX_GRID_POINTS:
+        if self.points > MAX_GRID_POINTS:
             raise GridError("grid size %d exceeds the memory cap %d"
-                            % (self.res ** (2 * self.dim), MAX_GRID_POINTS))
+                            % (self.points, MAX_GRID_POINTS))
+
+    @property
+    def points(self) -> int:
+        return self.res ** (2 * self.dim)
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -69,8 +78,8 @@ class TorusGrid:
     def wavenumbers(self) -> List[np.ndarray]:
         """Broadcastable integer wavenumbers of the ``rfftn`` spectrum, whose
         last axis holds the non-negative half."""
-        return self._per_axis(sfft.fftfreq(self.res) * self.res,
-                              sfft.rfftfreq(self.res) * self.res)
+        return self._per_axis(np.fft.fftfreq(self.res) * self.res,
+                              np.fft.rfftfreq(self.res) * self.res)
 
 
 @dataclass
@@ -138,15 +147,22 @@ class HessianOp:
     def __init__(self, grid: TorusGrid):
         self.grid = grid
         self._wav = grid.wavenumbers()
+        if grid.points < SCIPY_FFT_POINTS:
+            self._fft, self._kw, self._overwrite = np.fft, {}, {}
+        else:
+            import scipy.fft
+            self._fft, self._kw = scipy.fft, {"workers": -1}
+            self._overwrite = dict(self._kw, overwrite_x=True)
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(v, workers=_FFT_WORKERS)
+        return self._fft.rfftn(v, **self._kw)
 
     def irfft(self, vhat: np.ndarray) -> np.ndarray:
-        """Real field of the half spectrum ``vhat``, overwritten on the way."""
+        """Real field of the half spectrum ``vhat``, which scipy.fft
+        overwrites on the way."""
         lead = tuple(range(vhat.ndim - 1))
-        vhat = sfft.ifftn(vhat, axes=lead, overwrite_x=True, workers=_FFT_WORKERS)
-        return sfft.irfft(vhat, n=self.grid.res, axis=-1, workers=_FFT_WORKERS)
+        vhat = self._fft.ifftn(vhat, axes=lead, **self._overwrite)
+        return self._fft.irfft(vhat, n=self.grid.res, axis=-1, **self._kw)
 
     def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:
         """``vhat`` made, in place, the half spectrum of the real field

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import CRat, ONE, I
-from . import symalg
 from .forms import contract, evaluate, lie01, lie10, lie_bracket, wedge
 from .invariant import (ANTI, HOLO, InvForm, InvVectorField, LieModel,
                         data_lines, flow_pullback, integrate, wedge_power,
@@ -574,10 +573,14 @@ def conjugation_swap_value(f: MapSpec, t: MomentTuple,
 
 
 # -- chart-backend randomized laws ---------------------------------------------------
+#
+# each imports the chart calculus (``balmap.symalg``) itself, so the commands
+# that run on invariant models never load it
 
 
 def chart_tuple_fields(rng: random.Random, dim: int, m: int):
     """m volume-preserving holomorphic fields and their conjugates."""
+    from . import symalg
     xis = [symalg.random_divergence_free_holomorphic_field(rng, dim)
            for _ in range(m)]
     etas = [symalg.random_divergence_free_holomorphic_field(rng, dim)
@@ -588,6 +591,7 @@ def chart_tuple_fields(rng: random.Random, dim: int, m: int):
 def chart_contraction_derivative_trials(n: int, dim: int, seed: int = 0,
                                         trials: int = 5) -> bool:
     """Exact check of the closed double-sum formulas on the chart."""
+    from . import symalg
     rng = random.Random(seed)
     dV = symalg.standard_volume(dim)
     m = n - 2
@@ -602,6 +606,7 @@ def chart_contraction_derivative_trials(n: int, dim: int, seed: int = 0,
 def chart_reversal_trials(n: int, dim: int, seed: int = 0,
                           trials: int = 5) -> bool:
     """Exact reversal-sign identities for arbitrary smooth fields."""
+    from . import symalg
     rng = random.Random(seed)
     dV = symalg.standard_volume(dim)
     m = n - 2
@@ -620,9 +625,6 @@ def invariant_contraction_derivative_check(model: LieModel,
     dV = model.volume_form()
     okd, okdb, *_ = contraction_derivative_check(xis, etabars, dV)
     return okd and okdb
-
-
-mixed_second_derivative_check = symalg.mixed_second_derivative_check
 
 
 # -- map / tuple file formats ---------------------------------------------------------

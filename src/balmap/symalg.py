@@ -13,14 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import CRat, ONE, ZERO, I, _reduced, ipow
+from .exact import CRat, ONE, I, _reduced, ipow
 from .forms import (ANTI, HOLO, BasisKey, Field, Form, MixedField, add_term,
                     contract, evaluate, lie01, lie10, lie_bracket, lie_std,
                     wedge, wedge_word)
 
 Monomial = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (z exponents, zbar exponents)
+
+_SCALARS = (int, CRat, Fraction)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -33,12 +36,16 @@ class Poly:
 
     def __init__(self, dim: int, terms: Optional[Dict[Monomial, CRat]] = None):
         self.dim = dim
-        t = {}
-        if terms:
-            for mon, c in terms.items():
-                if c:
-                    t[mon] = c
-        self.terms = t
+        self.terms = {mon: c for mon, c in terms.items() if c} if terms else {}
+
+    @staticmethod
+    def _of(dim: int, terms: Dict[Monomial, CRat]) -> "Poly":
+        """The polynomial of ``terms``, which hold no zero coefficient (as
+        ``add_term`` leaves them), taken without a copy."""
+        p = object.__new__(Poly)
+        p.dim = dim
+        p.terms = terms
+        return p
 
     # constructors
 
@@ -64,44 +71,49 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, CRat, Fraction)):
+        if isinstance(other, _SCALARS):
             other = Poly.const(self.dim, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.terms.items(), key=repr))))
 
     def __add__(self, other):
-        if isinstance(other, (int, CRat, Fraction)):
+        if isinstance(other, _SCALARS):
             other = Poly.const(self.dim, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         out = dict(self.terms)
         for mon, c in other.terms.items():
             add_term(out, mon, c)
-        return Poly(self.dim, out)
+        return Poly._of(self.dim, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.dim, {m: -c for m, c in self.terms.items()})
+        return Poly._of(self.dim, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly.const(self.dim, other).__neg__())
+        if not isinstance(other, (Poly,) + _SCALARS):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, CRat, Fraction)):
+        if isinstance(other, _SCALARS):
             return Poly(self.dim, {m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
         out: Dict[Monomial, CRat] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                mon = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
-                add_term(out, mon, c1 * c2)
-        return Poly(self.dim, out)
+        _mul_into(out, self.terms, other.terms)
+        return Poly._of(self.dim, out)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Poly":
-        return Poly(self.dim, {(b, a): c.conjugate() for (a, b), c in self.terms.items()})
+        return Poly._of(self.dim, {(b, a): c.conjugate()
+                                   for (a, b), c in self.terms.items()})
 
     def dz(self, j: int) -> "Poly":
         """Partial derivative with respect to z_j (1-based)."""
@@ -112,7 +124,7 @@ class Poly:
                 aa = list(a)
                 aa[j - 1] = e - 1
                 add_term(out, (tuple(aa), b), c * e)
-        return Poly(self.dim, out)
+        return Poly._of(self.dim, out)
 
     def dzbar(self, j: int) -> "Poly":
         out = {}
@@ -122,7 +134,7 @@ class Poly:
                 bb = list(b)
                 bb[j - 1] = e - 1
                 add_term(out, (a, tuple(bb)), c * e)
-        return Poly(self.dim, out)
+        return Poly._of(self.dim, out)
 
     def antider_z(self, j: int) -> "Poly":
         """Antiderivative in z_j; exact on polynomials."""
@@ -131,7 +143,7 @@ class Poly:
             aa = list(a)
             aa[j - 1] += 1
             out[(tuple(aa), b)] = c * CRat(Fraction(1, aa[j - 1]))
-        return Poly(self.dim, out)
+        return Poly._of(self.dim, out)
 
     def is_holomorphic(self) -> bool:
         return all(not any(b) for (_, b) in self.terms)
@@ -147,6 +159,15 @@ class Poly:
                            for i, e in enumerate(b) if e)
             bits.append("(%r)%s" % (c, mon))
         return " + ".join(bits)
+
+
+def _mul_into(out: Dict[Monomial, CRat], p: Dict[Monomial, CRat],
+              q: Dict[Monomial, CRat]) -> None:
+    """out += p * q on term dicts, dropping the sums that vanish."""
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            add_term(out, (tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
+                     c1 * c2)
 
 
 # -- forms and fields -----------------------------------------------------------
@@ -188,8 +209,8 @@ class ChartForm(Form):
                     continue
                 w = wedge_word(((), (j,)) if bar else ((j,), ()), key)
                 if w is not None:
-                    add_term(out, w[1], dp * w[0])
-        return ChartForm(self.space, out)
+                    add_term(out, w[1], dp if w[0] > 0 else -dp)
+        return self._kept(out)
 
 
 def chart_del(u: ChartForm) -> ChartForm:
@@ -223,11 +244,12 @@ class ChartVectorField(Field):
 
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of a function."""
-        out = Poly(self.dim)
+        out: Dict[Monomial, CRat] = {}
         for j, c in enumerate(self.comps, start=1):
             if c:
-                out = out + c * (f.dz(j) if self.kind == HOLO else f.dzbar(j))
-        return out
+                df = f.dz(j) if self.kind == HOLO else f.dzbar(j)
+                _mul_into(out, c.terms, df.terms)
+        return Poly._of(self.dim, out)
 
     def is_holomorphic(self) -> bool:
         return self.kind == HOLO and all(p.is_holomorphic() for p in self.comps)
@@ -306,8 +328,8 @@ def random_poly(rng: random.Random, dim: int, deg: int = 2, nterms: int = 2,
                 b[rng.randrange(dim)] += 1
         c = _rand_crat(rng)
         if c:
-            terms[(tuple(a), tuple(b))] = terms.get((tuple(a), tuple(b)), ZERO) + c
-    return Poly(dim, {m: c for m, c in terms.items() if c})
+            add_term(terms, (tuple(a), tuple(b)), c)
+    return Poly._of(dim, terms)
 
 
 def random_form(rng: random.Random, dim: int, p: int, q: int,

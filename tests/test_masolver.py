@@ -519,3 +519,51 @@ def test_one_point_zero_start_agrees_with_a_full_array_start(monkeypatch, grid,
     h_full = np.array(full.diagnostics.residual_history)
     assert h_one.shape == h_full.shape
     assert np.abs(h_one - h_full).max() <= 1e-12 * h_full[0]
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 8)])
+def test_numpy_transforms_match_scipy_below_the_boundary(grid):
+    import scipy.fft
+    op = HessianOp(grid)
+    assert grid.points < masolver.SCIPY_FFT_POINTS and op._fft is np.fft
+    v = np.random.default_rng(5).normal(size=grid.shape)
+    want = scipy.fft.rfftn(v)
+    got = op.rfft(v)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    back = scipy.fft.irfftn(want, s=grid.shape)
+    got = op.irfft(want.copy())
+    assert np.abs(got - back).max() <= 1e-14 * np.abs(back).max()
+
+
+def test_scipy_transforms_start_at_the_boundary():
+    import scipy.fft
+    assert masolver.SCIPY_FFT_POINTS == 2 ** 16
+    for grid in (TorusGrid(1, 256), TorusGrid(2, 16)):
+        assert grid.points == 2 ** 16
+        assert HessianOp(grid)._fft is scipy.fft
+    assert HessianOp(TorusGrid(1, 128))._fft is np.fft
+
+
+@pytest.mark.parametrize("grid,modes", [
+    # the cli-session ma input, and a d = 1 solve with a damped step
+    (TorusGrid(2, 8), [((1, 0, 0, 0), 0.1), ((0, 0, 1, 0), 0.05)]),
+    (TorusGrid(2, 8), [((1, 0, 1, 0), 0.9), ((0, 1, 0, 1), 0.5),
+                       ((1, 1, 0, 0), complex(0.3, 0.1))]),
+    (TorusGrid(1, 64), [((1, 0), 0.3), ((0, 2), 0.1), ((2, 1), 0.05 + 0.02j)]),
+])
+def test_both_transform_paths_take_the_same_newton_path(monkeypatch, grid,
+                                                        modes):
+    F = ScalarField.from_modes(grid, modes)
+    gram = _GRAM2[:grid.dim, :grid.dim]
+    small = solve_ma(F, gram, tol=1e-9)
+    monkeypatch.setattr(masolver, "SCIPY_FFT_POINTS", 1)
+    assert HessianOp(grid)._fft is not np.fft
+    large = solve_ma(F, gram, tol=1e-9)
+    assert _counts(small.diagnostics) == _counts(large.diagnostics)
+    h_small = np.array(small.diagnostics.residual_history)
+    h_large = np.array(large.diagnostics.residual_history)
+    assert h_small.shape == h_large.shape
+    assert np.abs(h_small - h_large).max() <= 1e-12 * h_large[0]
+    scale = np.abs(large.phi.values).max()
+    assert np.abs(small.phi.values - large.phi.values).max() <= 1e-12 * scale
+    assert small.C == pytest.approx(large.C, rel=1e-12)

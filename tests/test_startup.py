@@ -2,8 +2,10 @@
 
 Each command imports only the layers it runs: ``import balmap.cli``,
 ``catalog`` and ``verify-identities`` load no numpy, the commands that never
-solve on a grid (``theorem`` included) load no scipy, and ``ma`` imports no
-``scipy.sparse`` module.  The names of the float layers stay reachable from
+solve on a grid (``theorem`` included) load no scipy, ``ma`` loads no scipy
+below ``masolver.SCIPY_FFT_POINTS`` grid points and only ``scipy.fft`` from
+there on, and only ``verify-identities`` loads the chart calculus
+(``balmap.symalg``).  The names of the lazy layers stay reachable from
 ``balmap`` and ``balmap.cli`` and load on first access.  A flow-derivative
 check builds each Gram once, and a wrapper installed on
 ``balmap.masolver.solve_ma`` still sees the ``ma`` command's solve.
@@ -94,19 +96,66 @@ def test_lazy_package_names_are_the_module_attributes():
 
 
 def test_ma_imports_no_scipy_sparse(tmp_path):
-    # the solver's GMRES is its own; scipy.fft is its only scipy dependency
+    # the solver's GMRES is its own, and numpy.fft serves grids below 2^16
+    # points: a 2^12-point solve loads no scipy, a 2^16-point one scipy.fft
     script = textwrap.dedent("""
         import sys
         import balmap.masolver
         import balmap.cli
-        assert balmap.cli.main(["ma", "--dim", "2", "--res", "8",
-                                "--output", "report.txt"]) == 0
-        print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
-        print("scipy.fft" in sys.modules)
+        for res in sys.argv[1:]:
+            assert balmap.cli.main(["ma", "--dim", "2", "--res", res,
+                                    "--output", "report.txt"]) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
+    proc = _fresh_python(["-c", script, "8", "16"], cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    small, large = proc.stdout.splitlines()
+    assert small == "[]"
+    assert "'scipy.fft'" in large and "scipy.sparse" not in large
+
+
+def test_only_the_identity_suite_loads_the_chart_calculus(tmp_path):
+    tf = tmp_path / "z3.tuple"
+    tf.write_text(TUPLE_Z3)
+    script = textwrap.dedent("""
+        import sys
+        import balmap.cli
+        for argv in (["catalog"],
+                     ["cohomology", "--model", "iwasawa", "--p", "1",
+                      "--q", "1", "--kind", "bottchern"]):
+            assert balmap.cli.main(argv + ["--output", "report.txt"]) == 0
+        print("balmap.moment" in sys.modules, "balmap.symalg" in sys.modules)
+        for argv in (["moment", "--map", "iwasawa_to_t3", "--tuple", %r],
+                     ["theorem", "--map", "nakamura_shear", "--xi", "1/2,0,0",
+                      "--eta", "1/2,0,0"],
+                     ["ma", "--dim", "1", "--res", "8"]):
+            assert balmap.cli.main(argv + ["--output", "report.txt"]) == 0
+        print("balmap.symalg" in sys.modules)
+        assert balmap.cli.main(["verify-identities", "--trials", "2",
+                                "--output", "report.txt"]) == 0
+        print("balmap.symalg" in sys.modules)
+        import balmap
+        assert balmap.cli.identity_suite is balmap.symalg.identity_suite
+        assert balmap.Poly is balmap.symalg.Poly
+    """ % str(tf))
     proc = _fresh_python(["-c", script], cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["False False", "False", "True"]
+
+
+def test_out_of_range_bidegree_is_rejected_before_the_float_layers(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        import balmap.cli
+        code = balmap.cli.main(["cohomology", "--model", "iwasawa", "--p", "4",
+                                "--q", "1", "--kind", "aeppli"])
+        print(code, sorted(m for m in ("balmap.hodge", "balmap.moment", "numpy")
+                           if m in sys.modules))
+    """)
+    proc = _fresh_python(["-c", script], cwd=str(tmp_path))
+    assert proc.stdout.strip() == "2 []"
+    assert proc.stderr == ("input error: --p 4 is outside 0..3 for model "
+                           "iwasawa\n")
 
 
 def test_ma_runs_as_main_module():

@@ -113,6 +113,22 @@ def test_derivative_examples():
     assert not chart_d(chart_d(f))
 
 
+def test_poly_operators_decline_unsupported_operands():
+    import pytest
+    p = Poly.const(2, 1)
+    assert p == 1 and p == CRat(1) and p == Fraction(1)
+    assert not p == None  # noqa: E711 -- None is not a polynomial
+    assert p != "1" and p != 1.0
+    for op in (lambda: p + 1.5, lambda: 1.5 + p, lambda: p * 1.5,
+               lambda: 1.5 * p, lambda: p - 1.5, lambda: p + None,
+               lambda: p * "x"):
+        with pytest.raises(TypeError):
+            op()
+    assert p + 1 == 2 == 1 + p
+    assert p * CRat(3) == 3 == CRat(3) * p
+    assert p - Fraction(1, 2) == Fraction(1, 2)
+
+
 def test_bracket_examples():
     d = 2
     Z1, Z2 = ChartVectorField.frame(d, 1), ChartVectorField.frame(d, 2)
