@@ -275,18 +275,20 @@ def cmd_ma(args) -> int:
         result = solve_ma(F, gram, tol=args.tol)
     except GridError as e:
         return _input_error(e)
-    except NewtonFailure as e:
-        rep.extra["forcing_spectral_tail"] = F.spectral_tail()
-        rep.add("solve", "volume-normalization-equation", False, detail=str(e))
-        return _emit(rep, args)
+    except NewtonFailure as e:   # its result holds the work of every attempt
+        result = e.result
     # taken once solve_ma has accepted the forcing: the spectrum of a
     # rejected one may overflow
     rep.extra["forcing_spectral_tail"] = F.spectral_tail()
     d = result.diagnostics
     rep.add("solve", "volume-normalization-equation", d.converged,
             residual=d.residual_history[-1],
-            detail="newton %d, inner %d, inner unconverged %d"
-            % (d.newton_iterations, d.gmres_iterations, d.inner_unconverged))
+            detail="%snewton %d, inner %d, inner unconverged %d"
+            % ("" if d.converged else d.failure + "; ", d.newton_iterations,
+               d.gmres_iterations, d.inner_unconverged))
+    rep.extra["residual_history"] = [float(r) for r in d.residual_history]
+    if not d.converged:
+        return _emit(rep, args)
     rep.add("positivity", "metric-positivity-along-solution",
             d.min_eigenvalue > 0,
             detail="minimum eigenvalue %.3e" % d.min_eigenvalue)
@@ -296,7 +298,6 @@ def cmd_ma(args) -> int:
             abs(result.phi.values.max()) == 0.0,
             residual=abs(result.phi.values.max()))
     rep.extra["C"] = result.C
-    rep.extra["residual_history"] = [float(r) for r in d.residual_history]
     rep.extra["min_eigenvalue"] = d.min_eigenvalue
     if args.solution_out:
         try:

@@ -10,9 +10,10 @@ scaling the inner GMRES solves (``_newton_direction``) moves no tolerance.
 
 The Newton iterate is kept as its half spectrum, so a line-search candidate
 is a sum of known spectra and phi returns to real space once; a zero start
-builds A = g as one-point arrays, so the first step's determinant, adjugate,
-weights and scale broadcast from one point; and the module's restarted GMRES
-(``gmres``) makes one matvec per inner iteration.
+builds A = g as one-point arrays, so the first step's determinant, adjugate
+and weights are one point, the Newton operator equals its preconditioner P,
+and the step is -P^-1 R in closed form with no Krylov solve; and the
+module's restarted GMRES (``gmres``) makes one matvec per inner iteration.
 
 Transforms: a grid of fewer than ``SCIPY_FFT_POINTS`` points goes through
 ``numpy.fft``, which is as fast there and loads with numpy; a larger grid
@@ -263,7 +264,7 @@ def _min_eigenvalue(A: Hessian) -> float:
 class MADiagnostics:
     residual_history: List[float] = field(default_factory=list)
     newton_iterations: int = 0
-    gmres_iterations: int = 0
+    gmres_iterations: int = 0   # GMRES matvecs; a closed-form step adds 0
     inner_unconverged: int = 0  # Newton steps whose GMRES stopped at maxiter
     damping_events: int = 0
     continuation_stages: int = 0
@@ -458,12 +459,14 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     L psi = sum_t w_t irfft(symbol_t * psihat) over the parts t of ``op``; it
     stops on ||D^-1 (R + L psi)|| / ||D^-1 R||.  P is the mean-weight symbol.
     D = sum_t c_t w_t(x), c_t = sum_k |Rhat_k|^2 symbol_t(k), is the symbol at
-    x averaged over the residual's spectrum, at mean 1 (one point if the
-    weights are); it scales ``weights`` and ``R`` in place.  Once GMRES has
-    its normalized copy of R, each matvec sums into R's array, so the
-    caller's R is spent and no second copy of it is held.  Returns the half
-    spectrum psihat of the mean-free psi, the iteration count, and 1 if
-    GMRES stopped at its iteration limit (0 otherwise)."""
+    x averaged over the residual's spectrum, at mean 1; it scales
+    ``weights`` and ``R`` in place.  Once GMRES has its normalized copy of R,
+    each matvec sums into R's array, so the caller's R is spent and no second
+    copy of it is held.  One-point weights (a zero start's A = g) make L = P
+    and D = 1, so D^-1 L P^-1 = I and psi = -P^-1 R in closed form, with no
+    GMRES call and 0 iterations.  Returns the half spectrum psihat of the
+    mean-free psi, the GMRES iteration (matvec) count, and 1 if GMRES stopped
+    at its iteration limit (0 otherwise)."""
     grid = op.grid
     flat_idx = (0,) * (2 * grid.dim)
     parts = op.parts()
@@ -471,6 +474,21 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     psym = sum(float(w.mean()) * op.symbol(*part)
                for w, part in zip(weights, parts))
     psym[flat_idx] = 1.0
+
+    def inv_p_hat(y):   # the spectrum of P^-1 y, mean free
+        yhat = op.rfft(y.reshape(grid.shape))
+        yhat /= psym
+        yhat[flat_idx] = 0.0
+        return yhat
+
+    def direction(y):   # psihat = -P^-1 y
+        # P^-1 y is not a real field's spectrum where psym is not even in k:
+        # keep the part that the real psi = irfft(P^-1 y) has
+        psi_hat = op.real_spectrum(inv_p_hat(y))
+        return np.negative(psi_hat, out=psi_hat)
+
+    if weights[0].size == 1:   # one point (a zero start): L = P and D = 1
+        return direction(R), 0, 0
     power = _abs2(op.rfft(R))
     coef = [float((power * op.symbol(*part)).sum()) for part in parts]
     del power
@@ -480,12 +498,6 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
         w /= scale
     R /= scale   # the caller's R, which _solve_ma_direct drops next
     del scale
-
-    def inv_p_hat(y):   # the spectrum of P^-1 y, mean free
-        yhat = op.rfft(y.reshape(grid.shape))
-        yhat /= psym
-        yhat[flat_idx] = 0.0
-        return yhat
 
     def term(vhat, w, part, out=None):   # w irfft(symbol vhat), in t or out
         t = op.irfft(op.symbol(*part) * vhat)
@@ -501,11 +513,7 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     # R, not -R, on the right and psi = -P^-1 y: GMRES is odd in the
     # right-hand side, and this needs no negated copy of R
     y, iters, info = gmres(matvec, R.ravel(), rtol)
-    # P^-1 y is not a real field's spectrum where psym is not even in k:
-    # keep the part that the real psi = irfft(P^-1 y) has
-    psi_hat = op.real_spectrum(inv_p_hat(y))
-    np.negative(psi_hat, out=psi_hat)
-    return psi_hat, iters, info
+    return direction(y), iters, info
 
 
 def gmres(matvec, b: np.ndarray, rtol: float):

@@ -175,6 +175,38 @@ def test_ma_command(tmp_path, capsys):
     assert sol.exists() and len(sol.read_text().splitlines()) == 256
 
 
+def test_ma_reports_the_work_of_a_failed_solve(tmp_path, capsys):
+    # a forcing of amplitude 40 at d = 1: the solution's determinant is at
+    # round-off where F is least, so the positivity guard halves every
+    # Newton step; the direct attempt stops at the iteration limit and a
+    # continuation stage stalls
+    mf = tmp_path / "modes.txt"
+    mf.write_text("1 0 40\n")
+    code, out, err = run_cli(["ma", "--dim", "1", "--res", "8", "--tol",
+                              "1e-12", "--modes", str(mf),
+                              "--format", "structured"], capsys)
+    assert code == 1 and "Traceback" not in err
+    header, solve, summary = (json.loads(line) for line in out.splitlines())
+    assert solve["name"] == "solve" and solve["status"] == "fail"
+    assert solve["detail"].startswith("newton did not converge in 40 ")
+    counts = solve["detail"].split("; ")[1]
+    assert counts.startswith("newton ") and ", inner " in counts
+    assert ", inner unconverged " in counts
+    history = header["extra"]["residual_history"]
+    assert solve["residual"] == history[-1] > 1e-12 and len(history) > 1
+    assert summary["failures"] == 1
+
+
+def test_ma_solves_a_d1_forcing_in_one_closed_form_step(tmp_path, capsys):
+    # d = 1 is linear, and its zero start's step is -P^-1 R with no GMRES
+    mf = tmp_path / "modes.txt"
+    mf.write_text("1 0 0.3\n0 2 0.1\n")
+    code, out, _ = run_cli(["ma", "--dim", "1", "--res", "256", "--tol",
+                            "1e-12", "--modes", str(mf)], capsys)
+    assert code == 0
+    assert "newton 1, inner 0, inner unconverged 0" in out
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["cohomology", "--model", "nosuch", "--p", "1",
                             "--q", "1", "--kind", "aeppli"], capsys)

@@ -385,8 +385,10 @@ def test_gmres_stops_at_maxiter_and_on_a_zero_right_hand_side():
 ])
 def test_transform_budget_of_a_zero_start_solve(monkeypatch, grid, modes):
     # per inner iteration 1 forward and d^2 inverse transforms; per Newton
-    # step 1 forward for the residual's power and 1 for psihat = -P^-1 yhat;
-    # per line-search candidate d^2 inverse; 1 inverse for phi at the end
+    # step 1 forward for the residual's power and 1 for psihat = -P^-1 yhat,
+    # except the zero start's first step: psihat = -P^-1 R in closed form,
+    # 1 forward transform and no inner iteration; per line-search candidate
+    # d^2 inverse; 1 inverse for phi at the end
     calls = {"rfft": 0, "irfft": 0}
     for name in calls:
         real = getattr(HessianOp, name)
@@ -400,7 +402,7 @@ def test_transform_budget_of_a_zero_start_solve(monkeypatch, grid, modes):
     assert d.converged and d.continuation_stages == 0
     assert calls["irfft"] == grid.dim ** 2 * (
         d.gmres_iterations + d.newton_iterations + d.damping_events) + 1
-    assert calls["rfft"] == d.gmres_iterations + 2 * d.newton_iterations
+    assert calls["rfft"] == d.gmres_iterations + 2 * d.newton_iterations - 1
 
 
 def test_line_search_candidates_are_real_fields():
@@ -446,20 +448,21 @@ def test_reported_diagnostics_match_a_recomputation(grid, modes, gram):
 
 
 def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
-    # tracemalloc peaks inside the determinant and inside GMRES, counted from
-    # the solve's start (the forcing is the caller's) in float64 grid arrays;
-    # a copy of A, or a temporary per matvec term, breaks the bound.  GMRES's
-    # Krylov block is allocated whole but touched row by row, so it is not
-    # counted; these inner solves do not restart, so x stays unallocated.
-    # The matvec sums into R's array.  The zero start's first step holds
-    # A = g, hence its weights and scale, as one point: its GMRES peak is
-    # phihat, R, the mean-weight symbol and one matvec term's temporaries
+    # tracemalloc peaks inside the determinant, inside GMRES and inside the
+    # zero start's Newton direction, counted from the solve's start (the
+    # forcing is the caller's) in float64 grid arrays; a copy of A, or a
+    # temporary per matvec term, breaks the bound.  GMRES's Krylov block is
+    # allocated whole but touched row by row, so it is not counted; these
+    # inner solves do not restart, so x stays unallocated.  The matvec sums
+    # into R's array.  The zero start's first step holds A = g, hence its
+    # weights, as one point and runs no GMRES: its peak is phihat, R, the
+    # mean-weight symbol and the spectrum of R
     grid = TorusGrid(2, 16)
     F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
                                       ((1, 1, 0, 1), complex(0.15, 0.1))])
     grid_array = 8 * grid.res ** 4
     krylov_rows = 21   # gmres: restart 20, plus one
-    peaks = {"_det_and_adjugate": [], "gmres": []}
+    peaks = {"_det_and_adjugate": [], "gmres": [], "_newton_direction": []}
     for name in peaks:
         real = getattr(masolver, name)
 
@@ -474,20 +477,25 @@ def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
         monkeypatch.setattr(masolver, name, spy)
     tracemalloc.start()
     try:
-        assert solve_ma(F, _GRAM2, tol=1e-10).diagnostics.converged
+        diag = solve_ma(F, _GRAM2, tol=1e-10).diagnostics
     finally:
         tracemalloc.stop()
+    assert diag.converged
     assert max(peaks["_det_and_adjugate"]) <= 11
     assert max(peaks["gmres"]) <= 10
-    assert peaks["gmres"][0] <= 7
+    assert len(peaks["gmres"]) == diag.newton_iterations - 1
+    assert peaks["_newton_direction"][0] <= 7
 
 
-@pytest.mark.parametrize("grid,modes", [
+_ZERO_STARTS = [
     (TorusGrid(1, 16), [((1, 0), 0.3), ((0, 2), 0.1), ((2, 1), 0.05 + 0.02j)]),
     (TorusGrid(2, 16), [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
                         ((1, 1, 0, 1), complex(0.15, 0.1))]),
     (TorusGrid(3, 8), [((1, 0, 0, 0, 0, 0), 0.1), ((0, 0, 1, 1, 0, 0), 0.05)]),
-])
+]
+
+
+@pytest.mark.parametrize("grid,modes", _ZERO_STARTS)
 @pytest.mark.parametrize("gram", ["identity", "_GRAM2"])
 def test_one_point_zero_start_agrees_with_a_full_array_start(monkeypatch, grid,
                                                              modes, gram):
@@ -510,7 +518,11 @@ def test_one_point_zero_start_agrees_with_a_full_array_start(monkeypatch, grid,
     one = solve_ma(F, g, tol=1e-10)
     assert sizes[0] == 1 and sizes[-1] == grid.res ** (2 * d)
     full = solve_ma(F, g, tol=1e-10, phi0=ScalarField.zeros(grid))
-    assert _counts(one.diagnostics) == _counts(full.diagnostics)
+    # the full arrays take GMRES where one point takes the closed form, and
+    # there GMRES needs exactly one matvec
+    n_one, n_full = _counts(one.diagnostics), _counts(full.diagnostics)
+    assert n_one[1] + 1 == n_full[1]
+    assert n_one[:1] + n_one[2:] == n_full[:1] + n_full[2:]
     assert one.diagnostics.continuation_stages == 0
     scale = np.abs(full.phi.values).max()
     assert np.abs(one.phi.values - full.phi.values).max() <= 1e-12 * scale
@@ -519,6 +531,48 @@ def test_one_point_zero_start_agrees_with_a_full_array_start(monkeypatch, grid,
     h_full = np.array(full.diagnostics.residual_history)
     assert h_one.shape == h_full.shape
     assert np.abs(h_one - h_full).max() <= 1e-12 * h_full[0]
+
+
+class _FirstStep(Exception):
+    pass
+
+
+@pytest.mark.parametrize("grid,modes", _ZERO_STARTS)
+@pytest.mark.parametrize("gram", ["identity", "_GRAM2"])
+def test_closed_form_direction_matches_the_krylov_solve(monkeypatch, grid,
+                                                        modes, gram):
+    # the zero start's one-point weights take psi = -P^-1 R; the same weights
+    # broadcast to full arrays take GMRES on D^-1 L P^-1 y = D^-1 R
+    d = grid.dim
+    g = np.eye(d, dtype=complex)
+    if gram == "_GRAM2":
+        g[:2, :2] = _GRAM2[:d, :d]
+    real = masolver._newton_direction
+
+    def stop(*args):
+        raise _FirstStep(*args)
+    monkeypatch.setattr(masolver, "_newton_direction", stop)
+    with pytest.raises(_FirstStep) as e:
+        solve_ma(ScalarField.from_modes(grid, modes), g, tol=1e-10)
+    op, weights, R, rtol = e.value.args
+    assert all(w.size == 1 for w in weights)
+    one, iters, info = real(op, weights, R.copy(), rtol)
+    assert (iters, info) == (0, 0)
+    full, iters, info = real(op, [np.broadcast_to(w, grid.shape).copy()
+                                  for w in weights], R.copy(), rtol)
+    assert (iters, info) == (1, 0)
+    assert np.abs(one - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_z1_only_zero_start_solves_in_one_closed_form_step():
+    # a forcing of z_1 alone leaves H_12 = H_22 = 0, so det(g + H) is linear
+    # in phi and the zero start's closed-form step solves it exactly
+    grid = TorusGrid(2, 16)
+    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.3), ((0, 2, 0, 0), 0.1),
+                                      ((2, 1, 0, 0), 0.05 + 0.02j)])
+    d = solve_ma(F, np.eye(2), tol=1e-10).diagnostics
+    assert d.converged
+    assert (d.newton_iterations, d.gmres_iterations) == (1, 0)
 
 
 @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 8)])
