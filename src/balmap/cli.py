@@ -281,11 +281,13 @@ def cmd_ma(args) -> int:
     # rejected one may overflow
     rep.extra["forcing_spectral_tail"] = F.spectral_tail()
     d = result.diagnostics
+    counts = "newton %d, inner %d, inner unconverged %d" % (
+        d.newton_iterations, d.gmres_iterations, d.inner_unconverged)
     rep.add("solve", "volume-normalization-equation", d.converged,
             residual=d.residual_history[-1],
-            detail="%snewton %d, inner %d, inner unconverged %d"
-            % ("" if d.converged else d.failure + "; ", d.newton_iterations,
-               d.gmres_iterations, d.inner_unconverged))
+            detail=counts if d.converged
+            else "%s; %s, positivity rejections %d"
+            % (d.failure, counts, d.positivity_rejections))
     rep.extra["residual_history"] = [float(r) for r in d.residual_history]
     if not d.converged:
         return _emit(rep, args)

@@ -10,10 +10,11 @@ A bidegree outside 0..dim is a zero-dimensional space, so boundary terms need
 no special cases.
 
 Cohomology dimensions never touch the metric: they are exact ranks over the
-Gaussian rationals.  The Green operator and the minimal-solution formula for
-the ddbar-equation are floating point with pinned tolerances; outputs are
-labeled invariant representatives since membership and minimality are
-certified inside the invariant complex only.
+Gaussian rationals.  The Green operator and the minimal solution of the
+ddbar-equation are floating point with pinned tolerances, while whether an
+exact target has a solution is decided exactly; outputs are labeled
+invariant representatives since membership and minimality are certified
+inside the invariant complex only.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def _minor_gram(g: np.ndarray, keys, vol: float) -> np.ndarray:
 
 
 class MetricContext:
-    """Caches Grams, Cholesky factors, operator matrices and Laplacian
-    pseudo-inverses; returned arrays are shared and must not be modified."""
+    """Caches Grams, Cholesky factors and operator matrices; returned arrays
+    are shared and must not be modified."""
 
     def __init__(self, metric: HermitianMetricSpec):
         self.metric = metric
@@ -136,12 +137,6 @@ class MetricContext:
     def op_deldelbar(self, p: int, q: int) -> np.ndarray:
         return self._op("ddbar", p, q)
 
-    def laplacian_pinv(self, p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Pseudo-inverse and kernel projector of the orthonormal Bott-Chern
-        Laplacian at (p,q)."""
-        return self._cached(("pinv", p, q),
-                            lambda: _pinv_psd(delta_bc_ortho(self, p, q)))
-
     # orthonormalized operators: adjoint = conjugate transpose
 
     def ortho_op(self, A: np.ndarray, dom: Tuple[int, int],
@@ -185,8 +180,8 @@ def green_apply(ctx: MetricContext, p: int, q: int, u: InvForm,
 
     Returns (G u, harmonic projection norm of u).  G vanishes on the kernel.
     """
-    pinv, kerp = (ctx.laplacian_pinv(p, q) if laplacian is None
-                  else _pinv_psd(laplacian))
+    pinv, kerp = _pinv_psd(delta_bc_ortho(ctx, p, q) if laplacian is None
+                           else laplacian)
     vec = ctx.to_ortho(p, q, u.to_vector(p, q))
     harm = kerp @ vec
     res = pinv @ vec
@@ -198,11 +193,14 @@ def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec | MetricContext,
                   tol: float = 1e-8) -> InvForm:
     """Minimal solution of i ddbar Gamma = fpull on the invariant complex.
 
-    Gamma = -i (ddbar)* applied to the Green-operator image of fpull; raises
-    ClassObstructionError when fpull has no invariant potential.  The output
-    is the invariant Neumann representative for this metric.  Pass a
-    MetricContext as ``metric`` to reuse its Grams, operators and Laplacian
-    across calls.
+    On Im(ddbar) the Bott-Chern Laplacian is ddbar (ddbar)*, so the minimal
+    potential -i (ddbar)* Laplacian^+ fpull is -i P^+ fpull: one minimum-norm
+    least-squares solve, with P = ddbar in orthonormal coordinates.  Raises
+    ClassObstructionError, carrying that solve's residual, when fpull has no
+    invariant potential: decided exactly (``exact_ddbar_solve``) when every
+    coefficient is a CRat, else by the residual relative to ``tol``.  The
+    output is the invariant Neumann representative for this metric.  Pass a
+    MetricContext as ``metric`` to reuse its Grams and operators across calls.
     """
     ctx = metric if isinstance(metric, MetricContext) else MetricContext(metric)
     model = ctx.model
@@ -215,50 +213,25 @@ def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec | MetricContext,
     p, q = bid
     if p < 1 or q < 1:
         raise ValueError("need a form of bidegree at least (1,1)")
-    vec = fpull.to_vector(p, q)
-    P = ctx.op_deldelbar(p - 1, q - 1)
-    # solvability: least squares residual against Im(ddbar)
-    sol, *_ = np.linalg.lstsq(P, vec, rcond=None)
-    resid = float(np.linalg.norm(P @ sol - vec))
-    scale = max(float(np.linalg.norm(vec)), 1.0)
-    if resid > tol * scale:
+    fo = ctx.to_ortho(p, q, fpull.to_vector(p, q))
+    Po = ctx.ortho_op(ctx.op_deldelbar(p - 1, q - 1), (p - 1, q - 1), (p, q))
+    sol = np.linalg.lstsq(Po, fo, rcond=None)[0]
+    resid = float(np.linalg.norm(Po @ sol - fo))
+    if all(isinstance(c, CRat) for c in fpull.coeffs.values()):
+        obstructed = exact_ddbar_solve(model, fpull) is None
+    else:
+        obstructed = resid > tol * max(float(np.linalg.norm(fo)), 1.0)
+    if obstructed:
         raise ClassObstructionError(resid)
+    gamma = InvForm.from_vector(model, p - 1, q - 1,
+                                ctx.from_ortho(p - 1, q - 1, -1j * sol))
 
-    pinv, _ = ctx.laplacian_pinv(p, q)
-    w = pinv @ ctx.to_ortho(p, q, vec)
-    Po = ctx.ortho_op(P, (p - 1, q - 1), (p, q))
-    igamma = Po.conj().T @ w
-    gamma_vec = ctx.from_ortho(p - 1, q - 1, -1j * igamma)
-    gamma = InvForm.from_vector(model, p - 1, q - 1, gamma_vec)
-
-    # reproduction and minimality certificates
+    # reproduction certificate
     back = model.ce_del(model.ce_delbar(gamma)).scale(1j)
     err = (back - fpull).norm()
     if err > 1e-10 * max(fpull.norm(), 1.0):
         raise ArithmeticError("ddbar reproduction failed: %.3e" % err)
     return gamma
-
-
-def _range(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space of A (SVD, relative cutoff)."""
-    U, s, _ = np.linalg.svd(A)
-    return U[:, :int((s > RANK_CUTOFF * s.max(initial=0.0)).sum())]
-
-
-def minimality_residual(gamma: InvForm, metric: HermitianMetricSpec) -> float:
-    """Distance of gamma from Im((ddbar)*) relative to its norm."""
-    model = metric.model
-    bid = gamma.bidegree()
-    if bid is None:
-        return 0.0
-    p, q = bid
-    ctx = MetricContext(metric)
-    Po = ctx.ortho_op(ctx.op_deldelbar(p, q), (p, q), (p + 1, q + 1))
-    v = ctx.to_ortho(p, q, gamma.to_vector(p, q))
-    # Im((ddbar)*) = range of Po^H; remove the orthogonal projection
-    rows = _range(Po.conj().T)
-    proj = rows @ (rows.conj().T @ v)
-    return float(np.linalg.norm(v - proj) / max(np.linalg.norm(v), 1e-300))
 
 
 # -- exact operators and cohomology dimensions --------------------------------

@@ -110,6 +110,7 @@ class LieModel:
                     if part:
                         pieces.append((frame(k), part))
         self._check_d_squared()
+        self._check_unimodular(dphibar)
         # exact operator rows by (kind, p, q), filled on first use by
         # hodge.operator_rows; the model is not changed after this point,
         # so they never go stale
@@ -127,6 +128,18 @@ class LieModel:
             if self.phi(k).d().d():
                 raise ModelError(
                     "model %s: d(d(generator %d)) != 0" % (self.name, k))
+
+    def _check_unimodular(self, dphibar):
+        # a Lie group with a lattice has tr ad_X = 0 for every X (Milnor, Adv.
+        # Math. 21, 1976, Lemma 6.2).  Reading the bracket from the dphi as
+        # ``bracket`` does, tr ad_X = tau(X) for the 1-form below.
+        tau = sum((contract(self.frame(k), u) + contract(self.frame_bar(k), v)
+                   for k, (u, v) in enumerate(zip(self.dphi, dphibar), 1)),
+                  self.zero())
+        if tau:
+            raise ModelError("model %s is not unimodular: tr ad is the 1-form "
+                             "%s, not 0, so it has no compact quotient"
+                             % (self.name, tau))
 
     # -- forms --
 

@@ -17,8 +17,9 @@ module's restarted GMRES (``gmres``) makes one matvec per inner iteration.
 
 Transforms: a grid of fewer than ``SCIPY_FFT_POINTS`` points goes through
 ``numpy.fft``, which is as fast there and loads with numpy; a larger grid
-goes through ``scipy.fft`` on every CPU, imported when the first such
-``HessianOp`` is built, since numpy.fft is up to 3.3x slower there.
+goes through ``scipy.fft``, imported when the first such ``HessianOp`` is
+built, since numpy.fft is up to 3.3x slower there.  Both transform on the
+calling thread: a worker pool competes with numpy's BLAS threads.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
@@ -35,7 +36,7 @@ import numpy as np
 from .invariant import data_lines
 
 MAX_GRID_POINTS = 2 ** 26
-# grids of this many points or more transform with scipy.fft on every CPU
+# grids of this many points or more transform with scipy.fft
 SCIPY_FFT_POINTS = 2 ** 16
 
 
@@ -149,21 +150,20 @@ class HessianOp:
         self.grid = grid
         self._wav = grid.wavenumbers()
         if grid.points < SCIPY_FFT_POINTS:
-            self._fft, self._kw, self._overwrite = np.fft, {}, {}
+            self._fft, self._overwrite = np.fft, {}
         else:
             import scipy.fft
-            self._fft, self._kw = scipy.fft, {"workers": -1}
-            self._overwrite = dict(self._kw, overwrite_x=True)
+            self._fft, self._overwrite = scipy.fft, {"overwrite_x": True}
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
-        return self._fft.rfftn(v, **self._kw)
+        return self._fft.rfftn(v)
 
     def irfft(self, vhat: np.ndarray) -> np.ndarray:
         """Real field of the half spectrum ``vhat``, which scipy.fft
         overwrites on the way."""
         lead = tuple(range(vhat.ndim - 1))
         vhat = self._fft.ifftn(vhat, axes=lead, **self._overwrite)
-        return self._fft.irfft(vhat, n=self.grid.res, axis=-1, **self._kw)
+        return self._fft.irfft(vhat, n=self.grid.res, axis=-1)
 
     def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:
         """``vhat`` made, in place, the half spectrum of the real field
@@ -248,16 +248,24 @@ def _min_eigenvalue(A: Hessian) -> float:
         a11, a22 = A[(1, 1)], A[(2, 2)]
         disc = np.sqrt((a11 - a22) ** 2 + 4 * np.abs(A[(1, 2)]) ** 2)
         return float(((a11 + a22 - disc) / 2).min())
-    # d == 3: the cubic's roots in trigonometric form (Smith, CACM 4, 1961) are
-    # q + 2p cos(arccos(det(B)/2p^3)/3 + 2 pi k/3), B = A - q, q = tr(A)/3
+    # d == 3: the cubic's roots are q + 2p cos(t + 2 pi k/3) (Smith, CACM 4,
+    # 1961), B = A - q, q = tr(A)/3, 3t the angle of (det B, 2p^3 sin 3t).
+    # (2p^3 sin 3t)^2 = (2/3) p^2 |E|^2 is the discriminant as a sum of squares
+    # (Parlett, LAA 355, 2002), E = B^2 - 2p^2 - det(B)/(2p^2) B the part of
+    # B^2 orthogonal to I and B: no digits cancel where two roots meet.
     q = (A[(1, 1)] + A[(2, 2)] + A[(3, 3)]) / 3
     b = {(j, k): v - q if j == k else v for (j, k), v in A.items()}
-    p = np.sqrt(sum(v * v if j == k else 2 * _abs2(v)
-                    for (j, k), v in b.items()) / 6)
-    t = _det_and_adjugate(b, False)[0]
-    t /= np.maximum(2 * p ** 3, np.finfo(float).tiny)   # cos(3 t)
-    t = np.arccos(np.clip(t, -1.0, 1.0, out=t)) / 3
-    return float((q + 2 * p * np.cos(t + 2 * np.pi / 3)).min())
+    p2 = sum(v * v if j == k else 2 * _abs2(v) for (j, k), v in b.items()) / 6
+    det = _det_and_adjugate(b, False)[0]
+    c = det / np.maximum(2 * p2, np.finfo(float).tiny)
+    e2 = 0.0
+    for j, k in b:
+        e = sum((b[(j, m)] if j <= m else np.conj(b[(m, j)]))
+                * (b[(m, k)] if m <= k else np.conj(b[(k, m)]))
+                for m in (1, 2, 3)) - c * b[(j, k)]
+        e2 += np.square(e.real - 2 * p2) if j == k else 2 * _abs2(e)
+    t = np.arctan2(np.sqrt(e2 * p2 * (2 / 3)), det) / 3
+    return float((q + 2 * np.sqrt(p2) * np.cos(t + 2 * np.pi / 3)).min())
 
 
 @dataclass
@@ -267,6 +275,7 @@ class MADiagnostics:
     gmres_iterations: int = 0   # GMRES matvecs; a closed-form step adds 0
     inner_unconverged: int = 0  # Newton steps whose GMRES stopped at maxiter
     damping_events: int = 0
+    positivity_rejections: int = 0  # line-search candidates with g + H not > 0
     continuation_stages: int = 0
     min_eigenvalue: float = float("nan")
     conservation_gap: float = float("nan")
@@ -275,7 +284,7 @@ class MADiagnostics:
 
 
 _WORK_COUNTS = ("newton_iterations", "gmres_iterations", "damping_events",
-                "inner_unconverged")
+                "inner_unconverged", "positivity_rejections")
 
 
 def _total_work(into: MADiagnostics, parts: Sequence[MADiagnostics]) -> None:
@@ -331,8 +340,8 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
     Returns phi with sup phi = 0, the constant C, and diagnostics.  On
     divergence the forcing is ramped in stages (each converged stage seeds
     the next); only if the ramp also stalls does NewtonFailure propagate,
-    carrying the last iterate.  The Newton, GMRES, damping and
-    unconverged-inner-solve counts sum over every attempt made.
+    carrying the last iterate.  Each of ``_WORK_COUNTS`` sums over every
+    attempt made.
     """
     if not 1e-12 <= tol < np.inf:
         raise GridError("tolerance %r is not a finite number >= 1e-12" % (tol,))
@@ -437,6 +446,7 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
             del A, R
             step /= 2
             diag.damping_events += 1
+            diag.positivity_rejections += not positive
         else:
             diag.residual_history.append(maxres)
             diag.min_eigenvalue = _min_eigenvalue(op.entries(phat, g))

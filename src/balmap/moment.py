@@ -358,14 +358,14 @@ def omega_eval(f: MapSpec, fields: Sequence[InvVectorField]) -> complex:
 
 
 def _gamma_for(f: MapSpec, metric: HermitianMetricSpec, policy: str) -> InvForm:
-    if policy == "neumann":
-        P = f.pulled_power()
-        Pf = InvForm(f.source, {k: complex(c) for k, c in P.coeffs.items()})
-        return neumann_gamma(Pf, metric)
-    rep = x_membership(f)
-    if not rep.member:
-        raise ClassObstructionError(rep.pulled_norm, rep.obstruction)
-    return rep.gamma
+    """The minimal potential, or under "any-solution" an exact one where it
+    exists; neumann_gamma raises ClassObstructionError for either."""
+    P = f.pulled_power()
+    if policy != "neumann":
+        gamma = exact_ddbar_solve(f.source, P)
+        if gamma is not None:
+            return gamma
+    return neumann_gamma(P, metric)
 
 
 def pairing_value(gamma: InvForm, t: MomentTuple, model: LieModel) -> complex:

@@ -6,7 +6,9 @@ elimination; the expansion oracles recompute wedge/contraction results by
 brute-force permutation sums instead of ordered-merge signs, the wedge
 Gram oracle takes every minor as a permutation sum instead of a compound
 matrix, the adjoint oracle solves against raw Grams instead of
-orthonormalizing through a Cholesky factor, the invariant-differential
+orthonormalizing through a Cholesky factor (the Bott-Chern Laplacian,
+minimal-potential and minimality oracles build on it in raw coordinates,
+with no Cholesky factor either), the invariant-differential
 oracle applies d letter by letter (Leibniz rule) from the raw structure
 constants and sorts each word by a permutation sign instead of contracting
 and merging, the complex-dimension-one
@@ -124,6 +126,51 @@ def adjoint(A, gram_dom, gram_cod) -> np.ndarray:
     Hd = np.asarray(gram_dom, dtype=complex).reshape(m, m)
     Hc = np.asarray(gram_cod, dtype=complex).reshape(n, n)
     return np.linalg.solve(Hd, A.conj().T @ Hc)
+
+
+def bc_laplacian_oracle(op, gram, p: int, q: int) -> np.ndarray:
+    """Bott-Chern Laplacian at (p,q) in raw wedge coordinates: the sum of
+    F* F over del, delbar, ddbar, (ddbar)*, del* delbar and delbar* del, each
+    adjoint taken by ``adjoint``.  op(kind, p, q) is the matrix of kind
+    ("del", "delbar" or "ddbar") from (p,q), and gram(p, q) the Gram at
+    (p,q); outside 0..dim a space is empty."""
+    H = gram
+    D, Db = op("del", p, q), op("delbar", p, q)
+    factors = [
+        (D, (p + 1, q)), (Db, (p, q + 1)), (op("ddbar", p, q), (p + 1, q + 1)),
+        (adjoint(op("ddbar", p - 1, q - 1), H(p - 1, q - 1), H(p, q)),
+         (p - 1, q - 1)),
+        (adjoint(op("del", p - 1, q + 1), H(p - 1, q + 1), H(p, q + 1)) @ Db,
+         (p - 1, q + 1)),
+        (adjoint(op("delbar", p + 1, q - 1), H(p + 1, q - 1), H(p + 1, q)) @ D,
+         (p + 1, q - 1))]
+    return sum(adjoint(F, H(p, q), H(*cod)) @ F for F, cod in factors)
+
+
+def neumann_oracle(f, op, gram, p: int, q: int) -> np.ndarray:
+    """-i (ddbar)* Laplacian^+ f, the minimal potential of i ddbar Gamma = f
+    for f at (p,q), in raw coordinates at (p-1,q-1), with op and gram as for
+    bc_laplacian_oracle.  Every w with Laplacian w = f has the same
+    (ddbar)* w, as the Laplacian's kernel lies in that of (ddbar)*, so a
+    least-squares w with a relative cutoff of 1e-9 serves."""
+    w = np.linalg.lstsq(bc_laplacian_oracle(op, gram, p, q), f, rcond=1e-9)[0]
+    return -1j * adjoint(op("ddbar", p - 1, q - 1), gram(p - 1, q - 1),
+                         gram(p, q)) @ w
+
+
+def minimality_residual(v, P, gram_dom, gram_cod) -> float:
+    """Distance of v from the image of the adjoint of P: dom -> cod, in the
+    norm of gram_dom, relative to the norm of v.  The image's basis is the
+    left singular vectors of that adjoint above a relative cutoff of 1e-9,
+    and v is projected onto it through the normal equations in gram_dom."""
+    H = np.asarray(gram_dom, dtype=complex)
+    U, s, _ = np.linalg.svd(adjoint(P, H, gram_cod))
+    B = U[:, :int((s > 1e-9 * s.max(initial=0.0)).sum())]
+    r = v - B @ np.linalg.solve(B.conj().T @ H @ B, B.conj().T @ H @ v)
+
+    def norm(x):
+        return np.sqrt(abs(np.vdot(x, H @ x)))
+    return float(norm(r) / max(norm(v), 1e-300))
 
 
 # letters of the basis 2-form of each structure-constant family, as

@@ -17,8 +17,7 @@ import numpy as np
 from balmap.catalog import MODELS, get_map
 from balmap.exact import CRat
 from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
-                          aeppli_dim, bc_dim, minimality_residual,
-                          neumann_gamma)
+                          MetricContext, aeppli_dim, bc_dim, neumann_gamma)
 from balmap.forms import wedge
 from balmap.masolver import ScalarField, TorusGrid, solve_ma
 from balmap.moment import (MomentTuple, chart_contraction_derivative_trials,
@@ -26,7 +25,7 @@ from balmap.moment import (MomentTuple, chart_contraction_derivative_trials,
                            invariant_contraction_derivative_check, mu_eval,
                            well_definedness_check, x_membership)
 from balmap.symalg import identity_suite
-from oracles import linear_oracle_d1
+from oracles import linear_oracle_d1, minimality_residual, wedge_gram_oracle
 
 IW = MODELS["iwasawa"]
 T3 = MODELS["torus3"]
@@ -124,7 +123,10 @@ def test_criterion_5_minimal_potential_formula():
     gam = neumann_gamma(Pf, m)
     back = IW.ce_del(IW.ce_delbar(gam)).scale(1j)
     rel = (back - Pf).norm() / Pf.norm()
-    minres = minimality_residual(gam, m)
+    gram = [wedge_gram_oracle(m.gram.tolist(), IW.basis_keys(p, p),
+                              float(IW.volume_scale)) for p in (1, 2)]
+    minres = minimality_residual(gam.to_vector(1, 1),
+                                 MetricContext(m).op_deldelbar(1, 1), *gram)
     ok = rel <= 1e-10 and minres <= 1e-10
     obstructed = False
     try:

@@ -179,7 +179,7 @@ def test_ma_reports_the_work_of_a_failed_solve(tmp_path, capsys):
     # a forcing of amplitude 40 at d = 1: the solution's determinant is at
     # round-off where F is least, so the positivity guard halves every
     # Newton step; the direct attempt stops at the iteration limit and a
-    # continuation stage stalls
+    # continuation stage stalls, and the detail says the guard was the cause
     mf = tmp_path / "modes.txt"
     mf.write_text("1 0 40\n")
     code, out, err = run_cli(["ma", "--dim", "1", "--res", "8", "--tol",
@@ -192,6 +192,9 @@ def test_ma_reports_the_work_of_a_failed_solve(tmp_path, capsys):
     counts = solve["detail"].split("; ")[1]
     assert counts.startswith("newton ") and ", inner " in counts
     assert ", inner unconverged " in counts
+    newton = int(counts.split(",")[0].split()[1])
+    rejected = int(counts.split(", positivity rejections ")[1])
+    assert rejected >= newton >= 40
     history = header["extra"]["residual_history"]
     assert solve["residual"] == history[-1] > 1e-12 and len(history) > 1
     assert summary["failures"] == 1
@@ -331,6 +334,10 @@ def test_solution_out_into_missing_directory_exits_2(tmp_path, capsys):
                   "etabar 0 0 0 0 1 0\n",
      ["moment", "--map", "iwasawa_to_t3", "--tuple"],
      "too large for floating point"),
+    # the affine group of C: d(phi^2) = phi^1 ^ phi^2, tr ad Z_1 = -1
+    ("affine.model", "name affine\ndim 2\ndiff 2 12 1 0\n",
+     ["cohomology", "--p", "0", "--q", "0", "--kind", "bottchern", "--model"],
+     "affine.model:0: model affine is not unimodular"),
     ("d.model", "name d\ndim 0\n",
      ["cohomology", "--p", "0", "--q", "0", "--kind", "bottchern", "--model"],
      "d.model:0: model d: dim 0 must be at least 1"),
@@ -355,9 +362,10 @@ def test_solution_out_into_missing_directory_exits_2(tmp_path, capsys):
      "long.modes:1: bad mode line '1 0 0 0 0.1 0.2 0.3'"),
 ], ids=["tuple-zero-denominator", "model-zero-denominator",
         "map-zero-denominator", "non-finite-forcing", "tuple-beyond-float",
-        "model-dim-zero", "model-dim-negative", "forcing-exp-709",
-        "forcing-exp-710", "forcing-constant-800", "forcing-constant-minus-1000",
-        "forcing-sample-1e308", "mode-line-too-long"])
+        "model-not-unimodular", "model-dim-zero", "model-dim-negative",
+        "forcing-exp-709", "forcing-exp-710", "forcing-constant-800",
+        "forcing-constant-minus-1000", "forcing-sample-1e308",
+        "mode-line-too-long"])
 def test_malformed_file_exits_2_naming_the_problem(tmp_path, capsys, name,
                                                    text, argv, bad):
     path = tmp_path / name

@@ -7,16 +7,17 @@ import random
 import numpy as np
 import pytest
 
-from balmap.catalog import MODELS
+from balmap.catalog import CATALOG_MAPS, MODELS, get_map
 from balmap.exact import CRat, I
 from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
                           MetricContext, aeppli_dim, bc_dim, delta_bc_ortho,
-                          exact_ddbar_solve, green_apply, minimality_residual,
-                          neumann_gamma)
+                          exact_ddbar_solve, green_apply, neumann_gamma)
 from balmap.forms import wedge
 from balmap.invariant import HH, DiffTerm, InvForm, LieModel
 
-from oracles import adjoint, wedge_gram_oracle
+from oracles import (adjoint, bc_laplacian_oracle, minimality_residual,
+                     neumann_oracle, wedge_gram_oracle)
+from test_properties import dim_of, random_nilpotent_model
 
 IW = MODELS["iwasawa"]
 T3 = MODELS["torus3"]
@@ -45,6 +46,22 @@ def oracle_gram(metric, p, q):
     return np.array(wedge_gram_oracle(metric.gram.tolist(),
                                       model.basis_keys(p, q),
                                       float(model.volume_scale)))
+
+
+def raw_op(ctx):
+    """op(kind, p, q) for the oracles: the context's raw operator matrices."""
+    ops = {"del": ctx.op_del, "delbar": ctx.op_delbar,
+           "ddbar": ctx.op_deldelbar}
+    return lambda kind, p, q: ops[kind](p, q)
+
+
+def oracle_minimality(gamma, metric):
+    """The minimality oracle on gamma, a form at one bidegree (p,q), with
+    ddbar from (p,q) and the permutation-sum Grams."""
+    p, q = gamma.bidegree()
+    return minimality_residual(
+        gamma.to_vector(p, q), MetricContext(metric).op_deldelbar(p, q),
+        oracle_gram(metric, p, q), oracle_gram(metric, p + 1, q + 1))
 
 
 def test_metric_validation():
@@ -121,25 +138,13 @@ def test_gram_matches_leibniz_minor_oracle():
 
 
 def test_laplacian_is_the_six_term_sum_in_raw_coordinates():
-    # sum of F* F over del, delbar, ddbar, (ddbar)*, del* delbar, delbar* del,
-    # with adjoints from the oracle Grams; outside 0..dim a space is empty
     rng = random.Random(5)
     for model in (IW, HM):
         m = rand_metric(rng, model)
         ctx = MetricContext(m)
         H = lambda p, q: oracle_gram(m, p, q)
         for p, q in np.ndindex(model.dim + 1, model.dim + 1):
-            D, Db = ctx.op_del(p, q), ctx.op_delbar(p, q)
-            P2 = ctx.op_deldelbar(p - 1, q - 1)
-            factors = [
-                (D, (p + 1, q)), (Db, (p, q + 1)),
-                (ctx.op_deldelbar(p, q), (p + 1, q + 1)),
-                (adjoint(P2, H(p - 1, q - 1), H(p, q)), (p - 1, q - 1)),
-                (adjoint(ctx.op_del(p - 1, q + 1), H(p - 1, q + 1),
-                         H(p, q + 1)) @ Db, (p - 1, q + 1)),
-                (adjoint(ctx.op_delbar(p + 1, q - 1), H(p + 1, q - 1),
-                         H(p + 1, q)) @ D, (p + 1, q - 1))]
-            want = sum(adjoint(F, H(p, q), H(*cod)) @ F for F, cod in factors)
+            want = bc_laplacian_oracle(raw_op(ctx), H, p, q)
             # orthonormal coordinates x -> L^H x with H = L L^H, back to raw
             Lh = np.linalg.cholesky(H(p, q)).conj().T
             raw = np.linalg.solve(Lh, delta_bc_ortho(ctx, p, q) @ Lh)
@@ -176,7 +181,7 @@ def test_neumann_reproduction_and_minimality():
         gam = neumann_gamma(fpull, m)
         back = IW.ce_del(IW.ce_delbar(gam)).scale(1j)
         assert (back - fpull).norm() < 1e-10 * fpull.norm()
-        assert minimality_residual(gam, m) < 1e-10
+        assert oracle_minimality(gam, m) < 1e-10
 
 
 def test_neumann_agrees_with_hand_potential_flat():
@@ -201,6 +206,70 @@ def test_neumann_obstruction_on_torus():
     with pytest.raises(ClassObstructionError) as e:
         neumann_gamma(fpull, HermitianMetricSpec.flat(T3))
     assert e.value.residual > 0.5
+
+
+def _gamma_or_none(f, metric):
+    try:
+        return neumann_gamma(f, metric)
+    except ClassObstructionError:
+        return None
+
+
+def _assert_matches_neumann_oracle(gamma, f, ctx, p, q):
+    """gamma, the potential of f at (p,q), is the six-term oracle's to 1e-12
+    relative, in raw coordinates."""
+    m = ctx.metric
+    want = neumann_oracle(f.to_vector(p, q), raw_op(ctx),
+                          lambda a, b: oracle_gram(m, a, b), p, q)
+    got = gamma.to_vector(p - 1, q - 1)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (
+        ctx.model.name, p, q)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_MAPS))
+def test_neumann_matches_the_six_term_oracle_on_catalog_maps(name):
+    # the exact pulled power gets the exact verdict, its float copy the
+    # residual test: they agree, and each potential is the oracle's
+    f = get_map(name)
+    model, P = f.source, f.pulled_power()
+    Pf = InvForm(model, {k: complex(c) for k, c in P.coeffs.items()})
+    p, q = P.bidegree() or (model.dim - 1, model.dim - 1)
+    rng = random.Random(7)
+    for m in (HermitianMetricSpec.flat(model), rand_metric(rng, model),
+              rand_metric(rng, model)):
+        ctx = MetricContext(m)
+        exact, flt = _gamma_or_none(P, ctx), _gamma_or_none(Pf, ctx)
+        assert (exact is None) == (flt is None), name
+        assert (exact is None) == (name == "t2_immersion_t3"), name
+        for gamma in (exact, flt):
+            if gamma is not None:
+                _assert_matches_neumann_oracle(gamma, P, ctx, p, q)
+
+
+@pytest.mark.parametrize("seed", range(3, 10))
+def test_neumann_matches_the_six_term_oracle_on_generated_models(seed):
+    # targets i ddbar(beta) for an exact beta, in exact and in float form;
+    # a random exact target gets the same verdict from both paths
+    rng = random.Random(seed)
+    model = random_nilpotent_model(rng, dim_of(seed))
+    n = model.dim
+    ctx = MetricContext(rand_metric(rng, model))
+    for p, q in sorted({(2, 2), (n - 1, n - 1), (2, n - 1)}):
+        beta = InvForm(model, {k: CRat(rng.randint(-2, 2), rng.randint(-2, 2))
+                               for k in model.basis_keys(p - 1, q - 1)})
+        f = model.ce_del(model.ce_delbar(beta)).scale(I)
+        ff = InvForm(model, {k: complex(c) for k, c in f.coeffs.items()})
+        if not f:
+            continue
+        for target in (f, ff):
+            _assert_matches_neumann_oracle(neumann_gamma(target, ctx), f, ctx,
+                                           p, q)
+        g = InvForm(model, {k: CRat(rng.randint(-2, 2), rng.randint(-2, 2))
+                            for k in model.basis_keys(p, q)})
+        gf = InvForm(model, {k: complex(c) for k, c in g.coeffs.items()})
+        assert ((_gamma_or_none(g, ctx) is None)
+                == (_gamma_or_none(gf, ctx) is None)
+                == (exact_ddbar_solve(model, g) is None)), (seed, p, q)
 
 
 def test_exact_solver_matches_float_solvability():

@@ -11,7 +11,10 @@ exact Bott-Chern and Aeppli dimensions must satisfy
   metric, has the exact dimension h_BC^{p,q}.
 
 On these models and the catalog ones, del and delbar of every basis word
-must also be the two bidegree parts of the letter-by-letter Leibniz oracle.
+must also be the two bidegree parts of the letter-by-letter Leibniz oracle,
+and the unimodularity guard of LieModel must pass exactly where d vanishes
+on (2n-1)-forms; seeded solvable drafts, unimodular or not, and two whose
+(1,0) and (0,1) traces cancel or add check the guard where it can fail.
 """
 
 import random
@@ -22,7 +25,7 @@ import pytest
 from balmap.catalog import MODELS
 from balmap.exact import CRat
 from balmap.hodge import (HermitianMetricSpec, MetricContext, aeppli_dim,
-                          bc_dim, delta_bc_ortho)
+                          bc_dim, delta_bc_ortho, operator_rows)
 from balmap.invariant import HH, MIX, DiffTerm, LieModel, ModelError
 from oracles import leibniz_d_oracle
 
@@ -96,3 +99,55 @@ def test_del_and_delbar_match_the_leibniz_oracle(name):
                 parts[(len(k2[0]), len(k2[1]))][k2] = c
             assert model.ce_del(u).coeffs == parts[(p + 1, q)], (name, key)
             assert model.ce_delbar(u).coeffs == parts[(p, q + 1)], (name, key)
+
+
+def solvable_diff(seed: int, dim: int = 3) -> dict:
+    """d(phi^1) = 0 and d(phi^k) = sum_j a_kj phi^1 ^ phi^j (even seeds) or
+    sum_j a_kj phi^j ^ phibar^1 (odd seeds), j, k >= 2: d^2 = 0 for every A,
+    and tr A, the trace of ad on the first frame field up to sign and
+    conjugation, is 0 for seeds below 4 and 1 from seed 4 on."""
+    rng = random.Random(seed)
+    idx = range(2, dim + 1)
+    A = {(k, j): CRat(rng.randint(-2, 2), rng.randint(-2, 2))
+         for k in idx for j in idx}
+    A[(dim, dim)] += CRat(int(seed >= 4)) - sum((A[(k, k)] for k in idx),
+                                                 CRat(0))
+    return {k: [DiffTerm(HH, 1, j, A[(k, j)]) if seed % 2 == 0
+                else DiffTerm(MIX, j, 1, A[(k, j)]) for j in idx] for k in idx}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS)
+                         + ["seed%d" % s for s in range(10)]
+                         + ["solvable%d" % s for s in range(8)]
+                         + ["mixed+1", "mixed-1"])
+def test_unimodularity_guard_agrees_with_d_on_top_minus_one_forms(
+        name, monkeypatch):
+    if name in MODELS:
+        dim, diff = MODELS[name].dim, MODELS[name].diff
+    elif name.startswith("seed"):
+        seed = int(name[4:])
+        dim = dim_of(seed)
+        diff = random_nilpotent_model(random.Random(seed), dim).diff
+    elif name.startswith("solvable"):
+        dim, diff = 3, solvable_diff(int(name[8:]))
+    else:
+        # d(phi^2) = phi^1 ^ phi^2 and d(phi^3) = c phi^3 ^ phibar^1: the
+        # (1,0) and (0,1) parts of the trace cancel in tr ad for c = 1 only
+        dim, diff = 3, {2: [DiffTerm(HH, 1, 2, CRat(1))],
+                        3: [DiffTerm(MIX, 3, 1, CRat(int(name[5:])))]}
+    try:
+        LieModel(name, dim, diff)
+        guard = True
+    except ModelError as e:
+        assert "not unimodular" in str(e) and name in str(e)
+        guard = False
+    if name.startswith("solvable"):
+        assert guard == (int(name[8:]) < 4)
+    if name.startswith("mixed"):
+        assert guard == (name == "mixed+1")
+    monkeypatch.setattr(LieModel, "_check_unimodular", lambda self, dbar: None)
+    model = LieModel(name, dim, diff)
+    n = model.dim
+    rows = (operator_rows(model, "del", n - 1, n)
+            + operator_rows(model, "delbar", n, n - 1))
+    assert guard == (not any(rows)), name
