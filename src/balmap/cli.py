@@ -168,10 +168,10 @@ def cmd_moment(args) -> int:
         tuple_name, t = load_tuple(args.tuple, MODELS)
         if args.gamma_policy:
             t = MomentTuple(t.xis, t.etabars, args.gamma_policy)
-        if t.model() is not f.source:
+        if any(v.model is not f.source for v in t.xis + t.etabars):
             raise ValidationError("tuple %s lives on model %s, not on the source "
                                   "model %s of map %s" % (
-                                      tuple_name, getattr(t.model(), "name", None),
+                                      tuple_name, t.model().name,
                                       f.source.name, f.name))
     except (ParseError, ValidationError, OSError, KeyError) as e:
         return _input_error(e)

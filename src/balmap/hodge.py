@@ -29,6 +29,7 @@ from .exact import CRat, I, ZERO, exact_rank, exact_solve
 from .invariant import (InvForm, LieModel, operator_matrix, operator_rows_exact)
 
 RANK_CUTOFF = 1e-9
+SOLVE_TOL = 1e-8  # residual bound, relative, on a float target's potential
 
 
 class ClassObstructionError(ValueError):
@@ -164,33 +165,24 @@ def delta_bc_ortho(ctx: MetricContext, p: int, q: int) -> np.ndarray:
     return sum(F.conj().T @ F for F in factors)
 
 
-def _pinv_psd(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse and kernel projector of a Hermitian PSD matrix."""
-    w, V = np.linalg.eigh((A + A.conj().T) / 2)
-    cut = RANK_CUTOFF * max(w.max(initial=0.0), 1e-300)
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    pinv = (V * inv) @ V.conj().T
-    kerp = (V * (w <= cut)) @ V.conj().T
-    return pinv, kerp
-
-
 def green_apply(ctx: MetricContext, p: int, q: int, u: InvForm,
                 laplacian: Optional[np.ndarray] = None) -> Tuple[InvForm, float]:
     """Green operator of the Bott-Chern Laplacian (pseudo-inverse semantics).
 
-    Returns (G u, harmonic projection norm of u).  G vanishes on the kernel.
+    Returns (G u, harmonic projection norm of u).  G u is one minimum-norm
+    least-squares solve, so G vanishes on the kernel, and the harmonic part
+    of u is u - Laplacian G u, its projection onto that kernel.
     """
-    pinv, kerp = _pinv_psd(delta_bc_ortho(ctx, p, q) if laplacian is None
-                           else laplacian)
+    lap = delta_bc_ortho(ctx, p, q) if laplacian is None else laplacian
     vec = ctx.to_ortho(p, q, u.to_vector(p, q))
-    harm = kerp @ vec
-    res = pinv @ vec
+    res = np.linalg.lstsq(lap, vec, rcond=RANK_CUTOFF)[0]
     out = ctx.from_ortho(p, q, res)
-    return InvForm.from_vector(ctx.model, p, q, out), float(np.linalg.norm(harm))
+    return (InvForm.from_vector(ctx.model, p, q, out),
+            float(np.linalg.norm(vec - lap @ res)))
 
 
-def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec | MetricContext,
-                  tol: float = 1e-8) -> InvForm:
+def neumann_gamma(fpull: InvForm,
+                  metric: HermitianMetricSpec | MetricContext) -> InvForm:
     """Minimal solution of i ddbar Gamma = fpull on the invariant complex.
 
     On Im(ddbar) the Bott-Chern Laplacian is ddbar (ddbar)*, so the minimal
@@ -198,16 +190,16 @@ def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec | MetricContext,
     least-squares solve, with P = ddbar in orthonormal coordinates.  Raises
     ClassObstructionError, carrying that solve's residual, when fpull has no
     invariant potential: decided exactly (``exact_ddbar_solve``) when every
-    coefficient is a CRat, else by the residual relative to ``tol``.  The
-    output is the invariant Neumann representative for this metric.  Pass a
+    coefficient is a CRat, else by the residual relative to ``SOLVE_TOL``.
+    The output is the invariant Neumann representative for this metric, and
+    the zero form for a zero input, at any bidegree.  Pass a
     MetricContext as ``metric`` to reuse its Grams and operators across calls.
     """
     ctx = metric if isinstance(metric, MetricContext) else MetricContext(metric)
     model = ctx.model
-    bid = fpull.bidegree()
     if not fpull:
-        d = model.dim
-        bid = (d - 1, d - 1)
+        return model.zero()
+    bid = fpull.bidegree()
     if bid is None:
         raise ValueError("need a homogeneous form")
     p, q = bid
@@ -220,7 +212,7 @@ def neumann_gamma(fpull: InvForm, metric: HermitianMetricSpec | MetricContext,
     if all(isinstance(c, CRat) for c in fpull.coeffs.values()):
         obstructed = exact_ddbar_solve(model, fpull) is None
     else:
-        obstructed = resid > tol * max(float(np.linalg.norm(fo)), 1.0)
+        obstructed = resid > SOLVE_TOL * max(float(np.linalg.norm(fo)), 1.0)
     if obstructed:
         raise ClassObstructionError(resid)
     gamma = InvForm.from_vector(model, p - 1, q - 1,
@@ -288,18 +280,18 @@ def bc_dim(model: LieModel, p: int, q: int) -> int:
 def exact_ddbar_solve(model: LieModel, target: InvForm):
     """Exact solution of i ddbar Gamma = target over the invariant complex.
 
-    Returns an InvForm with CRat coefficients, or None when unsolvable.
-    Requires exact coefficients on the target.
+    Returns an InvForm with CRat coefficients (the zero form for a zero
+    target), or None when unsolvable.  Requires exact coefficients on the
+    target.
     """
-    bid = target.bidegree()
-    if target and bid is None:
-        raise ValueError("target must be homogeneous")
-    d = model.dim
     if not target:
-        bid = (d, d)
+        return model.zero()
+    bid = target.bidegree()
+    if bid is None:
+        raise ValueError("target must be homogeneous")
     p, q = bid
     if p < 1 or q < 1:
-        return None if target else model.zero()
+        return None
     rhs = [target.coeffs.get(k, ZERO) for k in model.basis_keys(p, q)]
     if not all(isinstance(c, CRat) for c in rhs):
         raise ValueError("exact solve needs exact coefficients")

@@ -212,20 +212,6 @@ class LieModel:
         t = InvVectorField(self, ANTI, anti) if any(anti) else None
         return MixedField(self, h, t)
 
-    def dbar_field(self, xi: "InvVectorField") -> List[List[CRat]]:
-        """Components of dbar(xi) for an invariant (1,0) field.
-
-        Returns a d x d table t[b][k]: the phi^k-frame coefficient of the
-        (1,0)-part of [Zbar_b, xi]; xi is holomorphic iff all entries vanish.
-        """
-        assert xi.kind == HOLO
-        out = []
-        for b in range(1, self.dim + 1):
-            br = self.bracket(self.frame_bar(b), xi)
-            row = list(br.holo.comps) if br.holo else [ZERO] * self.dim
-            out.append(row)
-        return out
-
     def __repr__(self):
         return "LieModel(%r, dim=%d)" % (self.name, self.dim)
 

@@ -116,9 +116,6 @@ class ScalarField:
                     vals += a * wave(phase)
         return ScalarField(grid, vals)
 
-    def mean(self) -> float:
-        return float(self.values.mean())
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 

@@ -236,8 +236,6 @@ def x_membership(f: MapSpec) -> MembershipReport:
     """Does the pulled-back power admit an invariant potential?"""
     P = f.pulled_power()
     d, n = f.source.dim, f.target.n
-    if not P:
-        return MembershipReport(member=True, gamma=f.source.zero())
     gamma = exact_ddbar_solve(f.source, P)
     if gamma is not None:
         return MembershipReport(member=True, gamma=gamma, pulled_norm=P.norm())
@@ -266,14 +264,19 @@ class FieldCertificate:
 
 
 def lie_g_membership(xi: InvVectorField) -> FieldCertificate:
-    """Holomorphy and volume preservation of an invariant (1,0)-field."""
+    """Holomorphy and volume preservation of an invariant (1,0)-field.
+
+    The (b, k) entry of dbar xi is the phibar^b coefficient of xi . d phi^k
+    (only dbar phi^k reaches it); exact entries give an exact verdict."""
     if xi.kind != HOLO:
         raise ValidationError("membership applies to (1,0)-fields")
     model = xi.model
-    table = model.dbar_field(xi)
-    dbar_norm = float(np.sqrt(sum(abs(complex(c)) ** 2 for row in table for c in row)))
+    parts = [contract(xi, u) for u in model.dphi]
+    dbar = [u.coefficient((), (b,)) for b in range(1, model.dim + 1)
+            for u in parts]
+    dbar_norm = float(np.sqrt(sum(abs(complex(c)) ** 2 for c in dbar)))
     lv = lie10(xi, model.volume_form())
-    return FieldCertificate(holomorphic=dbar_norm == 0.0,
+    return FieldCertificate(holomorphic=not any(dbar),
                             volume_preserving=not lv,
                             dbar_norm=dbar_norm,
                             lie_volume_norm=lv.norm())
@@ -308,6 +311,9 @@ class MomentTuple:
         return certs
 
 
+ADMISSIBLE_TOL = 1e-12
+
+
 @dataclass
 class PgReport:
     member: bool
@@ -318,26 +324,26 @@ class PgReport:
     swap_symmetric: bool
 
 
-def pg_membership(t: MomentTuple, model: Optional[LieModel] = None,
-                  tol: float = 1e-12) -> PgReport:
+def pg_membership(t: MomentTuple, model: Optional[LieModel] = None) -> PgReport:
     """Vanishing of the two bracket-contraction sums against the volume form.
 
-    Both slot orientations are tested; an asymmetry between the tuple and
-    its conjugate-swapped partner is reported rather than assumed away.
+    A sum with exact coefficients vanishes only as the zero form; a float one
+    when its norm is at most ``ADMISSIBLE_TOL``.  Both slot orientations are
+    tested; an asymmetry between the tuple and its conjugate-swapped partner
+    is reported rather than assumed away.
     """
     model = model or t.model()
     dV = model.volume_form()
 
     def residuals(xis, etabars):
-        rb, rd = tuple_residual_forms(xis, etabars, dV)
-        return rb.norm(), rd.norm()
+        forms = tuple_residual_forms(xis, etabars, dV)
+        member = all(not u if u.is_exact_coeffs()
+                     else u.norm() <= ADMISSIBLE_TOL for u in forms)
+        return member, forms[0].norm(), forms[1].norm()
 
-    rb, rd = residuals(t.xis, t.etabars)
-    member = rb <= tol and rd <= tol
-    sw_xis = [eb.conj() for eb in t.etabars]
-    sw_etas = [xi.conj() for xi in t.xis]
-    srb, srd = residuals(sw_xis, sw_etas)
-    swap_member = srb <= tol and srd <= tol
+    member, rb, rd = residuals(t.xis, t.etabars)
+    swap_member = residuals([eb.conj() for eb in t.etabars],
+                            [xi.conj() for xi in t.xis])[0]
     lie_ok = all(c.member for c in t.field_certificates())
     return PgReport(member=member, residual_bar=rb, residual_del=rd,
                     lie_g_ok=lie_ok, swap_member=swap_member,
@@ -507,11 +513,11 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
     metric = metric or HermitianMetricSpec.flat(model)
     if xi.kind != HOLO or eta.kind != HOLO:
         raise ValidationError("flow fields must be (1,0)")
-    for v in (xi, eta):
+    for name, v in (("xi", xi), ("eta", eta)):
         cert = lie_g_membership(v)
         if not cert.member:
-            raise ValidationError("flow field is not holomorphic volume "
-                                  "preserving: %r" % (cert,))
+            raise ValidationError("flow field %s is not holomorphic volume "
+                                  "preserving: %r" % (name, cert))
     P = f.pulled_power()
     Pf = InvForm(model, {k: complex(c) for k, c in P.coeffs.items()})
     etabar = eta.conj()

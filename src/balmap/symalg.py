@@ -145,9 +145,6 @@ class Poly:
             out[(tuple(aa), b)] = c * CRat(Fraction(1, aa[j - 1]))
         return Poly._of(self.dim, out)
 
-    def is_holomorphic(self) -> bool:
-        return all(not any(b) for (_, b) in self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -250,15 +247,6 @@ class ChartVectorField(Field):
                 df = f.dz(j) if self.kind == HOLO else f.dzbar(j)
                 _mul_into(out, c.terms, df.terms)
         return Poly._of(self.dim, out)
-
-    def is_holomorphic(self) -> bool:
-        return self.kind == HOLO and all(p.is_holomorphic() for p in self.comps)
-
-    def divergence(self) -> Poly:
-        out = Poly(self.dim)
-        for j, c in enumerate(self.comps, start=1):
-            out = out + (c.dz(j) if self.kind == HOLO else c.dzbar(j))
-        return out
 
     def bracket(self, b: "ChartVectorField"):
         a, dim = self, self.dim
@@ -396,10 +384,6 @@ class SuiteReport:
     seed: int
     trials: int
     records: List[IdentityRecord] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
 
     def add(self, rec: IdentityRecord):
         self.records.append(rec)

@@ -8,7 +8,9 @@ Gram oracle takes every minor as a permutation sum instead of a compound
 matrix, the adjoint oracle solves against raw Grams instead of
 orthonormalizing through a Cholesky factor (the Bott-Chern Laplacian,
 minimal-potential and minimality oracles build on it in raw coordinates,
-with no Cholesky factor either), the invariant-differential
+with no Cholesky factor either), the Green oracle inverts a Hermitian
+matrix on its eigenvectors and projects onto those of its kernel instead of
+a least-squares solve, the invariant-differential
 oracle applies d letter by letter (Leibniz rule) from the raw structure
 constants and sorts each word by a permutation sign instead of contracting
 and merging, the complex-dimension-one
@@ -156,6 +158,17 @@ def neumann_oracle(f, op, gram, p: int, q: int) -> np.ndarray:
     w = np.linalg.lstsq(bc_laplacian_oracle(op, gram, p, q), f, rcond=1e-9)[0]
     return -1j * adjoint(op("ddbar", p - 1, q - 1), gram(p - 1, q - 1),
                          gram(p, q)) @ w
+
+
+def green_oracle(A, v, cutoff: float = 1e-9) -> Tuple[np.ndarray, float]:
+    """(A^+ v, norm of the projection of v onto ker A) for a Hermitian
+    positive semi-definite A, from its eigendecomposition: an eigenvalue at
+    or below cutoff times the largest counts as kernel."""
+    w, V = np.linalg.eigh(np.asarray(A, dtype=complex))
+    c = V.conj().T @ v
+    ker = w <= cutoff * max(w.max(initial=0.0), 1e-300)
+    inv = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, w))
+    return V @ (inv * c), float(np.linalg.norm(c[ker]))
 
 
 def minimality_residual(v, P, gram_dom, gram_cod) -> float:

@@ -396,3 +396,73 @@ def test_theorem_without_a_measured_order_fails(capsys):
                             "--steps", "1e-4,5e-5"], capsys)
     assert code == 1
     assert "[FAIL] convergence-order" in out and "orders []" in out
+
+
+# an arity-0 tuple is what a target of dimension 2 pairs with
+EMPTY_TUPLE = "tuple empty\nmodel %s\n"
+
+
+def test_moment_pairs_an_empty_tuple_through_a_zero_map(tmp_path, capsys):
+    mf, tf = tmp_path / "zero.map", tmp_path / "e.tuple"
+    mf.write_text("map zero\nsource torus1\ntarget torus2\n"
+                  "row 1 0 0\nrow 2 0 0\n")
+    tf.write_text(EMPTY_TUPLE % "torus1")
+    code, out, err = run_cli(["moment", "--map", str(mf), "--tuple", str(tf)],
+                             capsys)
+    assert code == 0, err
+    assert "[PASS] pairing-value (potential-pairing) - value 0j" in out
+
+
+def test_moment_checks_map_membership_with_an_empty_tuple(tmp_path, capsys):
+    mf, tf = tmp_path / "id.map", tmp_path / "e.tuple"
+    mf.write_text("map id\nsource torus2\ntarget torus2\n"
+                  "row 1 1 0 0 0\nrow 2 0 0 1 0\n")
+    tf.write_text(EMPTY_TUPLE % "torus2")
+    code, out, _ = run_cli(["moment", "--map", str(mf), "--tuple", str(tf)],
+                           capsys)
+    assert code == 1
+    assert "[FAIL] map-membership" in out and "pairing-value" not in out
+
+
+def test_moment_rejects_an_empty_tuple_for_a_larger_target(tmp_path, capsys):
+    tf = tmp_path / "e.tuple"
+    tf.write_text(EMPTY_TUPLE % "iwasawa")
+    code, out, _ = run_cli(["moment", "--map", "iwasawa_to_t3",
+                            "--tuple", str(tf)], capsys)
+    assert code == 1
+    assert ("[FAIL] pairing-value (potential-pairing) - tuple arity 0 does "
+            "not match target dimension 3") in out
+
+
+def test_moment_decides_admissibility_exactly(tmp_path, capsys):
+    # 1e-400 Z_1 is not holomorphic on heis_mixed; its residuals and its
+    # dbar are nonzero but underflow to 0.0 as floats
+    tf = tmp_path / "tiny.tuple"
+    tf.write_text("tuple tiny\nmodel heis_mixed\nxi 1e-400 0 0 0 0 0\n"
+                  "etabar 1e-400 0 0 0 0 0\n")
+    code, out, _ = run_cli(["moment", "--map", "heis_mixed_to_t3",
+                            "--tuple", str(tf)], capsys)
+    assert code == 1
+    assert ("[FAIL] tuple-membership (bracket-contraction-sums-vanish) "
+            "residual=0.000e+00 - lie-algebra certificates: False") in out
+    assert "pairing-value" not in out
+
+
+def test_theorem_rejects_a_field_holomorphic_only_in_floats(capsys):
+    code, out, err = run_cli(["theorem", "--map", "heis_mixed_to_t3",
+                              "--xi", "1e-400,0,0", "--eta", "0,0,1"], capsys)
+    assert code == 2 and out == ""
+    assert "flow field xi is not holomorphic" in err
+    assert "holomorphic=False" in err
+
+
+def test_theorem_reports_an_obstruction_at_every_step(capsys):
+    # the pulled power of t2_immersion_t3 has no potential at any corner
+    code, out, _ = run_cli(["theorem", "--map", "t2_immersion_t3",
+                            "--xi", "1,0", "--eta", "0,1"], capsys)
+    assert code == 1
+    for h in ("0.1", "0.05", "0.025"):
+        assert ("[FAIL] stencil-h-%s (mixed-flow-derivative-vs-contraction) "
+                "- form is not ddbar-exact on the invariant complex" % h) in out
+    assert ("[FAIL] convergence-order (mixed-flow-derivative-vs-contraction) "
+            "- orders []") in out

@@ -15,8 +15,8 @@ from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
 from balmap.forms import wedge
 from balmap.invariant import HH, DiffTerm, InvForm, LieModel
 
-from oracles import (adjoint, bc_laplacian_oracle, minimality_residual,
-                     neumann_oracle, wedge_gram_oracle)
+from oracles import (adjoint, bc_laplacian_oracle, green_oracle,
+                     minimality_residual, neumann_oracle, wedge_gram_oracle)
 from test_properties import dim_of, random_nilpotent_model
 
 IW = MODELS["iwasawa"]
@@ -172,6 +172,25 @@ def test_green_pseudo_inverse_property():
             assert gk.norm() < 1e-10 and hn > 0.9
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_green_matches_the_eigen_projector_oracle(name):
+    # G u to 1e-12 relative, and the harmonic norm to 1e-12 of |u|, at every
+    # bidegree, under the flat metric and a random one
+    model = MODELS[name]
+    rng = random.Random(11)
+    for m in (HermitianMetricSpec.flat(model), rand_metric(rng, model)):
+        ctx = MetricContext(m)
+        for p, q in np.ndindex(model.dim + 1, model.dim + 1):
+            u = rand_form(rng, model, p, q)
+            gu, harm = green_apply(ctx, p, q, u)
+            v = ctx.to_ortho(p, q, u.to_vector(p, q))
+            want, want_harm = green_oracle(delta_bc_ortho(ctx, p, q), v)
+            got = ctx.to_ortho(p, q, gu.to_vector(p, q))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(
+                want), (p, q)
+            assert abs(harm - want_harm) <= 1e-12 * np.linalg.norm(v), (p, q)
+
+
 def test_neumann_reproduction_and_minimality():
     fpull = wedge(wedge(IW.phi(1), IW.phi(2)),
                   wedge(IW.phibar(1), IW.phibar(2)))
@@ -198,6 +217,15 @@ def test_neumann_agrees_with_hand_potential_flat():
 def test_neumann_zero_input():
     gam = neumann_gamma(IW.zero(), HermitianMetricSpec.flat(IW))
     assert gam.norm() == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_zero_target_has_the_zero_potential_on_tori(dim):
+    # at every torus dimension, even 1, where (d-1, d-1) has no ddbar
+    model = MODELS["torus%d" % dim]
+    assert exact_ddbar_solve(model, model.zero()) == model.zero()
+    assert neumann_gamma(model.zero(),
+                         HermitianMetricSpec.flat(model)) == model.zero()
 
 
 def test_neumann_obstruction_on_torus():

@@ -13,6 +13,7 @@ from balmap.exact import CRat, I, ONE
 from balmap.forms import (MixedField, contract, evaluate, lie01, lie10,
                           lie_std, wedge)
 from balmap.hodge import aeppli_dim, bc_dim
+from balmap.moment import lie_g_membership
 from balmap.invariant import (AA, HH, MIX, ANTI, HOLO, DiffTerm, InvForm,
                               InvVectorField, LieModel, ModelError, expm,
                               flow_pullback, format_model, integrate,
@@ -180,6 +181,18 @@ def test_flow_pullback_properties():
     assert abs(out.coeffs[((3,), ())] - np.exp(0.25)) < 1e-13
 
 
+def test_flow_pullback_of_an_inhomogeneous_form_is_the_sum_of_its_parts():
+    # each bidegree flows on its own; Z_1 moves phi^3 to phi^3 - s phi^2
+    a, b = IW.phi(3), wedge(IW.phi(3), IW.phibar(2))
+    for field in (IW.frame(1), IW.frame_bar(1)):
+        parts = flow_pullback(field, 0.3, a) + flow_pullback(field, 0.3, b)
+        assert flow_pullback(field, 0.3, a + b) == parts
+    moved = flow_pullback(IW.frame(1), 0.3, a + b)
+    assert moved.bidegrees() == {(1, 0), (1, 1)}
+    assert abs(moved.coeffs[((2,), ())] + 0.3) < 1e-15
+    assert abs(moved.coeffs[((2,), (2,))] + 0.3) < 1e-15
+
+
 def _expm_error(A):
     """Relative 1-norm distance of expm(A) from scipy.linalg.expm(A)."""
     ref = scipy.linalg.expm(A)
@@ -240,8 +253,8 @@ def test_custom_model_parse_and_validate():
 
 
 def test_repeated_labels_are_summed_everywhere():
-    # d, the bracket table, dbar_field and the cohomology all read the
-    # summed constants: doubled, cancelling and split labels below
+    # d, the bracket table, the field certificates and the cohomology all
+    # read the summed constants: doubled, cancelling and split labels below
     rep = parse_model("name a\ndim 3\ndiff 3 12 -1 0\ndiff 3 12 -1 0\n"
                       "diff 3 1~1 1 0\ndiff 3 1~1 -1 0\n"
                       "diff 3 2~2 1/2 0\ndiff 3 2~2 0 1/2\n")
@@ -264,7 +277,7 @@ def test_repeated_labels_are_summed_everywhere():
     assert d_table(rep) == d_table(summed)
     assert bracket_table(rep) == bracket_table(summed)
     for k in range(1, 4):
-        assert rep.dbar_field(rep.frame(k)) == summed.dbar_field(summed.frame(k))
+        assert lie_g_membership(rep.frame(k)) == lie_g_membership(summed.frame(k))
     for p in range(4):
         for q in range(4):
             assert bc_dim(rep, p, q) == bc_dim(summed, p, q), (p, q)

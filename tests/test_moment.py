@@ -134,6 +134,17 @@ def test_lie_g_membership():
     assert not cert.member and cert.dbar_norm > 0
 
 
+def test_exact_verdicts_survive_float_underflow():
+    # 1e-400 Z_1 on heis_mixed: dbar and both residuals are nonzero forms
+    # whose float norms are 0.0
+    tiny = HM.frame(1, CRat(Fraction(1, 10 ** 400)))
+    cert = lie_g_membership(tiny)
+    assert not cert.holomorphic and cert.dbar_norm == 0.0
+    rep = pg_membership(MomentTuple([tiny], [tiny.conj()]))
+    assert not rep.member and not rep.swap_member and not rep.lie_g_ok
+    assert rep.residual_bar == rep.residual_del == 0.0
+
+
 def test_pg_membership_parallelizable_pairs():
     t = MomentTuple([IW.frame(3)], [IW.frame_bar(3)])
     rep = pg_membership(t)
@@ -234,6 +245,21 @@ def test_mu_multilinearity():
         assert abs(mu_eval(f, t) - lam * base) < 1e-12
         t2 = MomentTuple([IW.frame(3)], [IW.frame_bar(3).scale(CRat(lam))])
         assert abs(mu_eval(f, t2) - lam * base) < 1e-12
+
+
+def test_zero_map_pairs_the_empty_tuple_to_zero():
+    # a 2-dimensional target pairs tuples of arity 0; the zero map pulls
+    # back the zero power, whose potential is zero at any source dimension
+    T1, T2 = MODELS["torus1"], MODELS["torus2"]
+    f = MapSpec("zero", T1, check_balanced(standard_metric_form(T2), T2),
+                [[CRat(0)], [CRat(0)]])
+    t = MomentTuple([], [])
+    assert x_membership(f).member
+    for policy in ("neumann", "any-solution"):
+        assert mu_eval(f, t, gamma_policy=policy) == 0
+    rep = well_definedness_check(f, t, trials=5)
+    assert rep.base_value == 0 and rep.max_deviation == 0
+    assert rep.reversal_ok
 
 
 def test_mu_rejects_inadmissible_tuple():
