@@ -182,14 +182,19 @@ def cmd_moment(args) -> int:
 
     xm = x_membership(f)
     rep.add("map-membership", "pullback-class-vanishing", xm.member,
-            residual=xm.pulled_norm,
+            residual=xm.residual,
             detail=(xm.impossibility or xm.obstruction) if not xm.member
             else xm.scope_note)
+    rep.extra["pulled_norm"] = xm.pulled_norm
     pg = pg_membership(t, f.source)
+    residual = max(pg.residual_bar, pg.residual_del)
+    detail = ("lie-algebra certificates: %s; swap-symmetric: %s"
+              % (pg.lie_g_ok, pg.swap_symmetric))
+    if not pg.member and residual == 0.0:   # exact forms below float range
+        residual = None
+        detail += "; largest residual coefficient %s" % pg.residual_max
     rep.add("tuple-membership", "bracket-contraction-sums-vanish", pg.member,
-            residual=max(pg.residual_bar, pg.residual_del),
-            detail="lie-algebra certificates: %s; swap-symmetric: %s"
-                   % (pg.lie_g_ok, pg.swap_symmetric))
+            residual=residual, detail=detail)
     if not (xm.member and pg.member):
         return _emit(rep, args)
     try:

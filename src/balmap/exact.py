@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm, log10
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -169,6 +169,21 @@ def ipow(k: int) -> CRat:
 
 def is_exact(x) -> bool:
     return isinstance(x, (CRat, int, Fraction))
+
+
+def largest_size(values) -> str:
+    """max |c| over ``values`` as "%.3e" text.  A CRat's size is read from
+    its integers, so a nonzero exact value beyond the float range never
+    reads as 0 or inf; "0" when every value vanishes."""
+    logs = [log10(c._a ** 2 + c._b ** 2) / 2 - log10(c._d) if type(c) is CRat
+            else log10(abs(c)) for c in values if c]
+    if not logs:
+        return "0"
+    k = floor(max(logs))
+    m = round(10 ** (max(logs) - k), 3)
+    if m >= 10:
+        m, k = m / 10, k + 1
+    return "%.3fe%+03d" % (m, k)
 
 
 # -- exact sparse linear algebra over CRat -----------------------------------

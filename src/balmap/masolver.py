@@ -10,16 +10,24 @@ scaling the inner GMRES solves (``_newton_direction``) moves no tolerance.
 
 The Newton iterate is kept as its half spectrum, so a line-search candidate
 is a sum of known spectra and phi returns to real space once; a zero start
-builds A = g as one-point arrays, so the first step's determinant, adjugate
-and weights are one point, the Newton operator equals its preconditioner P,
-and the step is -P^-1 R in closed form with no Krylov solve; and the
-module's restarted GMRES (``gmres``) makes one matvec per inner iteration.
+holds no spectrum at all until its first step is accepted, and builds A = g
+as one-point arrays, so the first step's determinant, adjugate and weights
+are one point, the Newton operator equals its preconditioner P, and the
+step is -P^-1 R in closed form with no Krylov solve; and the module's
+restarted GMRES (``gmres``) makes one matvec per inner iteration.
+
+Work buffers: each Hessian part's symbol times the spectrum goes into one
+complex buffer per ``HessianOp.entries`` call (or per matvec), which every
+part reuses, and its inverse transform writes straight into its entry, the
+entry's real or imaginary plane, or the matvec's term.
 
 Transforms: a grid of fewer than ``SCIPY_FFT_POINTS`` points goes through
 ``numpy.fft``, which is as fast there and loads with numpy; a larger grid
 goes through ``scipy.fft``, imported when the first such ``HessianOp`` is
-built, since numpy.fft is up to 3.3x slower there.  Both transform on the
-calling thread: a worker pool competes with numpy's BLAS threads.
+built, since numpy.fft is up to 3.3x slower there.  The last-axis inverse
+pass is always numpy's, which takes an ``out`` array and is as fast as
+scipy's on that axis.  Both transform on the calling thread: a worker pool
+competes with numpy's BLAS threads.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
@@ -155,12 +163,15 @@ class HessianOp:
     def rfft(self, v: np.ndarray) -> np.ndarray:
         return self._fft.rfftn(v)
 
-    def irfft(self, vhat: np.ndarray) -> np.ndarray:
-        """Real field of the half spectrum ``vhat``, which scipy.fft
-        overwrites on the way."""
+    def irfft(self, vhat: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Real field of the half spectrum ``vhat``.  The lead-axis pass runs
+        in vhat's array under scipy.fft, which overwrites it; the last-axis
+        pass is numpy's, which writes into ``out`` when given: a real grid
+        array, or the real or imaginary plane of a complex one."""
         lead = tuple(range(vhat.ndim - 1))
         vhat = self._fft.ifftn(vhat, axes=lead, **self._overwrite)
-        return self._fft.irfft(vhat, n=self.grid.res, axis=-1)
+        return np.fft.irfft(vhat, n=self.grid.res, axis=-1, out=out)
 
     def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:
         """``vhat`` made, in place, the half spectrum of the real field
@@ -189,16 +200,21 @@ class HessianOp:
 
     def entries(self, vhat: np.ndarray, gram: np.ndarray) -> Hessian:
         """Upper triangle of A = g + H, j <= k, with a real diagonal; A[k,j]
-        is the conjugate.  g is added into each transform's output."""
+        is the conjugate.  Each part's symbol times ``vhat`` is written into
+        one work buffer, which every part reuses; its inverse transform
+        writes straight into the entry, or into the entry's real or
+        imaginary plane, and g is added there."""
         out: Hessian = {}
+        work = np.empty_like(vhat)
         for j, k, imag in self.parts():
-            part = self.irfft(self.symbol(j, k, imag) * vhat)
-            if j == k:
-                out[(j, k)] = part
-            elif not imag:
-                out[(j, k)] = np.empty(part.shape, dtype=complex)
+            if not imag:
+                out[(j, k)] = np.empty(self.grid.shape,
+                                       float if j == k else complex)
             a, g = out[(j, k)], gram[j - 1, k - 1]
-            np.add(part, g.imag if imag else g.real, out=a.imag if imag else a.real)
+            plane = a.imag if imag else a.real
+            np.multiply(self.symbol(j, k, imag), vhat, out=work)
+            self.irfft(work, out=plane)
+            plane += g.imag if imag else g.real
         return out
 
 
@@ -218,8 +234,12 @@ def _det_and_adjugate(A: Hessian, need_adj: bool):
         adj = {(1, 1): np.ones_like(a11)} if need_adj else None
         return a11.copy(), adj, bool(a11.min() > 0)
     a22, a12 = A[(2, 2)], A[(1, 2)]
-    m2 = _abs2(a12)
-    np.subtract(a11 * a22, m2, out=m2)
+    # the leading minor a11 a22 - |a12|^2, with one scratch array beside it
+    m2 = np.square(a12.real)
+    scratch = np.square(a12.imag)
+    m2 += scratch
+    np.subtract(np.multiply(a11, a22, out=scratch), m2, out=m2)
+    del scratch
     if d == 2:
         adj = ({(1, 1): a22, (2, 2): a11, (1, 2): np.negative(a12, out=a12)}
                if need_adj else None)
@@ -237,14 +257,23 @@ def _det_and_adjugate(A: Hessian, need_adj: bool):
 
 
 def _min_eigenvalue(A: Hessian) -> float:
-    """Smallest eigenvalue of A over the grid."""
+    """Smallest eigenvalue of A over the grid.  At d = 2 it is worked out in
+    A's arrays and one scratch array, so A is spent."""
     d = max(A)[0]
     if d == 1:
         return float(A[(1, 1)].min())
-    if d == 2:
-        a11, a22 = A[(1, 1)], A[(2, 2)]
-        disc = np.sqrt((a11 - a22) ** 2 + 4 * np.abs(A[(1, 2)]) ** 2)
-        return float(((a11 + a22 - disc) / 2).min())
+    if d == 2:   # (a11 + a22 - sqrt((a11 - a22)^2 + 4 |a12|^2)) / 2
+        a11, a22, a12 = A[(1, 1)], A[(2, 2)], A[(1, 2)]
+        disc = np.abs(a12)
+        disc *= disc
+        disc *= 4
+        gap = np.subtract(a11, a22, out=a12.real)   # a12 is read no more
+        gap *= gap
+        disc += gap
+        a11 += a22
+        a11 -= np.sqrt(disc, out=disc)
+        a11 /= 2
+        return float(a11.min())
     # d == 3: the cubic's roots are q + 2p cos(t + 2 pi k/3) (Smith, CACM 4,
     # 1961), B = A - q, q = tr(A)/3, 3t the angle of (det B, 2p^3 sin 3t).
     # (2p^3 sin 3t)^2 = (2/3) p^2 |E|^2 is the discriminant as a sum of squares
@@ -387,28 +416,33 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
     op = HessianOp(grid)
     diag = MADiagnostics()
 
-    # the iterate is kept as its half spectrum, mean free; a zero start
-    # needs no transform, and its A = g is one point per entry
+    # the iterate is kept as its half spectrum, mean free; a zero start holds
+    # none (phat is None) and its A = g is one point per entry
+    phat = None
     if phi0 is not None:
         phat = op.rfft(phi0.values)
         phat[(0,) * phat.ndim] = 0.0
-        A = op.entries(phat, g)
-    else:
-        phat = np.zeros(grid.shape[:-1] + (grid.res // 2 + 1,), dtype=complex)
-        A = {(j, k): np.full((1,) * (2 * grid.dim), g[j - 1, k - 1].real
-                             if j == k else g[j - 1, k - 1])
-             for j, k, imag in op.parts() if not imag}
+
+    def hessian(vhat):   # A = g + H for the spectrum vhat, or for phi = 0
+        if vhat is not None:
+            return op.entries(vhat, g)
+        return {(j, k): np.full((1,) * (2 * grid.dim), g[j - 1, k - 1].real
+                                if j == k else g[j - 1, k - 1])
+                for j, k, imag in op.parts() if not imag}
 
     def assemble(A):
         det, _, positive = _det_and_adjugate(A, False)
         return _residual(det, F, detg) + (positive,)
 
+    def result():
+        phi = np.zeros(grid.shape) if phat is None else op.irfft(phat)
+        return MAResult(ScalarField(grid, phi - phi.max()), C, diag)
+
     def fail(msg):
         diag.failure = msg
-        phi = op.irfft(phat)
-        raise NewtonFailure(msg, MAResult(ScalarField(grid, phi - phi.max()),
-                                          C, diag))
+        raise NewtonFailure(msg, result())
 
+    A = hessian(phat)
     C, R, maxres, _ = assemble(A)
     diag.residual_history.append(maxres)
     r0 = max(maxres, 1e-30)
@@ -434,31 +468,36 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
         diag.gmres_iterations += iters
         diag.inner_unconverged += info
 
-        step = 1.0
+        # the candidate phat + step psihat, with psihat halved in place on
+        # each rejection (exact); a zero start's candidate is psihat itself
         for _ in range(25):
-            A = op.entries(phat + step * psi_hat, g)
+            A = hessian(psi_hat if phat is None else phat + psi_hat)
             Cc, R, res_c, positive = assemble(A)
             if res_c < maxres and positive:
                 break
             del A, R
-            step /= 2
+            psi_hat /= 2
             diag.damping_events += 1
             diag.positivity_rejections += not positive
         else:
             diag.residual_history.append(maxres)
-            diag.min_eigenvalue = _min_eigenvalue(op.entries(phat, g))
+            diag.min_eigenvalue = _min_eigenvalue(hessian(phat))
             fail("damping stalled at residual %.3e" % maxres)
-        phat += step * psi_hat   # the accepted candidate: the same sum, same bits
+        if phat is None:
+            phat = psi_hat
+        else:   # the accepted candidate: the same sum, same bits
+            phat += psi_hat
         C, maxres = Cc, res_c
         del psi_hat
         diag.residual_history.append(maxres)
 
     diag.converged = True
+    del R   # before the eigenvalue pass, which spends A
     diag.min_eigenvalue = _min_eigenvalue(A)
+    del A
     # conservation: C * int e^F gamma^d = int gamma^d
     diag.conservation_gap = abs(C * eF_mean * detg - detg) / detg
-    phi = op.irfft(phat)
-    return MAResult(ScalarField(grid, phi - phi.max()), C, diag)
+    return result()
 
 
 def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
@@ -506,15 +545,18 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     R /= scale   # the caller's R, which _solve_ma_direct drops next
     del scale
 
-    def term(vhat, w, part, out=None):   # w irfft(symbol vhat), in t or out
-        t = op.irfft(op.symbol(*part) * vhat)
-        return np.multiply(t, w, out=t if out is None else out)
+    def term(vhat, w, part, work, out=None):   # w irfft(symbol vhat)
+        np.multiply(op.symbol(*part), vhat, out=work)
+        out = op.irfft(work, out=out)
+        out *= w
+        return out
 
     def matvec(y_flat):   # summed in R's array, which gmres no longer reads
         vhat = inv_p_hat(y_flat)
-        out = term(vhat, weights[0], parts[0], out=R)
+        work = np.empty_like(vhat)   # every term's symbol * vhat
+        out = term(vhat, weights[0], parts[0], work, out=R)
         for w, part in zip(weights[1:], parts[1:]):
-            out += term(vhat, w, part)
+            out += term(vhat, w, part, work)
         return out.ravel()
 
     # R, not -R, on the right and psi = -P^-1 y: GMRES is odd in the

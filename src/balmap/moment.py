@@ -22,13 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CRat, ONE, I
+from .exact import CRat, ONE, I, largest_size
 from .forms import contract, evaluate, lie01, lie10, lie_bracket, wedge
 from .invariant import (ANTI, HOLO, InvForm, InvVectorField, LieModel,
-                        data_lines, flow_pullback, integrate, wedge_power,
-                        ParseError)
+                        data_lines, flow_pullback, integrate, operator_matrix,
+                        wedge_power, ParseError)
 from .hodge import (ClassObstructionError, HermitianMetricSpec, MetricContext,
-                    exact_ddbar_solve, neumann_gamma)
+                    exact_ddbar_solve, neumann_gamma, operator_rows)
 
 
 # -- the sign-critical identities ----------------------------------------------
@@ -228,12 +228,26 @@ class MembershipReport:
     obstruction: Optional[str] = None
     impossibility: Optional[str] = None
     pulled_norm: float = 0.0
+    residual: float = 0.0   # of i ddbar Gamma = f* omega^(n-1), least squares
     scope_note: str = ("membership certified within the invariant complex "
                        "of the source model")
 
 
+def _ddbar_lstsq_residual(model: LieModel, P: InvForm) -> float:
+    """min over invariant Gamma of ||i ddbar Gamma - P|| in P's coefficients;
+    all of ||P|| where no ddbar reaches P's bidegree."""
+    p, q = P.bidegree()
+    if p < 1 or q < 1:
+        return P.norm()
+    M = operator_matrix(operator_rows(model, "ddbar", p - 1, q - 1),
+                        len(model.basis_keys(p - 1, q - 1)))
+    b = P.to_vector(p, q)   # i M has the image of M
+    return float(np.linalg.norm(M @ np.linalg.lstsq(M, b, rcond=None)[0] - b))
+
+
 def x_membership(f: MapSpec) -> MembershipReport:
-    """Does the pulled-back power admit an invariant potential?"""
+    """Does the pulled-back power admit an invariant potential?  The
+    residual is 0 for the exact potential, else the least-squares one."""
     P = f.pulled_power()
     d, n = f.source.dim, f.target.n
     gamma = exact_ddbar_solve(f.source, P)
@@ -248,7 +262,8 @@ def x_membership(f: MapSpec) -> MembershipReport:
                "ddbar-exact top form would integrate to zero, so membership "
                "is impossible for a somewhere non-degenerate map" % (total,))
     return MembershipReport(member=False, obstruction=msg, impossibility=imp,
-                            pulled_norm=P.norm())
+                            pulled_norm=P.norm(),
+                            residual=_ddbar_lstsq_residual(f.source, P))
 
 
 @dataclass
@@ -257,6 +272,10 @@ class FieldCertificate:
     volume_preserving: bool
     dbar_norm: float
     lie_volume_norm: float
+    # the largest entry of dbar xi and of L_xi dV, as ``largest_size`` text:
+    # nonzero where an exact entry is, however small its float norm
+    dbar_max: str = "0"
+    lie_volume_max: str = "0"
 
     @property
     def member(self) -> bool:
@@ -279,7 +298,9 @@ def lie_g_membership(xi: InvVectorField) -> FieldCertificate:
     return FieldCertificate(holomorphic=not any(dbar),
                             volume_preserving=not lv,
                             dbar_norm=dbar_norm,
-                            lie_volume_norm=lv.norm())
+                            lie_volume_norm=lv.norm(),
+                            dbar_max=largest_size(dbar),
+                            lie_volume_max=largest_size(lv.coeffs.values()))
 
 
 class MomentTuple:
@@ -322,6 +343,9 @@ class PgReport:
     lie_g_ok: bool
     swap_member: bool
     swap_symmetric: bool
+    # the largest coefficient of either residual form, as ``largest_size``
+    # text: nonzero where an exact coefficient is, however small its float
+    residual_max: str = "0"
 
 
 def pg_membership(t: MomentTuple, model: Optional[LieModel] = None) -> PgReport:
@@ -333,21 +357,26 @@ def pg_membership(t: MomentTuple, model: Optional[LieModel] = None) -> PgReport:
     is reported rather than assumed away.
     """
     model = model or t.model()
+    if model is None:
+        raise ValidationError("an arity-0 tuple names no model; pass the "
+                              "model to pg_membership")
     dV = model.volume_form()
 
     def residuals(xis, etabars):
         forms = tuple_residual_forms(xis, etabars, dV)
         member = all(not u if u.is_exact_coeffs()
                      else u.norm() <= ADMISSIBLE_TOL for u in forms)
-        return member, forms[0].norm(), forms[1].norm()
+        return member, forms
 
-    member, rb, rd = residuals(t.xis, t.etabars)
+    member, forms = residuals(t.xis, t.etabars)
     swap_member = residuals([eb.conj() for eb in t.etabars],
                             [xi.conj() for xi in t.xis])[0]
     lie_ok = all(c.member for c in t.field_certificates())
-    return PgReport(member=member, residual_bar=rb, residual_del=rd,
-                    lie_g_ok=lie_ok, swap_member=swap_member,
-                    swap_symmetric=member == swap_member)
+    return PgReport(member=member, residual_bar=forms[0].norm(),
+                    residual_del=forms[1].norm(), lie_g_ok=lie_ok,
+                    swap_member=swap_member, swap_symmetric=member == swap_member,
+                    residual_max=largest_size(
+                        [c for u in forms for c in u.coeffs.values()]))
 
 
 # -- the pairing and its invariances ----------------------------------------------
@@ -516,8 +545,12 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
     for name, v in (("xi", xi), ("eta", eta)):
         cert = lie_g_membership(v)
         if not cert.member:
-            raise ValidationError("flow field %s is not holomorphic volume "
-                                  "preserving: %r" % (name, cert))
+            raise ValidationError(
+                "flow field %s is not holomorphic volume preserving: "
+                "holomorphic=%s (largest dbar entry %s), volume_preserving=%s "
+                "(largest L_xi dV coefficient %s)"
+                % (name, cert.holomorphic, cert.dbar_max,
+                   cert.volume_preserving, cert.lie_volume_max))
     P = f.pulled_power()
     Pf = InvForm(model, {k: complex(c) for k, c in P.coeffs.items()})
     etabar = eta.conj()

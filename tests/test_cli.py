@@ -443,8 +443,11 @@ def test_moment_decides_admissibility_exactly(tmp_path, capsys):
     code, out, _ = run_cli(["moment", "--map", "heis_mixed_to_t3",
                             "--tuple", str(tf)], capsys)
     assert code == 1
-    assert ("[FAIL] tuple-membership (bracket-contraction-sums-vanish) "
-            "residual=0.000e+00 - lie-algebra certificates: False") in out
+    # the residual forms' float norms underflow: no residual=0 is printed,
+    # and the detail gives their size from the exact coefficients
+    assert ("[FAIL] tuple-membership (bracket-contraction-sums-vanish) - "
+            "lie-algebra certificates: False; swap-symmetric: True; largest "
+            "residual coefficient 1.000e-800") in out
     assert "pairing-value" not in out
 
 
@@ -453,7 +456,28 @@ def test_theorem_rejects_a_field_holomorphic_only_in_floats(capsys):
                               "--xi", "1e-400,0,0", "--eta", "0,0,1"], capsys)
     assert code == 2 and out == ""
     assert "flow field xi is not holomorphic" in err
-    assert "holomorphic=False" in err
+    assert "holomorphic=False (largest dbar entry 1.000e-400)" in err
+    assert "dbar_norm" not in err
+
+
+def test_map_membership_reports_the_ddbar_solve_residual(tmp_path, capsys):
+    # the residual is the ddbar solve's: 0 for the exact potential, the
+    # least-squares one when obstructed; the pulled-back norm goes in extra
+    tf = tmp_path / "t.tuple"
+    tf.write_text(TUPLE_Z3)
+    code, out, _ = run_cli(["moment", "--map", "iwasawa_to_t3", "--tuple",
+                            str(tf), "--format", "structured"], capsys)
+    header, rec = (json.loads(line) for line in out.splitlines()[:2])
+    assert code == 0 and rec["name"] == "map-membership"
+    assert rec["residual"] == 0.0 and header["extra"]["pulled_norm"] > 0
+    # on a torus ddbar vanishes on invariant forms: the least-squares
+    # residual is the whole pulled-back power
+    tf.write_text("tuple t\nmodel torus2\nxi 1 0 0 0\netabar 0 0 1 0\n")
+    code, out, _ = run_cli(["moment", "--map", "t2_immersion_t3", "--tuple",
+                            str(tf), "--format", "structured"], capsys)
+    header, rec = (json.loads(line) for line in out.splitlines()[:2])
+    assert code == 1 and rec["status"] == "fail"
+    assert rec["residual"] == header["extra"]["pulled_norm"] == 1.0
 
 
 def test_theorem_reports_an_obstruction_at_every_step(capsys):

@@ -389,9 +389,9 @@ def test_transform_budget_of_a_zero_start_solve(monkeypatch, grid, modes):
     for name in calls:
         real = getattr(HessianOp, name)
 
-        def spy(self, v, name=name, real=real):
+        def spy(self, v, name=name, real=real, **out):
             calls[name] += 1
-            return real(self, v)
+            return real(self, v, **out)
         monkeypatch.setattr(HessianOp, name, spy)
     F = ScalarField.from_modes(grid, modes)
     d = solve_ma(F, np.eye(grid.dim), tol=1e-9).diagnostics
@@ -471,6 +471,7 @@ def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
             peaks[name].append(peak / grid_array)
             return out
         monkeypatch.setattr(masolver, name, spy)
+    HessianOp(grid)   # imports scipy.fft before tracing, also when run alone
     tracemalloc.start()
     try:
         diag = solve_ma(F, _GRAM2, tol=1e-10).diagnostics
@@ -481,6 +482,45 @@ def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
     assert max(peaks["gmres"]) <= 10
     assert len(peaks["gmres"]) == diag.newton_iterations - 1
     assert peaks["_newton_direction"][0] <= 7
+
+
+def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
+    # the benchmark's grid-bound d = 2 shape, one closed-form Newton step:
+    # tracemalloc peaks of each phase, counted from the solve's start (the
+    # forcing is the caller's, and a warm-up solve has loaded scipy.fft) in
+    # float64 grid arrays.  A zero start holds no spectrum, so the line
+    # search holds the step's spectrum and the entries; each part transform
+    # writes into its entry through one work buffer; the determinant holds
+    # one scratch array beside its result, and the smallest eigenvalue works
+    # in A's arrays.  A full-size temporary per part, a zero spectrum or a
+    # second scratch array breaks the bound
+    grid = TorusGrid(2, 32)
+    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.1)])
+    solve_ma(F, np.eye(2), tol=1e-9)
+    grid_array = 8 * grid.points
+    peaks = {}
+    targets = [(HessianOp, "entries")] + [
+        (masolver, name) for name in ("_det_and_adjugate", "_residual",
+                                      "_min_eigenvalue")]
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def spy(*args, name=name, real=real):
+            tracemalloc.reset_peak()
+            out = real(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks.setdefault(name, []).append(peak / grid_array)
+            return out
+        monkeypatch.setattr(owner, name, spy)
+    tracemalloc.start()
+    try:
+        diag = solve_ma(F, np.eye(2), tol=1e-9).diagnostics
+    finally:
+        tracemalloc.stop()
+    assert diag.converged and diag.newton_iterations == 1
+    assert set(peaks) == {name for _, name in targets}
+    for name, got in peaks.items():
+        assert max(got) <= 7.5, (name, got)
 
 
 _ZERO_STARTS = [

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from balmap import moment
 from balmap.catalog import MODELS, get_map, standard_metric_form
 from balmap.exact import CRat, I
 from balmap.forms import wedge
@@ -143,6 +144,45 @@ def test_exact_verdicts_survive_float_underflow():
     rep = pg_membership(MomentTuple([tiny], [tiny.conj()]))
     assert not rep.member and not rep.swap_member and not rep.lie_g_ok
     assert rep.residual_bar == rep.residual_del == 0.0
+
+
+def test_exact_sizes_survive_float_underflow():
+    # the same forms' sizes, read from their exact coefficients
+    tiny = HM.frame(1, CRat(Fraction(1, 10 ** 400)))
+    assert lie_g_membership(tiny).dbar_max == "1.000e-400"
+    assert lie_g_membership(IW.frame(1)).dbar_max == "0"
+    rep = pg_membership(MomentTuple([tiny], [tiny.conj()]))
+    assert rep.residual_max == "1.000e-800"
+    rep = pg_membership(MomentTuple([IW.frame(3)], [IW.frame_bar(3)]))
+    assert rep.member and rep.residual_max == "0"
+
+
+def test_pg_membership_of_an_empty_tuple_needs_its_model():
+    with pytest.raises(ValidationError, match="arity-0 tuple names no model"):
+        pg_membership(MomentTuple([], []))
+    assert pg_membership(MomentTuple([], []), MODELS["torus2"]).member
+
+
+def test_map_membership_residual_is_the_least_squares_one():
+    # 0 for a member; on a torus, where ddbar vanishes, all of the power
+    rep = x_membership(get_map("iwasawa_to_t3"))
+    assert rep.member and rep.residual == 0.0 and rep.pulled_norm > 0
+    rep = x_membership(get_map("t2_immersion_t3"))
+    assert not rep.member and rep.residual == rep.pulled_norm == 1.0
+    # on iwasawa the residual ignores any ddbar-exact part and is at most
+    # the norm of the form
+    rng = random.Random(3)
+    keys = IW.basis_keys(1, 1)
+    gamma = InvForm(IW, {k: CRat(rng.randint(-3, 3), rng.randint(-3, 3))
+                         for k in keys})
+    exact = IW.ce_del(IW.ce_delbar(gamma)).scale(1j)
+    assert exact.norm() > 1 and moment._ddbar_lstsq_residual(IW, exact) < 1e-12
+    u = InvForm(IW, {k: complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                     for k in IW.basis_keys(2, 2)})
+    r = moment._ddbar_lstsq_residual(IW, u)
+    assert 0 < r <= u.norm()
+    assert moment._ddbar_lstsq_residual(IW, u + exact) == pytest.approx(
+        r, rel=1e-12)
 
 
 def test_pg_membership_parallelizable_pairs():
