@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
-from .exact import CRat
+from .exact import CRat, largest_size
 from .invariant import (HOLO, InvVectorField, LieModel, ModelError,
                         ParseError, load_model)
 from .catalog import CATALOG_MAPS, MODELS, get_map
@@ -162,7 +162,8 @@ def cmd_cohomology(args) -> int:
 def cmd_moment(args) -> int:
     from .hodge import ClassObstructionError
     from .moment import (MomentTuple, ValidationError, load_tuple,
-                         pg_membership, well_definedness_check, x_membership)
+                         pg_membership, tuple_residual_forms,
+                         well_definedness_check, x_membership)
     try:
         f = _resolve_map(args.map, MODELS)
         tuple_name, t = load_tuple(args.tuple, MODELS)
@@ -191,8 +192,10 @@ def cmd_moment(args) -> int:
     detail = ("lie-algebra certificates: %s; swap-symmetric: %s"
               % (pg.lie_g_ok, pg.swap_symmetric))
     if not pg.member and residual == 0.0:   # exact forms below float range
+        forms = tuple_residual_forms(t.xis, t.etabars, f.source.volume_form())
         residual = None
-        detail += "; largest residual coefficient %s" % pg.residual_max
+        detail += "; largest residual coefficient %s" % largest_size(
+            [c for u in forms for c in u.coeffs.values()])
     rep.add("tuple-membership", "bracket-contraction-sums-vanish", pg.member,
             residual=residual, detail=detail)
     if not (xm.member and pg.member):

@@ -192,7 +192,8 @@ def neumann_gamma(fpull: InvForm,
     invariant potential: decided exactly (``exact_ddbar_solve``) when every
     coefficient is a CRat, else by the residual relative to ``SOLVE_TOL``.
     The output is the invariant Neumann representative for this metric, and
-    the zero form for a zero input, at any bidegree.  Pass a
+    the zero form for a zero input, at any bidegree; a nonzero form below
+    bidegree (1,1) is obstructed with all of its norm as residual.  Pass a
     MetricContext as ``metric`` to reuse its Grams and operators across calls.
     """
     ctx = metric if isinstance(metric, MetricContext) else MetricContext(metric)
@@ -203,9 +204,9 @@ def neumann_gamma(fpull: InvForm,
     if bid is None:
         raise ValueError("need a homogeneous form")
     p, q = bid
-    if p < 1 or q < 1:
-        raise ValueError("need a form of bidegree at least (1,1)")
     fo = ctx.to_ortho(p, q, fpull.to_vector(p, q))
+    if p < 1 or q < 1:   # no ddbar reaches (p,q): all of fpull is residual
+        raise ClassObstructionError(float(np.linalg.norm(fo)))
     Po = ctx.ortho_op(ctx.op_deldelbar(p - 1, q - 1), (p - 1, q - 1), (p, q))
     sol = np.linalg.lstsq(Po, fo, rcond=None)[0]
     resid = float(np.linalg.norm(Po @ sol - fo))

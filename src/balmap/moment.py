@@ -25,10 +25,10 @@ import numpy as np
 from .exact import CRat, ONE, I, largest_size
 from .forms import contract, evaluate, lie01, lie10, lie_bracket, wedge
 from .invariant import (ANTI, HOLO, InvForm, InvVectorField, LieModel,
-                        data_lines, flow_pullback, integrate, operator_matrix,
-                        wedge_power, ParseError)
+                        data_lines, flow_pullback, integrate, wedge_power,
+                        ParseError)
 from .hodge import (ClassObstructionError, HermitianMetricSpec, MetricContext,
-                    exact_ddbar_solve, neumann_gamma, operator_rows)
+                    exact_ddbar_solve, neumann_gamma)
 
 
 # -- the sign-critical identities ----------------------------------------------
@@ -228,26 +228,15 @@ class MembershipReport:
     obstruction: Optional[str] = None
     impossibility: Optional[str] = None
     pulled_norm: float = 0.0
-    residual: float = 0.0   # of i ddbar Gamma = f* omega^(n-1), least squares
+    residual: float = 0.0   # of i ddbar Gamma = f* omega^(n-1)
     scope_note: str = ("membership certified within the invariant complex "
                        "of the source model")
 
 
-def _ddbar_lstsq_residual(model: LieModel, P: InvForm) -> float:
-    """min over invariant Gamma of ||i ddbar Gamma - P|| in P's coefficients;
-    all of ||P|| where no ddbar reaches P's bidegree."""
-    p, q = P.bidegree()
-    if p < 1 or q < 1:
-        return P.norm()
-    M = operator_matrix(operator_rows(model, "ddbar", p - 1, q - 1),
-                        len(model.basis_keys(p - 1, q - 1)))
-    b = P.to_vector(p, q)   # i M has the image of M
-    return float(np.linalg.norm(M @ np.linalg.lstsq(M, b, rcond=None)[0] - b))
-
-
 def x_membership(f: MapSpec) -> MembershipReport:
     """Does the pulled-back power admit an invariant potential?  The
-    residual is 0 for the exact potential, else the least-squares one."""
+    residual is 0 for the exact potential, else the least-squares residual
+    of neumann_gamma under the flat metric."""
     P = f.pulled_power()
     d, n = f.source.dim, f.target.n
     gamma = exact_ddbar_solve(f.source, P)
@@ -261,9 +250,13 @@ def x_membership(f: MapSpec) -> MembershipReport:
                "pulled-back power integrates to %r > 0; by Stokes a "
                "ddbar-exact top form would integrate to zero, so membership "
                "is impossible for a somewhere non-degenerate map" % (total,))
-    return MembershipReport(member=False, obstruction=msg, impossibility=imp,
-                            pulled_norm=P.norm(),
-                            residual=_ddbar_lstsq_residual(f.source, P))
+    try:
+        neumann_gamma(P, HermitianMetricSpec.flat(f.source))
+    except ClassObstructionError as e:
+        return MembershipReport(member=False, obstruction=msg,
+                                impossibility=imp, pulled_norm=P.norm(),
+                                residual=e.residual)
+    raise ArithmeticError("exact and least-squares ddbar solves disagree")
 
 
 @dataclass
@@ -272,35 +265,34 @@ class FieldCertificate:
     volume_preserving: bool
     dbar_norm: float
     lie_volume_norm: float
-    # the largest entry of dbar xi and of L_xi dV, as ``largest_size`` text:
-    # nonzero where an exact entry is, however small its float norm
-    dbar_max: str = "0"
-    lie_volume_max: str = "0"
 
     @property
     def member(self) -> bool:
         return self.holomorphic and self.volume_preserving
 
 
+def _dbar_entries(xi: InvVectorField) -> list:
+    """The (b, k) entries of dbar xi: the phibar^b coefficient of
+    xi . d phi^k (only dbar phi^k reaches it)."""
+    parts = [contract(xi, u) for u in xi.model.dphi]
+    return [u.coefficient((), (b,)) for b in range(1, xi.model.dim + 1)
+            for u in parts]
+
+
 def lie_g_membership(xi: InvVectorField) -> FieldCertificate:
     """Holomorphy and volume preservation of an invariant (1,0)-field.
 
-    The (b, k) entry of dbar xi is the phibar^b coefficient of xi . d phi^k
-    (only dbar phi^k reaches it); exact entries give an exact verdict."""
+    Holomorphy is read from the entries of dbar xi; exact entries give an
+    exact verdict."""
     if xi.kind != HOLO:
         raise ValidationError("membership applies to (1,0)-fields")
-    model = xi.model
-    parts = [contract(xi, u) for u in model.dphi]
-    dbar = [u.coefficient((), (b,)) for b in range(1, model.dim + 1)
-            for u in parts]
+    dbar = _dbar_entries(xi)
     dbar_norm = float(np.sqrt(sum(abs(complex(c)) ** 2 for c in dbar)))
-    lv = lie10(xi, model.volume_form())
+    lv = lie10(xi, xi.model.volume_form())
     return FieldCertificate(holomorphic=not any(dbar),
                             volume_preserving=not lv,
                             dbar_norm=dbar_norm,
-                            lie_volume_norm=lv.norm(),
-                            dbar_max=largest_size(dbar),
-                            lie_volume_max=largest_size(lv.coeffs.values()))
+                            lie_volume_norm=lv.norm())
 
 
 class MomentTuple:
@@ -343,9 +335,6 @@ class PgReport:
     lie_g_ok: bool
     swap_member: bool
     swap_symmetric: bool
-    # the largest coefficient of either residual form, as ``largest_size``
-    # text: nonzero where an exact coefficient is, however small its float
-    residual_max: str = "0"
 
 
 def pg_membership(t: MomentTuple, model: Optional[LieModel] = None) -> PgReport:
@@ -366,17 +355,15 @@ def pg_membership(t: MomentTuple, model: Optional[LieModel] = None) -> PgReport:
         forms = tuple_residual_forms(xis, etabars, dV)
         member = all(not u if u.is_exact_coeffs()
                      else u.norm() <= ADMISSIBLE_TOL for u in forms)
-        return member, forms
+        return member, forms[0].norm(), forms[1].norm()
 
-    member, forms = residuals(t.xis, t.etabars)
+    member, rb, rd = residuals(t.xis, t.etabars)
     swap_member = residuals([eb.conj() for eb in t.etabars],
                             [xi.conj() for xi in t.xis])[0]
     lie_ok = all(c.member for c in t.field_certificates())
-    return PgReport(member=member, residual_bar=forms[0].norm(),
-                    residual_del=forms[1].norm(), lie_g_ok=lie_ok,
-                    swap_member=swap_member, swap_symmetric=member == swap_member,
-                    residual_max=largest_size(
-                        [c for u in forms for c in u.coeffs.values()]))
+    return PgReport(member=member, residual_bar=rb, residual_del=rd,
+                    lie_g_ok=lie_ok, swap_member=swap_member,
+                    swap_symmetric=member == swap_member)
 
 
 # -- the pairing and its invariances ----------------------------------------------
@@ -549,8 +536,9 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
                 "flow field %s is not holomorphic volume preserving: "
                 "holomorphic=%s (largest dbar entry %s), volume_preserving=%s "
                 "(largest L_xi dV coefficient %s)"
-                % (name, cert.holomorphic, cert.dbar_max,
-                   cert.volume_preserving, cert.lie_volume_max))
+                % (name, cert.holomorphic, largest_size(_dbar_entries(v)),
+                   cert.volume_preserving,
+                   largest_size(lie10(v, model.volume_form()).coeffs.values())))
     P = f.pulled_power()
     Pf = InvForm(model, {k: complex(c) for k, c in P.coeffs.items()})
     etabar = eta.conj()

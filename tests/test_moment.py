@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from balmap import moment
 from balmap.catalog import MODELS, get_map, standard_metric_form
-from balmap.exact import CRat, I
+from balmap.exact import CRat, I, largest_size
 from balmap.forms import wedge
-from balmap.hodge import HermitianMetricSpec
+from balmap.hodge import (ClassObstructionError, HermitianMetricSpec,
+                          MetricContext, neumann_gamma)
 from balmap.invariant import ANTI, HOLO, InvForm, InvVectorField
 from balmap.moment import (BalancedTarget, MapSpec, MomentTuple, ValidationError,
                            chart_contraction_derivative_trials,
@@ -20,7 +20,8 @@ from balmap.moment import (BalancedTarget, MapSpec, MomentTuple, ValidationError
                            invariant_contraction_derivative_check,
                            iterated_contraction, lie_g_membership, mu_eval,
                            omega_eval, parse_mapspec, parse_tuple,
-                           pg_membership, well_definedness_check, x_membership)
+                           pg_membership, tuple_residual_forms,
+                           well_definedness_check, x_membership)
 from balmap.symalg import standard_volume
 
 IW = MODELS["iwasawa"]
@@ -149,12 +150,15 @@ def test_exact_verdicts_survive_float_underflow():
 def test_exact_sizes_survive_float_underflow():
     # the same forms' sizes, read from their exact coefficients
     tiny = HM.frame(1, CRat(Fraction(1, 10 ** 400)))
-    assert lie_g_membership(tiny).dbar_max == "1.000e-400"
-    assert lie_g_membership(IW.frame(1)).dbar_max == "0"
-    rep = pg_membership(MomentTuple([tiny], [tiny.conj()]))
-    assert rep.residual_max == "1.000e-800"
-    rep = pg_membership(MomentTuple([IW.frame(3)], [IW.frame_bar(3)]))
-    assert rep.member and rep.residual_max == "0"
+    forms = tuple_residual_forms([tiny], [tiny.conj()], HM.volume_form())
+    assert largest_size([c for u in forms for c in u.coeffs.values()]) \
+        == "1.000e-800"
+    assert largest_size([CRat(0), 0, CRat(-3, 4), 2.5]) == "5.000e+00"  # |-3+4i|
+    assert largest_size([CRat(0)]) == "0"
+    with pytest.raises(ValidationError, match=r"holomorphic=False \(largest "
+                       r"dbar entry 1\.000e-400\), volume_preserving=True "
+                       r"\(largest L_xi dV coefficient 0\)"):
+        flow_derivative_check(get_map("heis_mixed_to_t3"), tiny, HM.frame(3))
 
 
 def test_pg_membership_of_an_empty_tuple_needs_its_model():
@@ -163,26 +167,25 @@ def test_pg_membership_of_an_empty_tuple_needs_its_model():
     assert pg_membership(MomentTuple([], []), MODELS["torus2"]).member
 
 
-def test_map_membership_residual_is_the_least_squares_one():
-    # 0 for a member; on a torus, where ddbar vanishes, all of the power
+def test_map_membership_residual_is_the_neumann_solves():
+    # 0 for a member; else the residual neumann_gamma raises under the flat
+    # metric, which the theorem path reports for the same power
     rep = x_membership(get_map("iwasawa_to_t3"))
     assert rep.member and rep.residual == 0.0 and rep.pulled_norm > 0
-    rep = x_membership(get_map("t2_immersion_t3"))
-    assert not rep.member and rep.residual == rep.pulled_norm == 1.0
-    # on iwasawa the residual ignores any ddbar-exact part and is at most
-    # the norm of the form
-    rng = random.Random(3)
-    keys = IW.basis_keys(1, 1)
-    gamma = InvForm(IW, {k: CRat(rng.randint(-3, 3), rng.randint(-3, 3))
-                         for k in keys})
-    exact = IW.ce_del(IW.ce_delbar(gamma)).scale(1j)
-    assert exact.norm() > 1 and moment._ddbar_lstsq_residual(IW, exact) < 1e-12
-    u = InvForm(IW, {k: complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                     for k in IW.basis_keys(2, 2)})
-    r = moment._ddbar_lstsq_residual(IW, u)
-    assert 0 < r <= u.norm()
-    assert moment._ddbar_lstsq_residual(IW, u + exact) == pytest.approx(
-        r, rel=1e-12)
+    f = get_map("t2_immersion_t3")
+    rep = x_membership(f)
+    with pytest.raises(ClassObstructionError) as e:
+        neumann_gamma(f.pulled_power(), HermitianMetricSpec.flat(f.source))
+    assert not rep.member and rep.residual == e.value.residual > 0
+
+
+def test_neumann_obstruction_below_bidegree_one_one():
+    # no ddbar reaches a (0,0)-form: all of its norm is residual
+    ctx = MetricContext(HermitianMetricSpec.flat(MODELS["torus2"]))
+    two = InvForm(MODELS["torus2"], {((), ()): CRat(2)})
+    with pytest.raises(ClassObstructionError) as e:
+        neumann_gamma(two, ctx)
+    assert e.value.residual == pytest.approx(abs(ctx.inner(two, two)) ** 0.5)
 
 
 def test_pg_membership_parallelizable_pairs():
