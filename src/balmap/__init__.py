@@ -30,7 +30,7 @@ from .exact import CRat
 from .forms import (Form, Field, MixedField, contract, evaluate, lie01, lie10,
                     lie_bracket, lie_std, wedge)
 from .invariant import (InvForm, InvVectorField, LieModel, flow_pullback,
-                        integrate, load_model, parse_model, save_model)
+                        integrate, load_model, parse_model)
 from .catalog import CATALOG_MAPS, MODELS, get_map, get_model
 
 # these layers load on first use: symalg is the chart calculus that only the
@@ -43,7 +43,7 @@ LAZY_NAMES = {
                "mixed_second_derivative_check"),
     "hodge": ("ClassObstructionError", "HermitianMetricSpec", "MetricContext",
               "aeppli_dim", "bc_dim", "green_apply", "neumann_gamma"),
-    "moment": ("BalancedTarget", "MapSpec", "MomentTuple", "check_balanced",
+    "moment": ("BalancedTarget", "MapSpec", "MomentTuple",
                "flow_derivative_check", "lie_g_membership", "mu_eval",
                "omega_eval", "pg_membership", "well_definedness_check",
                "x_membership"),

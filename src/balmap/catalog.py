@@ -11,15 +11,10 @@ the mixed-flow derivative check is exercised away from zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict
 
 from .exact import CRat, ONE, I
 from .invariant import HH, MIX, DiffTerm, LieModel
-
-
-def _m(name: str, dim: int, diff, vol=1) -> LieModel:
-    return LieModel(name, dim, diff, Fraction(vol))
 
 
 def build_models() -> Dict[str, LieModel]:
@@ -28,12 +23,13 @@ def build_models() -> Dict[str, LieModel]:
         t = LieModel.torus(d)
         models[t.name] = t
     # d(phi3) = -phi1 ^ phi2
-    models["iwasawa"] = _m("iwasawa", 3, {3: [DiffTerm(HH, 1, 2, CRat(-1))]})
+    models["iwasawa"] = LieModel("iwasawa", 3, {
+        3: [DiffTerm(HH, 1, 2, CRat(-1))]})
     # d(phi3) = -phi1 ^ phi2 + phi1 ^ phibar1
-    models["heis_mixed"] = _m("heis_mixed", 3, {
+    models["heis_mixed"] = LieModel("heis_mixed", 3, {
         3: [DiffTerm(HH, 1, 2, CRat(-1)), DiffTerm(MIX, 1, 1, ONE)]})
     # complex parallelizable solvable: d(phi2) = -phi1^phi2, d(phi3) = phi1^phi3
-    models["nakamura"] = _m("nakamura", 3, {
+    models["nakamura"] = LieModel("nakamura", 3, {
         2: [DiffTerm(HH, 1, 2, CRat(-1))],
         3: [DiffTerm(HH, 1, 3, ONE)]})
     return models

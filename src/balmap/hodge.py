@@ -35,9 +35,9 @@ SOLVE_TOL = 1e-8  # residual bound, relative, on a float target's potential
 class ClassObstructionError(ValueError):
     """The given form is not in the image of ddbar on the invariant complex."""
 
-    def __init__(self, residual: float, msg: Optional[str] = None):
-        super().__init__(msg or "form is not ddbar-exact on the invariant "
-                                "complex (projection residual %.3e)" % residual)
+    def __init__(self, residual: float):
+        super().__init__("form is not ddbar-exact on the invariant complex "
+                         "(projection residual %.3e)" % residual)
         self.residual = residual
 
 
@@ -122,21 +122,11 @@ class MetricContext:
         H = self.gram(p, q)
         return complex(v.to_vector(p, q).conj() @ H @ u.to_vector(p, q))
 
-    # raw operator matrices (wedge-basis coordinates, metric independent)
-
-    def _op(self, kind: str, p: int, q: int) -> np.ndarray:
+    def op(self, kind: str, p: int, q: int) -> np.ndarray:
+        """Raw wedge-basis matrix of ``operator_rows(model, kind, p, q)``."""
         return self._cached(("op", kind, p, q), lambda: operator_matrix(
             operator_rows(self.model, kind, p, q),
             len(self.model.basis_keys(p, q))))
-
-    def op_del(self, p: int, q: int) -> np.ndarray:
-        return self._op("del", p, q)
-
-    def op_delbar(self, p: int, q: int) -> np.ndarray:
-        return self._op("delbar", p, q)
-
-    def op_deldelbar(self, p: int, q: int) -> np.ndarray:
-        return self._op("ddbar", p, q)
 
     # orthonormalized operators: adjoint = conjugate transpose
 
@@ -155,12 +145,12 @@ def delta_bc_ortho(ctx: MetricContext, p: int, q: int) -> np.ndarray:
     construction.  A factor through an empty space contributes zero.
     """
     O = ctx.ortho_op
-    D = O(ctx.op_del(p, q), (p, q), (p + 1, q))
-    Db = O(ctx.op_delbar(p, q), (p, q), (p, q + 1))
-    P = O(ctx.op_deldelbar(p, q), (p, q), (p + 1, q + 1))
-    P2 = O(ctx.op_deldelbar(p - 1, q - 1), (p - 1, q - 1), (p, q))
-    D2 = O(ctx.op_del(p - 1, q + 1), (p - 1, q + 1), (p, q + 1))
-    Db2 = O(ctx.op_delbar(p + 1, q - 1), (p + 1, q - 1), (p + 1, q))
+    D = O(ctx.op("del", p, q), (p, q), (p + 1, q))
+    Db = O(ctx.op("delbar", p, q), (p, q), (p, q + 1))
+    P = O(ctx.op("ddbar", p, q), (p, q), (p + 1, q + 1))
+    P2 = O(ctx.op("ddbar", p - 1, q - 1), (p - 1, q - 1), (p, q))
+    D2 = O(ctx.op("del", p - 1, q + 1), (p - 1, q + 1), (p, q + 1))
+    Db2 = O(ctx.op("delbar", p + 1, q - 1), (p + 1, q - 1), (p + 1, q))
     factors = (D, Db, P, P2.conj().T, D2.conj().T @ Db, Db2.conj().T @ D)
     return sum(F.conj().T @ F for F in factors)
 
@@ -207,7 +197,7 @@ def neumann_gamma(fpull: InvForm,
     fo = ctx.to_ortho(p, q, fpull.to_vector(p, q))
     if p < 1 or q < 1:   # no ddbar reaches (p,q): all of fpull is residual
         raise ClassObstructionError(float(np.linalg.norm(fo)))
-    Po = ctx.ortho_op(ctx.op_deldelbar(p - 1, q - 1), (p - 1, q - 1), (p, q))
+    Po = ctx.ortho_op(ctx.op("ddbar", p - 1, q - 1), (p - 1, q - 1), (p, q))
     sol = np.linalg.lstsq(Po, fo, rcond=None)[0]
     resid = float(np.linalg.norm(Po @ sol - fo))
     if all(isinstance(c, CRat) for c in fpull.coeffs.values()):

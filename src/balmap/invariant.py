@@ -171,14 +171,15 @@ class LieModel:
         return self.form_basis(self.dim, self.dim, (idx, idx), ipow(self.dim ** 2))
 
     def frame(self, k: int, coeff=ONE) -> "InvVectorField":
-        c = [ZERO] * self.dim
-        c[k - 1] = coeff
-        return InvVectorField(self, HOLO, c)
+        return self._frame_field(HOLO, k, coeff)
 
     def frame_bar(self, k: int, coeff=ONE) -> "InvVectorField":
+        return self._frame_field(ANTI, k, coeff)
+
+    def _frame_field(self, kind: str, k: int, coeff) -> "InvVectorField":
         c = [ZERO] * self.dim
         c[k - 1] = coeff
-        return InvVectorField(self, ANTI, c)
+        return InvVectorField(self, kind, c)
 
     def _derive(self, u: "InvForm", shift: Tuple[int, int]) -> "InvForm":
         """The part of d u = sum_k dphi^k ^ (Z_k . u) + dphibar^k ^ (Zbar_k . u)
@@ -236,10 +237,6 @@ class InvForm(Form):
 
     def delbar(self) -> "InvForm":
         return self.space.ce_delbar(self)
-
-    def is_real(self) -> bool:
-        diff = self - self.conj()
-        return all(abs(complex(c)) < 1e-12 for c in diff.coeffs.values())
 
     def is_exact_coeffs(self) -> bool:
         return all(is_exact(c) for c in self.coeffs.values())
@@ -474,8 +471,3 @@ def format_model(m: LieModel) -> str:
 def load_model(path) -> LieModel:
     with open(path) as fh:
         return parse_model(fh.read(), str(path))
-
-
-def save_model(m: LieModel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_model(m))

@@ -124,9 +124,6 @@ class ScalarField:
                     vals += a * wave(phase)
         return ScalarField(grid, vals)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
-
     def spectral_tail(self) -> float:
         """Fraction of spectral mass above half the Nyquist band.
 
@@ -155,10 +152,10 @@ class HessianOp:
         self.grid = grid
         self._wav = grid.wavenumbers()
         if grid.points < SCIPY_FFT_POINTS:
-            self._fft, self._overwrite = np.fft, {}
+            self._fft = np.fft
         else:
             import scipy.fft
-            self._fft, self._overwrite = scipy.fft, {"overwrite_x": True}
+            self._fft = scipy.fft
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
         return self._fft.rfftn(v)
@@ -166,11 +163,14 @@ class HessianOp:
     def irfft(self, vhat: np.ndarray,
               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Real field of the half spectrum ``vhat``.  The lead-axis pass runs
-        in vhat's array under scipy.fft, which overwrites it; the last-axis
-        pass is numpy's, which writes into ``out`` when given: a real grid
-        array, or the real or imaginary plane of a complex one."""
+        in vhat's array, which it overwrites; the last-axis pass is numpy's,
+        which writes into ``out`` when given: a real grid array, or the real
+        or imaginary plane of a complex one."""
         lead = tuple(range(vhat.ndim - 1))
-        vhat = self._fft.ifftn(vhat, axes=lead, **self._overwrite)
+        if self._fft is np.fft:
+            vhat = np.fft.ifftn(vhat, axes=lead, out=vhat)
+        else:
+            vhat = self._fft.ifftn(vhat, axes=lead, overwrite_x=True)
         return np.fft.irfft(vhat, n=self.grid.res, axis=-1, out=out)
 
     def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:

@@ -22,13 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CRat, ONE, I, largest_size
+from .exact import CRat, ONE, I, exact_rank, largest_size
 from .forms import contract, evaluate, lie01, lie10, lie_bracket, wedge
 from .invariant import (ANTI, HOLO, InvForm, InvVectorField, LieModel,
                         data_lines, flow_pullback, integrate, wedge_power,
                         ParseError)
 from .hodge import (ClassObstructionError, HermitianMetricSpec, MetricContext,
-                    exact_ddbar_solve, neumann_gamma)
+                    exact_ddbar_solve, neumann_gamma, operator_rows)
 
 
 # -- the sign-critical identities ----------------------------------------------
@@ -136,7 +136,8 @@ class BalancedTarget:
         if eig.min() <= 0:
             raise ValidationError(
                 "omega is not positive definite (min eigenvalue %.3e)" % eig.min())
-        power = wedge_power(omega, n - 1) if n > 1 else _one_form(model)
+        power = (wedge_power(omega, n - 1) if n > 1
+                 else InvForm(model, {((), ()): ONE}))
         self.omega_top_minus_one = power.scale(CRat(Fraction(1, math.factorial(n - 1))))
         if self.omega_top_minus_one.d():
             raise ValidationError("d(omega^(n-1)) != 0: the form is not balanced")
@@ -149,15 +150,6 @@ class BalancedTarget:
         if np.linalg.norm(h - h.conj().T) > 1e-12:
             raise ValidationError("omega coefficient matrix is not Hermitian")
         return h
-
-
-def _one_form(model: LieModel) -> InvForm:
-    return InvForm(model, {((), ()): ONE})
-
-
-def check_balanced(omega: InvForm, model: LieModel) -> BalancedTarget:
-    """Positivity and closedness certificate; raises on failure."""
-    return BalancedTarget(model, omega)
 
 
 class MapSpec:
@@ -379,15 +371,15 @@ def omega_eval(f: MapSpec, fields: Sequence[InvVectorField]) -> complex:
     return complex(c * CRat(f.source.volume_scale))
 
 
-def _gamma_for(f: MapSpec, metric: HermitianMetricSpec, policy: str) -> InvForm:
-    """The minimal potential, or under "any-solution" an exact one where it
-    exists; neumann_gamma raises ClassObstructionError for either."""
+def _gamma_for(f: MapSpec, policy: str) -> InvForm:
+    """The flat-metric minimal potential, or under "any-solution" an exact
+    one where it exists; neumann_gamma raises ClassObstructionError."""
     P = f.pulled_power()
     if policy != "neumann":
         gamma = exact_ddbar_solve(f.source, P)
         if gamma is not None:
             return gamma
-    return neumann_gamma(P, metric)
+    return neumann_gamma(P, HermitianMetricSpec.flat(f.source))
 
 
 def pairing_value(gamma: InvForm, t: MomentTuple, model: LieModel) -> complex:
@@ -410,12 +402,10 @@ def _check_tuple(f: MapSpec, t: MomentTuple, admissible: bool = True) -> None:
 
 
 def mu_eval(f: MapSpec, t: MomentTuple,
-            metric: Optional[HermitianMetricSpec] = None,
             gamma_policy: Optional[str] = None) -> complex:
     """i * integral of Gamma(tuple) dV with Gamma under the chosen policy."""
     _check_tuple(f, t)
-    metric = metric or HermitianMetricSpec.flat(f.source)
-    gamma = _gamma_for(f, metric, gamma_policy or t.gamma_policy)
+    gamma = _gamma_for(f, gamma_policy or t.gamma_policy)
     return pairing_value(gamma, t, f.source)
 
 
@@ -427,10 +417,10 @@ class GaugeReport:
     reversal_ok: bool
     closure_del_norm: float
     closure_delbar_norm: float
+    shift_rank: int   # of beta -> delbar beta; 0 when every shift vanishes
 
 
 def well_definedness_check(f: MapSpec, t: MomentTuple,
-                           metric: Optional[HermitianMetricSpec] = None,
                            trials: int = 20, seed: int = 0) -> GaugeReport:
     """Pairing invariance under potential shifts by del/delbar images.
 
@@ -439,12 +429,13 @@ def well_definedness_check(f: MapSpec, t: MomentTuple,
     unchanged.  Also asserts the two reversal-sign identities and the
     closure consequence (derivatives of the iterated contraction vanish).
     An inadmissible tuple is measured, not rejected; its arity must fit.
+    The shifts are delbar(beta) plus its conjugate, so all are zero exactly
+    when ``shift_rank``, delbar's exact rank on the (n-2, n-3)-forms, is 0.
     """
     _check_tuple(f, t, admissible=False)
     model = f.source
     n = f.target.n
-    metric = metric or HermitianMetricSpec.flat(model)
-    gamma = _gamma_for(f, metric, t.gamma_policy)
+    gamma = _gamma_for(f, t.gamma_policy)
     base = pairing_value(gamma, t, model)
     rng = random.Random(seed)
     p, q = n - 2, n - 3
@@ -472,10 +463,11 @@ def well_definedness_check(f: MapSpec, t: MomentTuple,
     C = iterated_contraction(t.xis, t.etabars, dV)
     closure_del = C.del_().norm()
     closure_delbar = C.delbar().norm()
+    rank = exact_rank(operator_rows(model, "delbar", p, q))
     return GaugeReport(base_value=base, max_deviation=max(devs) if devs else 0.0,
                        deviations=devs, reversal_ok=reversal_ok,
                        closure_del_norm=closure_del,
-                       closure_delbar_norm=closure_delbar)
+                       closure_delbar_norm=closure_delbar, shift_rank=rank)
 
 
 # -- flow-derivative confirmation ---------------------------------------------------
@@ -491,10 +483,14 @@ class FlowStepRecord:
 
 @dataclass
 class FlowReport:
-    target_norm: float
+    target: InvForm   # etabar . xi . (pulled power), exact on exact input
     steps: List[FlowStepRecord]
     orders: List[float]
     trivial: bool
+
+    @property
+    def target_norm(self) -> float:
+        return self.target.norm()
 
     @property
     def observed_order(self) -> float:
@@ -506,7 +502,6 @@ class FlowReport:
 
 
 def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
-                          metric: Optional[HermitianMetricSpec] = None,
                           steps: Sequence[float] = (1e-1, 5e-2, 2.5e-2)) -> FlowReport:
     """Mixed finite difference of the potential family against the contraction.
 
@@ -526,7 +521,6 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
         raise ValidationError("steps %r need two or more distinct values to "
                               "measure a convergence order" % (list(steps),))
     model = f.source
-    metric = metric or HermitianMetricSpec.flat(model)
     if xi.kind != HOLO or eta.kind != HOLO:
         raise ValidationError("flow fields must be (1,0)")
     for name, v in (("xi", xi), ("eta", eta)):
@@ -540,17 +534,17 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
                    cert.volume_preserving,
                    largest_size(lie10(v, model.volume_form()).coeffs.values())))
     P = f.pulled_power()
-    Pf = InvForm(model, {k: complex(c) for k, c in P.coeffs.items()})
     etabar = eta.conj()
-    A = contract(etabar, contract(xi, Pf))
+    A = contract(etabar, contract(xi, P))
     a_norm = A.norm()
-    trivial = a_norm == 0.0 and not lie10(xi, Pf) and not lie01(etabar, Pf)
+    # decided on the exact forms: a float norm of A may underflow to 0
+    trivial = not A and not lie10(xi, P) and not lie01(etabar, P)
 
-    ctx = MetricContext(metric)
+    ctx = MetricContext(HermitianMetricSpec.flat(model))
     xi_gens, eta_gens = {}, {}  # Lie-derivative matrices by bidegree
 
     def gamma_at(s: float, tt: float) -> InvForm:
-        G = flow_pullback(etabar, tt, flow_pullback(xi, s, Pf, xi_gens),
+        G = flow_pullback(etabar, tt, flow_pullback(xi, s, P, xi_gens),
                           eta_gens)
         return neumann_gamma(G, ctx)
 
@@ -578,23 +572,21 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
             continue
         if a.error > 0 and b.error > 0:
             orders.append(math.log(a.error / b.error) / math.log(a.h / b.h))
-    return FlowReport(target_norm=a_norm, steps=records, orders=orders,
-                      trivial=trivial)
+    return FlowReport(target=A, steps=records, orders=orders, trivial=trivial)
 
 
 # conjugation-swap convention: swapping the two blocks and conjugating maps
 # the pairing to (-1)^(n+1) times its complex conjugate.
 
 
-def conjugation_swap_value(f: MapSpec, t: MomentTuple,
-                           metric: Optional[HermitianMetricSpec] = None) -> Tuple[complex, complex]:
+def conjugation_swap_value(f: MapSpec, t: MomentTuple) -> Tuple[complex, complex]:
     """(mu of swapped-conjugated tuple, expected value from conjugation)."""
     n = f.target.n
     swapped = MomentTuple([eb.conj() for eb in t.etabars],
                           [xi.conj() for xi in t.xis],
                           gamma_policy=t.gamma_policy)
-    mu = mu_eval(f, t, metric)
-    mu_swapped = mu_eval(f, swapped, metric)
+    mu = mu_eval(f, t)
+    mu_swapped = mu_eval(f, swapped)
     expected = ((-1) ** (n + 1)) * mu.conjugate()
     return mu_swapped, expected
 

@@ -49,18 +49,12 @@ class CheckRecord:
         out = {"type": "check", "name": self.name, "law": self.law,
                "status": self.status}
         if self.residual is not None:
-            out["residual"] = _num(self.residual)
+            out["residual"] = self.residual
         if self.detail is not None:
             out["detail"] = self.detail
         if self.provenance is not None:
             out["provenance"] = self.provenance
         return out
-
-
-def _num(x):
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    return float(x)
 
 
 @dataclass

@@ -117,23 +117,21 @@ class Poly:
 
     def dz(self, j: int) -> "Poly":
         """Partial derivative with respect to z_j (1-based)."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            e = a[j - 1]
-            if e:
-                aa = list(a)
-                aa[j - 1] = e - 1
-                add_term(out, (tuple(aa), b), c * e)
-        return Poly._of(self.dim, out)
+        return self._partial(0, j)
 
     def dzbar(self, j: int) -> "Poly":
+        return self._partial(1, j)
+
+    def _partial(self, side: int, j: int) -> "Poly":   # side 1: zbar_j
         out = {}
-        for (a, b), c in self.terms.items():
-            e = b[j - 1]
+        for mono, c in self.terms.items():
+            e = mono[side][j - 1]
             if e:
-                bb = list(b)
-                bb[j - 1] = e - 1
-                add_term(out, (a, tuple(bb)), c * e)
+                key = list(mono)
+                exps = list(key[side])
+                exps[j - 1] = e - 1
+                key[side] = tuple(exps)
+                add_term(out, tuple(key), c * e)
         return Poly._of(self.dim, out)
 
     def antider_z(self, j: int) -> "Poly":
@@ -231,13 +229,16 @@ class ChartVectorField(Field):
 
     @staticmethod
     def frame(dim: int, j: int) -> "ChartVectorField":
-        comps = [Poly.const(dim, 1 if k == j - 1 else 0) for k in range(dim)]
-        return ChartVectorField(dim, HOLO, comps)
+        return ChartVectorField._frame_field(dim, HOLO, j)
 
     @staticmethod
     def frame_bar(dim: int, j: int) -> "ChartVectorField":
+        return ChartVectorField._frame_field(dim, ANTI, j)
+
+    @staticmethod
+    def _frame_field(dim: int, kind: str, j: int) -> "ChartVectorField":
         comps = [Poly.const(dim, 1 if k == j - 1 else 0) for k in range(dim)]
-        return ChartVectorField(dim, ANTI, comps)
+        return ChartVectorField(dim, kind, comps)
 
     def apply(self, f: Poly) -> Poly:
         """Directional derivative of a function."""
@@ -303,13 +304,13 @@ def _rand_crat(rng: random.Random) -> CRat:
     return _reduced(num, im, den)
 
 
-def random_poly(rng: random.Random, dim: int, deg: int = 2, nterms: int = 2,
+def random_poly(rng: random.Random, dim: int, nterms: int = 2,
                 holomorphic: bool = False) -> Poly:
     terms: Dict[Monomial, CRat] = {}
     for _ in range(nterms):
         a = [0] * dim
         b = [0] * dim
-        for _ in range(rng.randint(0, deg)):
+        for _ in range(rng.randint(0, 2)):
             if holomorphic or rng.random() < 0.5:
                 a[rng.randrange(dim)] += 1
             else:
@@ -338,11 +339,9 @@ def random_field(rng: random.Random, dim: int, kind: str = HOLO,
              for _ in range(dim)]
     if not any(comps):
         comps[rng.randrange(dim)] = Poly.const(dim, 1)
-    if kind == ANTI:
-        # a (0,1) field with anti-holomorphic coefficients is the conjugate
-        # of a holomorphic one; for general smooth fields keep mixed coeffs
-        return ChartVectorField(dim, ANTI, comps)
-    return ChartVectorField(dim, HOLO, comps)
+    # a (0,1) field keeps the same mixed coefficients: it is the conjugate of
+    # a holomorphic one only when they are anti-holomorphic
+    return ChartVectorField(dim, kind, comps)
 
 
 def random_holomorphic_field(rng: random.Random, dim: int) -> ChartVectorField:

@@ -86,6 +86,24 @@ def test_moment_command(tmp_path, capsys):
                             "--tuple", str(tf)], capsys)
     assert code == 0
     assert "pairing-value" in out and "gauge-invariance" in out
+    # the exact rank of the shift space; at rank 0 nothing is shifted, the
+    # check passes vacuously and reports no residual
+    for map_name, fields, rank in (
+            ("iwasawa_to_t3", TUPLE_Z3, 0),
+            ("heis_mixed_to_t3", "tuple z2\nmodel heis_mixed\n"
+             "xi 0 0 1 0 0 0\netabar 0 0 1 0 0 0\n", 1),
+            ("iwasawa_to_t4", "tuple t4\nmodel iwasawa\nxi 1 0 0 0 0 0\n"
+             "xi 0 0 0 0 1 0\netabar 1 0 0 0 0 0\netabar 0 0 0 0 1 0\n", 3)):
+        tf.write_text(fields)
+        code, out, _ = run_cli(["moment", "--map", map_name, "--tuple",
+                                str(tf), "--format", "structured"], capsys)
+        lines = [json.loads(line) for line in out.splitlines()]
+        gauge, = [r for r in lines if r.get("name") == "gauge-invariance"]
+        assert code == 0 and lines[0]["extra"]["gauge_rank"] == rank
+        assert gauge["status"] == "pass"
+        assert ("residual" in gauge) == (rank > 0)
+        assert (gauge["detail"] == "nothing to shift: every potential shift "
+                "is zero") == (rank == 0)
 
 
 def test_moment_structured_deterministic(tmp_path):
@@ -390,12 +408,19 @@ def test_theorem_stencil_with_full_relative_error_fails(capsys):
 
 
 def test_theorem_without_a_measured_order_fails(capsys):
-    # the error at h = 1e-4 is exactly 0, so no convergence order is measured
-    code, out, _ = run_cli(["theorem", "--map", "nakamura_shear",
-                            "--xi", "1/2,0,0", "--eta", "1/2,0,0",
-                            "--steps", "1e-4,5e-5"], capsys)
-    assert code == 1
-    assert "[FAIL] convergence-order" in out and "orders []" in out
+    # the error at h = 1e-4 is exactly 0, so no convergence order is
+    # measured; at 1e-200 and 1e-400 the exact target is nonzero but its
+    # float norm underflows: no trivial orbit, and the detail gives its size
+    for xi, steps, size in (("1/2", "1e-4,5e-5", None),
+                            ("1e-200", "1e-1,5e-2", "1.000e-400"),
+                            ("1e-400", "1e-1,5e-2", "1.000e-800")):
+        code, out, _ = run_cli(["theorem", "--map", "nakamura_shear",
+                                "--xi", xi + ",0,0", "--eta", xi + ",0,0",
+                                "--steps", steps], capsys)
+        assert code == 1 and "trivial orbit" not in out
+        assert "[FAIL] convergence-order" in out and "orders []" in out
+        assert size is None or (
+            "the target underflows, largest coefficient %s" % size in out)
 
 
 # an arity-0 tuple is what a target of dimension 2 pairs with

@@ -169,15 +169,13 @@ def test_operator_store_matches_fresh_rows_after_use():
         assert model.op_rows and all(
             rows == want[key] for key, rows in model.op_rows.items())
         ctx = MetricContext(HermitianMetricSpec.flat(model))
-        ops = {"del": ctx.op_del, "delbar": ctx.op_delbar,
-               "ddbar": ctx.op_deldelbar}
         for (kind, p, q), rows in want.items():
             ncols = len(model.basis_keys(p, q))
             dense = np.zeros((len(rows), ncols), dtype=complex)
             for i, r in enumerate(rows):
                 for j, c in r.items():
                     dense[i, j] = complex(c)
-            assert np.array_equal(ops[kind](p, q), dense), (kind, p, q)
+            assert np.array_equal(ctx.op(kind, p, q), dense), (kind, p, q)
 
 
 def test_operator_rows_are_built_once_per_operator_and_bidegree(monkeypatch):

@@ -48,19 +48,12 @@ def oracle_gram(metric, p, q):
                                       float(model.volume_scale)))
 
 
-def raw_op(ctx):
-    """op(kind, p, q) for the oracles: the context's raw operator matrices."""
-    ops = {"del": ctx.op_del, "delbar": ctx.op_delbar,
-           "ddbar": ctx.op_deldelbar}
-    return lambda kind, p, q: ops[kind](p, q)
-
-
 def oracle_minimality(gamma, metric):
     """The minimality oracle on gamma, a form at one bidegree (p,q), with
     ddbar from (p,q) and the permutation-sum Grams."""
     p, q = gamma.bidegree()
     return minimality_residual(
-        gamma.to_vector(p, q), MetricContext(metric).op_deldelbar(p, q),
+        gamma.to_vector(p, q), MetricContext(metric).op("ddbar", p, q),
         oracle_gram(metric, p, q), oracle_gram(metric, p + 1, q + 1))
 
 
@@ -79,7 +72,7 @@ def test_adjointness_random_metrics():
         for _ in range(3):
             m = rand_metric(rng, model)
             ctx = MetricContext(m)
-            D = ctx.op_del(1, 1)
+            D = ctx.op("del", 1, 1)
             H11, H21 = oracle_gram(m, 1, 1), oracle_gram(m, 2, 1)
             Ds = adjoint(D, H11, H21)
             for _ in range(5):
@@ -144,7 +137,7 @@ def test_laplacian_is_the_six_term_sum_in_raw_coordinates():
         ctx = MetricContext(m)
         H = lambda p, q: oracle_gram(m, p, q)
         for p, q in np.ndindex(model.dim + 1, model.dim + 1):
-            want = bc_laplacian_oracle(raw_op(ctx), H, p, q)
+            want = bc_laplacian_oracle(ctx.op, H, p, q)
             # orthonormal coordinates x -> L^H x with H = L L^H, back to raw
             Lh = np.linalg.cholesky(H(p, q)).conj().T
             raw = np.linalg.solve(Lh, delta_bc_ortho(ctx, p, q) @ Lh)
@@ -247,7 +240,7 @@ def _assert_matches_neumann_oracle(gamma, f, ctx, p, q):
     """gamma, the potential of f at (p,q), is the six-term oracle's to 1e-12
     relative, in raw coordinates."""
     m = ctx.metric
-    want = neumann_oracle(f.to_vector(p, q), raw_op(ctx),
+    want = neumann_oracle(f.to_vector(p, q), ctx.op,
                           lambda a, b: oracle_gram(m, a, b), p, q)
     got = gamma.to_vector(p - 1, q - 1)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (
@@ -334,7 +327,7 @@ def test_torus_closed_form_counts():
 
 def test_torus_adjoint_of_derivative_vanishes():
     ctx = MetricContext(HermitianMetricSpec.flat(T3))
-    D = ctx.op_del(1, 1)
+    D = ctx.op("del", 1, 1)
     assert np.linalg.norm(D) == 0.0
     H = lambda p, q: oracle_gram(ctx.metric, p, q)
     assert np.linalg.norm(adjoint(D, H(1, 1), H(2, 1))) == 0.0

@@ -112,7 +112,6 @@ def test_stokes_exact():
 
 def test_conjugation_and_reality():
     om = standard_metric_form(IW)
-    assert om.is_real()
     assert om.conj() == om
     u = wedge(IW.phi(1), IW.phibar(2))
     assert u.conj() == wedge(IW.phi(2), IW.phibar(1)).scale(CRat(-1))

@@ -15,7 +15,7 @@ from balmap.invariant import ANTI, HOLO, InvForm, InvVectorField
 from balmap.moment import (BalancedTarget, MapSpec, MomentTuple, ValidationError,
                            chart_contraction_derivative_trials,
                            chart_reversal_trials, chart_tuple_fields,
-                           check_balanced, conjugation_swap_value,
+                           conjugation_swap_value,
                            contraction_derivative_check, flow_derivative_check,
                            invariant_contraction_derivative_check,
                            iterated_contraction, lie_g_membership, mu_eval,
@@ -34,19 +34,19 @@ HM = MODELS["heis_mixed"]
 
 
 def test_flat_torus_form_accepted():
-    bt = check_balanced(standard_metric_form(T3), T3)
+    bt = BalancedTarget(T3, standard_metric_form(T3))
     assert bt.n == 3
 
 
 def test_iwasawa_standard_form_balanced():
-    check_balanced(standard_metric_form(IW), IW)
-    check_balanced(standard_metric_form(NK), NK)
+    BalancedTarget(IW, standard_metric_form(IW))
+    BalancedTarget(NK, standard_metric_form(NK))
 
 
 def test_non_positive_form_rejected():
     bad = standard_metric_form(IW).scale(CRat(-1))
     with pytest.raises(ValidationError):
-        check_balanced(bad, IW)
+        BalancedTarget(IW, bad)
 
 
 def test_non_balanced_form_rejected():
@@ -54,12 +54,12 @@ def test_non_balanced_form_rejected():
     # (2,2)-forms, so every invariant metric there is balanced; the mixed
     # Heisenberg model is where closedness of the square genuinely fails
     om = standard_metric_form(HM)
-    assert om.is_real()
+    assert om.conj() == om
     with pytest.raises(ValidationError) as e:
-        check_balanced(om, HM)
+        BalancedTarget(HM, om)
     assert "balanced" in str(e.value)
     for model in (IW, NK, T3):
-        check_balanced(standard_metric_form(model), model)
+        BalancedTarget(model, standard_metric_form(model))
 
 
 # -- map specs ----------------------------------------------------------------------
@@ -294,7 +294,7 @@ def test_zero_map_pairs_the_empty_tuple_to_zero():
     # a 2-dimensional target pairs tuples of arity 0; the zero map pulls
     # back the zero power, whose potential is zero at any source dimension
     T1, T2 = MODELS["torus1"], MODELS["torus2"]
-    f = MapSpec("zero", T1, check_balanced(standard_metric_form(T2), T2),
+    f = MapSpec("zero", T1, BalancedTarget(T2, standard_metric_form(T2)),
                 [[CRat(0)], [CRat(0)]])
     t = MomentTuple([], [])
     assert x_membership(f).member
@@ -347,6 +347,7 @@ def test_gauge_invariance_iwasawa():
     rep = well_definedness_check(f, t, trials=20, seed=0)
     assert rep.max_deviation < 1e-10
     assert rep.reversal_ok
+    assert rep.shift_rank == 0   # every shift is zero here
     assert rep.closure_del_norm < 1e-12 and rep.closure_delbar_norm < 1e-12
 
 
@@ -357,13 +358,13 @@ def test_gauge_invariance_nontrivial_shifts():
     assert shift_space  # the shifts sampled below are not all zero
     t = MomentTuple([HM.frame(2)], [HM.frame_bar(2)])
     rep = well_definedness_check(fh, t, trials=20, seed=1)
-    assert rep.max_deviation < 1e-10
+    assert rep.max_deviation < 1e-10 and rep.shift_rank == 1
 
     f4 = get_map("iwasawa_to_t4")
     t4 = MomentTuple([IW.frame(1), IW.frame(3)],
                      [IW.frame_bar(1), IW.frame_bar(3)])
     rep4 = well_definedness_check(f4, t4, trials=20, seed=2)
-    assert rep4.max_deviation < 1e-10
+    assert rep4.max_deviation < 1e-10 and rep4.shift_rank == 3
     assert rep4.reversal_ok
 
 

@@ -93,6 +93,10 @@ def test_lazy_package_names_are_the_module_attributes():
     for module, name in served:
         owner = importlib.import_module("balmap." + module)
         assert getattr(balmap, name) is getattr(owner, name), name
+    # the command-line module serves these through the package
+    for name in ("flow_derivative_check", "well_definedness_check",
+                 "solve_ma", "identity_suite"):
+        assert getattr(cli, name) is getattr(balmap, name), name
 
 
 def test_ma_imports_no_scipy_sparse(tmp_path):
