@@ -262,7 +262,8 @@ def cmd_ma(args) -> int:
     # imported at call time: ``solve_ma`` is what ``balmap.masolver`` holds now
     import numpy as np
     from .masolver import (GridError, NewtonFailure, ScalarField, TorusGrid,
-                           format_samples, parse_modes, parse_samples, solve_ma)
+                           format_samples, nyquist_free_gap, parse_modes,
+                           parse_samples, solve_ma)
     try:
         grid = TorusGrid(args.dim, args.res)
         if args.modes:
@@ -297,13 +298,24 @@ def cmd_ma(args) -> int:
             else "%s; %s, positivity rejections %d"
             % (d.failure, counts, d.positivity_rejections))
     rep.extra["residual_history"] = [float(r) for r in d.residual_history]
+    # the grid the solve ran on: axes where the forcing is constant hold one
+    # sample
+    rep.extra["solve_shape"] = list(d.solve_shape)
     if not d.converged:
         return _emit(rep, args)
     rep.add("positivity", "metric-positivity-along-solution",
             d.min_eigenvalue > 0,
             detail="minimum eigenvalue %.3e" % d.min_eigenvalue)
-    rep.add("conservation", "volume-conservation-identity",
-            d.conservation_gap <= 1e-9, residual=d.conservation_gap)
+    conserved, detail = d.conservation_gap <= 1e-9, None
+    if not conserved:   # worked out only here: a passing report keeps its bytes
+        free = nyquist_free_gap(result.phi, gram)
+        rep.extra["conservation_nyquist_share"] = 1 - free / d.conservation_gap
+        detail = ("grid too coarse: phi's Nyquist modes carry the gap "
+                  "(%.3e; %.3e without them)" if free <= 1e-9 else
+                  "%.3e; %.3e without phi's Nyquist modes") % (
+                      d.conservation_gap, free)
+    rep.add("conservation", "volume-conservation-identity", conserved,
+            residual=d.conservation_gap, detail=detail)
     rep.add("normalization", "sup-normalized-potential",
             abs(result.phi.values.max()) == 0.0,
             residual=abs(result.phi.values.max()))

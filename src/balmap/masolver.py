@@ -16,18 +16,28 @@ are one point, the Newton operator equals its preconditioner P, and the
 step is -P^-1 R in closed form with no Krylov solve; and the module's
 restarted GMRES (``gmres``) makes one matvec per inner iteration.
 
+Quotient: the equation has constant coefficients, so it commutes with the
+translations along each real axis, and along an axis where F and phi0 are
+exactly constant the solution is too.  ``solve_ma`` cuts each such axis to
+one sample and runs the whole solve, continuation included, on that
+quotient grid.  A one-sample axis has wavenumber 0, where every symbol term
+vanishes, as it does for an invariant field on the full grid.  phi is
+broadcast back to the caller's grid, also in a NewtonFailure, and
+``MADiagnostics.solve_shape`` records the shape the solve ran on.  A forcing
+that varies along every axis is solved on the full grid.
+
 Work buffers: each Hessian part's symbol times the spectrum goes into one
 complex buffer per ``HessianOp.entries`` call (or per matvec), which every
 part reuses, and its inverse transform writes straight into its entry, the
 entry's real or imaginary plane, or the matvec's term.
 
-Transforms: a grid of fewer than ``SCIPY_FFT_POINTS`` points goes through
-``numpy.fft``, which is as fast there and loads with numpy; a larger grid
-goes through ``scipy.fft``, imported when the first such ``HessianOp`` is
-built, since numpy.fft is up to 3.3x slower there.  The last-axis inverse
-pass is always numpy's, which takes an ``out`` array and is as fast as
-scipy's on that axis.  Both transform on the calling thread: a worker pool
-competes with numpy's BLAS threads.
+Transforms: a grid (or quotient) of fewer than ``SCIPY_FFT_POINTS`` points
+goes through ``numpy.fft``, which is as fast there and loads with numpy; a
+larger one goes through ``scipy.fft``, imported when the first such
+``HessianOp`` is built, since numpy.fft is up to 3.3x slower there.  The
+last-axis inverse pass is always numpy's, which takes an ``out`` array and
+is as fast as scipy's on that axis.  Both transform on the calling thread:
+a worker pool competes with numpy's BLAS threads.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
@@ -36,6 +46,7 @@ i y_j, res samples per real axis, periods 1.  Sample files are row-major
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,28 +79,39 @@ class TorusGrid:
 
     @property
     def points(self) -> int:
-        return self.res ** (2 * self.dim)
+        return math.prod(self.shape)
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return (self.res,) * (2 * self.dim)
 
-    def _per_axis(self, base: np.ndarray, last: np.ndarray) -> List[np.ndarray]:
-        """``base`` (``last`` on the final axis) laid along each real axis."""
-        n = 2 * self.dim
-        return [(last if a == n - 1 else base).reshape(
-                    [-1 if b == a else 1 for b in range(n)]) for a in range(n)]
+    def _per_axis(self, make) -> List[np.ndarray]:
+        """``make(m, last)`` for each real axis of length m, laid along it."""
+        n = len(self.shape)
+        return [make(m, a == n - 1).reshape([-1 if b == a else 1
+                                             for b in range(n)])
+                for a, m in enumerate(self.shape)]
 
     def coords(self) -> List[np.ndarray]:
         """Broadcastable coordinate arrays in axis order x1,y1,...,xd,yd."""
-        base = np.arange(self.res) / self.res
-        return self._per_axis(base, base)
+        return self._per_axis(lambda m, last: np.arange(m) / self.res)
 
     def wavenumbers(self) -> List[np.ndarray]:
         """Broadcastable integer wavenumbers of the ``rfftn`` spectrum, whose
         last axis holds the non-negative half."""
-        return self._per_axis(np.fft.fftfreq(self.res) * self.res,
-                              np.fft.rfftfreq(self.res) * self.res)
+        return self._per_axis(lambda m, last: m * (
+            np.fft.rfftfreq(m) if last else np.fft.fftfreq(m)))
+
+
+@dataclass(frozen=True)
+class _Quotient(TorusGrid):
+    """The grid of fields constant along each real axis that is not
+    ``kept``: such an axis holds one sample, at coordinate and wavenumber 0."""
+    kept: Tuple[bool, ...] = ()
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return tuple(self.res if k else 1 for k in self.kept)
 
 
 @dataclass
@@ -171,7 +193,7 @@ class HessianOp:
             vhat = np.fft.ifftn(vhat, axes=lead, out=vhat)
         else:
             vhat = self._fft.ifftn(vhat, axes=lead, overwrite_x=True)
-        return np.fft.irfft(vhat, n=self.grid.res, axis=-1, out=out)
+        return np.fft.irfft(vhat, n=self.grid.shape[-1], axis=-1, out=out)
 
     def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:
         """``vhat`` made, in place, the half spectrum of the real field
@@ -307,6 +329,7 @@ class MADiagnostics:
     conservation_gap: float = float("nan")
     converged: bool = False
     failure: Optional[str] = None
+    solve_shape: Tuple[int, ...] = ()   # the grid's, or its quotient's
 
 
 _WORK_COUNTS = ("newton_iterations", "gmres_iterations", "damping_events",
@@ -359,6 +382,19 @@ def positivity_check(phi: ScalarField, gram: np.ndarray) -> float:
     return _min_eigenvalue(_g_plus_hessian(phi, gram))
 
 
+def nyquist_free_gap(phi: ScalarField, gram: np.ndarray) -> float:
+    """The conservation gap |mean det(g + H) - det g| / det g of phi with its
+    Nyquist modes, the planes k = res/2 of every axis, set to 0."""
+    g = np.asarray(gram, dtype=complex)
+    op = HessianOp(phi.grid)
+    phat = op.rfft(phi.values)
+    for a in range(phat.ndim):
+        phat[(slice(None),) * a + (phi.grid.res // 2,)] = 0.0
+    detg = float(np.linalg.det(g).real)
+    det = _det_and_adjugate(op.entries(phat, g), False)[0]
+    return abs(float(det.mean()) - detg) / detg
+
+
 def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
              max_iter: int = 40, phi0: Optional[ScalarField] = None) -> MAResult:
     """Newton iteration for the normalized volume equation.
@@ -384,6 +420,40 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
     if not 0 < eF_mean < np.inf:
         raise GridError("forcing F has mean(e^F) %r, not in (0, inf)"
                         % eF_mean)
+    # the equation commutes with translations, so along a real axis where F
+    # and phi0 are constant the solution is too: that axis is cut to one
+    # sample for the solve, and phi is broadcast back to the caller's grid
+    grid = F.grid
+    starts = [F.values] + ([] if phi0 is None else [phi0.values])
+    quotient = _Quotient(grid.dim, grid.res, tuple(
+        any((v != v.take([0], axis=a)).any() for v in starts)
+        for a in range(len(grid.shape))))
+    cut = tuple(slice(None) if k else slice(1) for k in quotient.kept)
+    F = ScalarField(quotient, F.values[cut])
+    if phi0 is not None:
+        phi0 = ScalarField(quotient, phi0.values[cut])
+    try:
+        result = _solve_continued(F, g, tol, max_iter, phi0)
+    except NewtonFailure as failure:
+        _broadcast(failure.result, grid)
+        raise
+    return _broadcast(result, grid)
+
+
+def _broadcast(result: MAResult, grid: TorusGrid) -> MAResult:
+    """``result`` with phi broadcast from the grid it was solved on, whose
+    shape the diagnostics record, to ``grid``."""
+    values = result.phi.values
+    result.diagnostics.solve_shape = values.shape
+    if values.shape != grid.shape:
+        values = np.broadcast_to(values, grid.shape).copy()
+    result.phi = ScalarField(grid, values)
+    return result
+
+
+def _solve_continued(F: ScalarField, g: np.ndarray, tol: float, max_iter: int,
+                     phi0: Optional[ScalarField]) -> MAResult:
+    """One direct attempt; if it fails, the forcing ramped in stages."""
     try:
         return _solve_ma_direct(F, g, tol, max_iter, phi0)
     except NewtonFailure as failure:

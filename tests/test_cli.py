@@ -193,6 +193,43 @@ def test_ma_command(tmp_path, capsys):
     assert sol.exists() and len(sol.read_text().splitlines()) == 256
 
 
+def _ma_report(tmp_path, capsys, dim, res, modes, tol="1e-9"):
+    mf = tmp_path / "modes.txt"
+    mf.write_text(modes)
+    code, out, _ = run_cli(["ma", "--dim", str(dim), "--res", str(res),
+                            "--tol", tol, "--modes", str(mf),
+                            "--format", "structured"], capsys)
+    lines = [json.loads(line) for line in out.splitlines()]
+    return code, lines[0]["extra"], {c["name"]: c for c in lines[1:-1]}
+
+
+def test_ma_reports_the_shape_it_solved_on(tmp_path, capsys):
+    # the forcing varies along x_1 and x_2 only: y_1 and y_2 hold one sample
+    code, extra, checks = _ma_report(tmp_path, capsys, 2, 8,
+                                     "1 0 0 0 0.1\n0 0 1 0 0.05\n")
+    assert code == 0 and extra["solve_shape"] == [8, 1, 8, 1]
+    # a passing conservation check is worked out no further
+    assert "detail" not in checks["conservation"]
+    assert "conservation_nyquist_share" not in extra
+    code, extra, _ = _ma_report(tmp_path, capsys, 2, 8,
+                                "1 0 1 0 0.1\n0 1 0 1 0.05\n")
+    assert code == 0 and extra["solve_shape"] == [8, 8, 8, 8]
+
+
+def test_ma_conservation_failure_names_the_nyquist_modes(tmp_path, capsys):
+    # at res 8 phi's Nyquist modes carry the whole gap (1.075e-7): with them
+    # set to 0 the mean determinant is det g
+    code, extra, checks = _ma_report(
+        tmp_path, capsys, 2, 8, "1 0 1 0 0.9\n0 1 0 1 0.5\n1 1 0 0 0.3 0.1\n")
+    assert code == 1 and checks["solve"]["status"] == "pass"
+    check = checks["conservation"]
+    assert check["status"] == "fail" and check["residual"] > 1e-9
+    assert check["detail"].startswith(
+        "grid too coarse: phi's Nyquist modes carry the gap (%.3e; "
+        % check["residual"])
+    assert 1 - 1e-6 <= extra["conservation_nyquist_share"] <= 1
+
+
 def test_ma_reports_the_work_of_a_failed_solve(tmp_path, capsys):
     # a forcing of amplitude 40 at d = 1: the solution's determinant is at
     # round-off where F is least, so the positivity guard halves every

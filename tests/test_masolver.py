@@ -90,13 +90,61 @@ def test_spectral_accuracy_doubling_resolution():
 
 
 def test_newton_failure_reports_last_iterate():
-    # iteration budget too small for a strongly nonlinear solve
+    # iteration budget too small for a strongly nonlinear solve.  F is
+    # constant along y_2, so the solve runs with that axis cut to one
+    # sample; the failure's phi is broadcast back to the caller's grid
     g = TorusGrid(2, 16)
     F = ScalarField.from_modes(g, [((1, 0, 0, 0), 0.8), ((0, 1, 1, 0), 0.6)])
     with pytest.raises(NewtonFailure) as e:
         solve_ma(F, np.eye(2), tol=1e-12, max_iter=1)
-    assert e.value.result.diagnostics.failure
-    assert e.value.result.phi.values.shape == g.shape
+    result = e.value.result
+    assert result.diagnostics.failure
+    assert result.diagnostics.solve_shape == (16, 16, 16, 1)
+    assert result.phi.grid == g and result.phi.values.shape == g.shape
+    assert (result.phi.values == result.phi.values[..., :1]).all()
+    assert result.phi.values.flags.writeable
+
+
+def test_z1_forcing_in_d2_is_the_d1_solve_broadcast(monkeypatch):
+    # with g = I and phi a function of z_1, det(g + H) = 1 + H_11: the d = 2
+    # solve is the d = 1 solve, constant along x_2 and y_2.  The grid has
+    # 2^16 points, its quotient 2^8, and the transforms follow the quotient
+    modes = [((1, 0), 0.3), ((0, 2), 0.1), ((2, 1), 0.05 + 0.02j)]
+    r1 = solve_ma(ScalarField.from_modes(TorusGrid(1, 16), modes), [[1.0]],
+                  tol=1e-10)
+    g2 = TorusGrid(2, 16)
+    assert HessianOp(g2)._fft is not np.fft
+    backends = set()
+    real = HessianOp.rfft
+
+    def spy(self, v):
+        backends.add(self._fft)
+        return real(self, v)
+    monkeypatch.setattr(HessianOp, "rfft", spy)
+    r2 = solve_ma(ScalarField.from_modes(g2, [(k + (0, 0), a)
+                                              for k, a in modes]),
+                  np.eye(2), tol=1e-10)
+    assert r2.diagnostics.solve_shape == (16, 16, 1, 1)
+    assert backends == {np.fft}
+    assert r2.phi.values.shape == g2.shape
+    want = np.broadcast_to(r1.phi.values[:, :, None, None], g2.shape)
+    assert np.abs(r2.phi.values - want).max() <= 1e-14
+    assert r2.C == pytest.approx(r1.C, rel=1e-14)
+
+
+def test_invariant_forcing_gives_a_phi_constant_along_its_constant_axes():
+    # F is constant along y_2: the returned phi is exactly constant along
+    # it, and solves the equation on the caller's full grid
+    grid = TorusGrid(2, 16)
+    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
+                                      ((1, 0, 1, 0), complex(0.15, 0.1))])
+    res = solve_ma(F, _GRAM2, tol=1e-10)
+    assert res.diagnostics.converged
+    assert res.diagnostics.solve_shape == (16, 16, 16, 1)
+    phi = res.phi.values
+    assert (phi == phi[..., :1]).all()
+    assert residual(res.phi, F, _GRAM2) <= 1e-10
+    assert positivity_check(res.phi, _GRAM2) > 0
 
 
 def test_gram_validation():
@@ -246,12 +294,17 @@ def test_z1_only_solve_takes_one_step_of_one_inner_iteration():
     # forcing, start and solution depend on z_1 alone, where the scale is
     # constant and the preconditioner is the operator itself; a trace
     # (Jacobi) scale varies there and took 3 Newton steps, 8 inner iterations
+    # phi0 varies along y_1, where F is constant, so that axis is kept
     g = TorusGrid(2, 16)
     F = ScalarField.from_modes(g, [((1, 0, 0, 0), 0.1)])
     seed = ScalarField.from_modes(g, [((0, 1, 0, 0), 0.05)])
-    d = solve_ma(F, np.eye(2), tol=1e-9, phi0=seed).diagnostics
-    assert d.converged
+    assert solve_ma(F, np.eye(2), tol=1e-9).diagnostics.solve_shape == (
+        16, 1, 1, 1)
+    res = solve_ma(F, np.eye(2), tol=1e-9, phi0=seed)
+    d = res.diagnostics
+    assert d.converged and d.solve_shape == (16, 16, 1, 1)
     assert (d.newton_iterations, d.gmres_iterations) == (1, 1)
+    assert residual(res.phi, F, np.eye(2)) <= 1e-9
 
 
 def test_start_where_the_scale_changes_sign_still_converges():
@@ -485,20 +538,24 @@ def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
 
 
 def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
-    # the benchmark's grid-bound d = 2 shape, one closed-form Newton step:
-    # tracemalloc peaks of each phase, counted from the solve's start (the
-    # forcing is the caller's, and a warm-up solve has loaded scipy.fft) in
-    # float64 grid arrays.  A zero start holds no spectrum, so the line
-    # search holds the step's spectrum and the entries; each part transform
-    # writes into its entry through one work buffer; the determinant holds
-    # one scratch array beside its result, and the smallest eigenvalue works
-    # in A's arrays.  A full-size temporary per part, a zero spectrum or a
-    # second scratch array breaks the bound
+    # the benchmark's grid-bound d = 2 size, with a forcing that varies along
+    # every axis, so the solve runs on the full grid: tracemalloc peaks of
+    # each phase, counted from the solve's start (the forcing is the
+    # caller's, and a warm-up solve has loaded scipy.fft) in float64 grid
+    # arrays.  A zero start holds no spectrum, so its first line search holds
+    # the step's spectrum and the entries; each part transform writes into
+    # its entry through one work buffer; the determinant holds one scratch
+    # array beside its result, and the smallest eigenvalue works in A's
+    # arrays.  A full-size temporary per part, a zero spectrum or a second
+    # scratch array breaks the first step's bound.  The later line searches
+    # also hold the iterate's spectrum and the candidate's
     grid = TorusGrid(2, 32)
-    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.1)])
+    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.1),
+                                      ((0, 1, 1, 1), 0.01)])
     solve_ma(F, np.eye(2), tol=1e-9)
     grid_array = 8 * grid.points
-    peaks = {}
+    peaks = {}   # name: (Newton step, peak) of each call
+    step = [0]
     targets = [(HessianOp, "entries")] + [
         (masolver, name) for name in ("_det_and_adjugate", "_residual",
                                       "_min_eigenvalue")]
@@ -506,10 +563,12 @@ def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
         real = getattr(owner, name)
 
         def spy(*args, name=name, real=real):
+            if name == "_det_and_adjugate" and args[1]:
+                step[0] += 1   # each Newton step starts with the adjugate
             tracemalloc.reset_peak()
             out = real(*args)
             peak = tracemalloc.get_traced_memory()[1]
-            peaks.setdefault(name, []).append(peak / grid_array)
+            peaks.setdefault(name, []).append((step[0], peak / grid_array))
             return out
         monkeypatch.setattr(owner, name, spy)
     tracemalloc.start()
@@ -517,17 +576,21 @@ def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
         diag = solve_ma(F, np.eye(2), tol=1e-9).diagnostics
     finally:
         tracemalloc.stop()
-    assert diag.converged and diag.newton_iterations == 1
+    assert diag.converged and diag.newton_iterations == 3
+    assert diag.solve_shape == grid.shape
     assert set(peaks) == {name for _, name in targets}
     for name, got in peaks.items():
-        assert max(got) <= 7.5, (name, got)
+        assert all(p <= 7.5 for k, p in got if k <= 1), (name, got)
+        assert max(p for _, p in got) <= 8.5, (name, got)
 
 
+# each forcing varies along every axis, so each solve runs on the full grid
 _ZERO_STARTS = [
     (TorusGrid(1, 16), [((1, 0), 0.3), ((0, 2), 0.1), ((2, 1), 0.05 + 0.02j)]),
     (TorusGrid(2, 16), [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
                         ((1, 1, 0, 1), complex(0.15, 0.1))]),
-    (TorusGrid(3, 8), [((1, 0, 0, 0, 0, 0), 0.1), ((0, 0, 1, 1, 0, 0), 0.05)]),
+    (TorusGrid(3, 8), [((1, 0, 0, 0, 0, 0), 0.1), ((0, 0, 1, 1, 0, 0), 0.05),
+                       ((0, 1, 0, 0, 1, 1), 0.05)]),
 ]
 
 
