@@ -107,7 +107,7 @@ class TorusGrid:
 class _Quotient(TorusGrid):
     """The grid of fields constant along each real axis that is not
     ``kept``: such an axis holds one sample, at coordinate and wavenumber 0."""
-    kept: Tuple[bool, ...] = ()
+    kept: Tuple[bool, ...]
 
     @property
     def shape(self) -> Tuple[int, ...]:

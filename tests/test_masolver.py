@@ -547,8 +547,9 @@ def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
     # its entry through one work buffer; the determinant holds one scratch
     # array beside its result, and the smallest eigenvalue works in A's
     # arrays.  A full-size temporary per part, a zero spectrum or a second
-    # scratch array breaks the first step's bound.  The later line searches
-    # also hold the iterate's spectrum and the candidate's
+    # scratch array breaks the first step's or the eigenvalue pass's bound.
+    # The later line searches also hold the iterate's spectrum and the
+    # candidate's
     grid = TorusGrid(2, 32)
     F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.1),
                                       ((0, 1, 1, 1), 0.01)])
@@ -580,8 +581,10 @@ def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
     assert diag.solve_shape == grid.shape
     assert set(peaks) == {name for _, name in targets}
     for name, got in peaks.items():
-        assert all(p <= 7.5 for k, p in got if k <= 1), (name, got)
-        assert max(p for _, p in got) <= 8.5, (name, got)
+        # the eigenvalue pass, after the last step, holds no candidate
+        for k, p in got:
+            limit = 7.5 if k <= 1 or name == "_min_eigenvalue" else 8.5
+            assert p <= limit, (name, k, got)
 
 
 # each forcing varies along every axis, so each solve runs on the full grid
