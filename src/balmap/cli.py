@@ -233,12 +233,15 @@ def cmd_theorem(args) -> int:
         fr = flow_derivative_check(f, xi, eta, steps=steps)
     except (ValidationError, ClassObstructionError) as e:
         return _input_error(e)
-    # a stencil point passes only if it is solvable and its error below 100 %
+    underflow = ("the target underflows, largest coefficient %s" % largest_size(
+        fr.target.coeffs.values()) if fr.target_norm == 0.0 else None)
+    # a stencil point passes only if it is solvable and its error below 100 %;
+    # against an exact target below float range it has no relative error
     for s in fr.steps:
+        bad = s.obstruction or (underflow if fr.target else None)
         rep.add("stencil-h-%g" % s.h, "mixed-flow-derivative-vs-contraction",
-                s.obstruction is None and s.rel_error < 1,
-                residual=None if s.obstruction else s.rel_error,
-                detail=s.obstruction)
+                not bad and s.rel_error < 1,
+                residual=None if bad else s.rel_error, detail=bad)
     if fr.trivial:
         rep.add("convergence-order", "mixed-flow-derivative-vs-contraction",
                 fr.ok, detail="both sides vanish identically (trivial orbit)")
@@ -249,9 +252,8 @@ def cmd_theorem(args) -> int:
         if fr.orders:
             detail = "observed order %.3f, %s" % (fr.observed_order, detail)
             rep.extra["observed_order"] = fr.observed_order
-        if fr.target_norm == 0.0:   # exact target below float range
-            detail += "; the target underflows, largest coefficient %s" % (
-                largest_size(fr.target.coeffs.values()))
+        if underflow:
+            detail += "; " + underflow
         rep.add("convergence-order", "mixed-flow-derivative-vs-contraction",
                 fr.ok and order_ok, detail=detail)
     rep.extra["target_norm"] = fr.target_norm
@@ -286,10 +288,11 @@ def cmd_ma(args) -> int:
         return _input_error(e)
     except NewtonFailure as e:   # its result holds the work of every attempt
         result = e.result
-    # taken once solve_ma has accepted the forcing: the spectrum of a
-    # rejected one may overflow
-    rep.extra["forcing_spectral_tail"] = F.spectral_tail()
     d = result.diagnostics
+    # taken once solve_ma has accepted the forcing (the spectrum of a
+    # rejected one may overflow), on the quotient it was solved on
+    tail = F.section(d.translations).spectral_tail()
+    rep.extra["forcing_spectral_tail"] = tail
     counts = "newton %d, inner %d, inner unconverged %d" % (
         d.newton_iterations, d.gmres_iterations, d.inner_unconverged)
     rep.add("solve", "volume-normalization-equation", d.converged,
@@ -298,9 +301,10 @@ def cmd_ma(args) -> int:
             else "%s; %s, positivity rejections %d"
             % (d.failure, counts, d.positivity_rejections))
     rep.extra["residual_history"] = [float(r) for r in d.residual_history]
-    # the grid the solve ran on: axes where the forcing is constant hold one
-    # sample
+    # the grid the solve ran on: the section of the grid translations that
+    # leave the forcing unchanged, each pivot axis holding one sample
     rep.extra["solve_shape"] = list(d.solve_shape)
+    rep.extra["translations"] = [list(v) for v in d.translations]
     if not d.converged:
         return _emit(rep, args)
     rep.add("positivity", "metric-positivity-along-solution",

@@ -16,15 +16,15 @@ are one point, the Newton operator equals its preconditioner P, and the
 step is -P^-1 R in closed form with no Krylov solve; and the module's
 restarted GMRES (``gmres``) makes one matvec per inner iteration.
 
-Quotient: the equation has constant coefficients, so it commutes with the
-translations along each real axis, and along an axis where F and phi0 are
-exactly constant the solution is too.  ``solve_ma`` cuts each such axis to
-one sample and runs the whole solve, continuation included, on that
-quotient grid.  A one-sample axis has wavenumber 0, where every symbol term
-vanishes, as it does for an invariant field on the full grid.  phi is
-broadcast back to the caller's grid, also in a NewtonFailure, and
-``MADiagnostics.solve_shape`` records the shape the solve ran on.  A forcing
-that varies along every axis is solved on the full grid.
+Quotient: the equation has constant coefficients, so the solution is
+invariant under each grid translation v (mod res) that leaves F and phi0
+bitwise unchanged.  ``solve_ma`` runs the whole solve, continuation
+included, on the section x_p = 0 of one pivot axis p per v (v = e_a cuts
+an axis along which the data are constant).  An invariant field's spectrum
+lives on k.v = 0 (mod res), so with the pivot wavenumber set from the kept
+ones the symbols and Nyquist planes are the full grid's.  phi is gathered
+back to the caller's grid, also in a NewtonFailure.  A forcing whose modes
+span all 2d axes is solved on the full grid.
 
 Work buffers: each Hessian part's symbol times the spectrum goes into one
 complex buffer per ``HessianOp.entries`` call (or per matvec), which every
@@ -92,10 +92,6 @@ class TorusGrid:
                                              for b in range(n)])
                 for a, m in enumerate(self.shape)]
 
-    def coords(self) -> List[np.ndarray]:
-        """Broadcastable coordinate arrays in axis order x1,y1,...,xd,yd."""
-        return self._per_axis(lambda m, last: np.arange(m) / self.res)
-
     def wavenumbers(self) -> List[np.ndarray]:
         """Broadcastable integer wavenumbers of the ``rfftn`` spectrum, whose
         last axis holds the non-negative half."""
@@ -103,15 +99,75 @@ class TorusGrid:
             np.fft.rfftfreq(m) if last else np.fft.fftfreq(m)))
 
 
+def _pivot(v: Sequence[int]) -> int:
+    return next(a for a, c in enumerate(v) if c % 2)
+
+
 @dataclass(frozen=True)
 class _Quotient(TorusGrid):
-    """The grid of fields constant along each real axis that is not
-    ``kept``: such an axis holds one sample, at coordinate and wavenumber 0."""
-    kept: Tuple[bool, ...]
+    """The section x_p = 0 of the grid translations ``vectors`` (mod res):
+    p is a vector's pivot, its first odd entry, which is 1 and where every
+    other vector has 0, and holds one sample.  The pivot wavenumber is the
+    full grid's ``fftfreq`` one of -sum_b v_b k_b; the last axis, a pivot
+    only of e_last, stays the half-spectrum axis."""
+    vectors: Tuple[Tuple[int, ...], ...]
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        return tuple(self.res if k else 1 for k in self.kept)
+        pivots = {_pivot(v) for v in self.vectors}
+        return tuple(1 if a in pivots else self.res
+                     for a in range(2 * self.dim))
+
+    def wavenumbers(self) -> List[np.ndarray]:
+        wav, h = super().wavenumbers(), self.res // 2
+        for v in self.vectors:   # wav[p] is 0 here, and no other pivot enters
+            wav[_pivot(v)] = (h - sum(c * w for c, w in zip(v, wav) if c)
+                              ) % self.res - h
+        return wav
+
+
+def _translations(res: int, fields: Sequence[np.ndarray]):
+    """Grid translations under which each of ``fields`` is bitwise unchanged,
+    in the form of ``_Quotient.vectors``.  The axes along which they are
+    constant are cut to one sample first; candidates come from the integer
+    null space of what is left's joint spectral support (a 1e-12 threshold
+    only proposes), in Gauss-Jordan form mod res with odd pivots, and each
+    is kept only if ``np.roll`` by it leaves every field unchanged."""
+    n = fields[0].ndim
+    cut = tuple(slice(None) if any((v != v.take([0], axis=a)).any()
+                                   for v in fields) else slice(1)
+                for a in range(n))
+    cut = [v[cut] for v in fields]
+    power = sum(np.abs(np.fft.rfftn(v)) for v in cut)
+    k = np.array(np.nonzero(power > 1e-12 * power.max())).T
+    k[:, :-1] = (k[:, :-1] + res // 2) % res - res // 2   # fftfreq's integers
+    # Gauss-Jordan form of k^T k in integers, whose null space is k's
+    rows, pivots = [list(map(int, r)) for r in k.T @ k], []
+    for c in range(n):
+        i = next((i for i in range(len(pivots), n) if rows[i][c]), None)
+        if i is not None:
+            r = rows.pop(i)
+            rows = [[x * r[c] - s[c] * y for x, y in zip(s, r)] for s in rows]
+            rows.insert(len(pivots), r)
+            pivots.append(c)
+    todo, basis = [], []
+    lcm = math.lcm(*(rows[i][c] for i, c in enumerate(pivots)))
+    for f in set(range(n)) - set(pivots):   # x_f = lcm solves for the rest
+        v = [-rows[pivots.index(c)][f] * lcm // rows[pivots.index(c)][c]
+             if c in pivots else lcm * (c == f) for c in range(n)]
+        todo.append([x // math.gcd(*v) % res for x in v])
+    for p in range(n):   # the last axis is the pivot of e_last alone
+        v = next((v for v in todo if v[p] % 2
+                  and (p < n - 1 or not any(v[:-1]))), None)
+        if v is not None:
+            todo.remove(v)
+            v = [x * pow(v[p], -1, res) % res for x in v]
+            for w in todo + basis:   # column p cleared from every other one
+                w[:] = [(x - w[p] * y) % res for x, y in zip(w, v)]
+            basis.append(v)
+    return tuple(tuple((x + res // 2) % res - res // 2 for x in v)
+                 for v in basis if all(np.array_equal(
+                     np.roll(c, v, axis=range(n)), c) for c in cut))
 
 
 @dataclass
@@ -133,18 +189,28 @@ class ScalarField:
     def from_modes(grid: TorusGrid,
                    modes: Sequence[Tuple[Sequence[int], complex]]) -> "ScalarField":
         """Sum of re*cos(2 pi k.u) + im*sin(2 pi k.u) over mode lines; each
-        phase spans only the axes where k is nonzero, and broadcasts."""
-        u = grid.coords()
+        phase is the integer k.j mod res at sample j times 2 pi / res, so a
+        translation v with k.v = 0 (mod res) leaves its bits unchanged; it
+        spans only the axes where k is nonzero (mod res), and broadcasts."""
+        j = grid._per_axis(lambda m, last: np.arange(m))
         vals = np.zeros(grid.shape)
         for k, amp in modes:
             if len(k) != 2 * grid.dim:
                 raise GridError("mode index needs %d entries" % (2 * grid.dim))
-            phase = sum(ki * ui for ki, ui in zip(map(int, k), u) if ki) * (2 * np.pi)
+            phase = sum(ki % grid.res * ji for ki, ji in zip(map(int, k), j)
+                        if ki % grid.res) % grid.res * (2 * np.pi / grid.res)
             amp = complex(amp)
             for a, wave in ((amp.real, np.cos), (amp.imag, np.sin)):
                 if a != 0:
                     vals += a * wave(phase)
         return ScalarField(grid, vals)
+
+    def section(self, translations) -> "ScalarField":
+        """This field, invariant under the grid translations
+        ``translations`` (as ``MADiagnostics.translations`` holds them), on
+        their section: a field on the quotient grid."""
+        q = _Quotient(self.grid.dim, self.grid.res, tuple(translations))
+        return ScalarField(q, self.values[tuple(slice(m) for m in q.shape)])
 
     def spectral_tail(self) -> float:
         """Fraction of spectral mass above half the Nyquist band.
@@ -330,6 +396,7 @@ class MADiagnostics:
     converged: bool = False
     failure: Optional[str] = None
     solve_shape: Tuple[int, ...] = ()   # the grid's, or its quotient's
+    translations: Tuple[Tuple[int, ...], ...] = ()   # the quotient's vectors
 
 
 _WORK_COUNTS = ("newton_iterations", "gmres_iterations", "damping_events",
@@ -420,31 +487,36 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
     if not 0 < eF_mean < np.inf:
         raise GridError("forcing F has mean(e^F) %r, not in (0, inf)"
                         % eF_mean)
-    # the equation commutes with translations, so along a real axis where F
-    # and phi0 are constant the solution is too: that axis is cut to one
-    # sample for the solve, and phi is broadcast back to the caller's grid
+    # the equation commutes with the grid's translations, so the solution is
+    # invariant under each one that leaves F and phi0 unchanged: the solve
+    # runs on the section of those translations, and phi is gathered back
     grid = F.grid
-    starts = [F.values] + ([] if phi0 is None else [phi0.values])
-    quotient = _Quotient(grid.dim, grid.res, tuple(
-        any((v != v.take([0], axis=a)).any() for v in starts)
-        for a in range(len(grid.shape))))
-    cut = tuple(slice(None) if k else slice(1) for k in quotient.kept)
-    F = ScalarField(quotient, F.values[cut])
+    vectors = _translations(grid.res, [F.values] + (
+        [] if phi0 is None else [phi0.values]))
+    F = F.section(vectors)
     if phi0 is not None:
-        phi0 = ScalarField(quotient, phi0.values[cut])
+        phi0 = phi0.section(vectors)
     try:
         result = _solve_continued(F, g, tol, max_iter, phi0)
     except NewtonFailure as failure:
-        _broadcast(failure.result, grid)
+        _lift(failure.result, grid)
         raise
-    return _broadcast(result, grid)
+    return _lift(result, grid)
 
 
-def _broadcast(result: MAResult, grid: TorusGrid) -> MAResult:
-    """``result`` with phi broadcast from the grid it was solved on, whose
-    shape the diagnostics record, to ``grid``."""
-    values = result.phi.values
+def _lift(result: MAResult, grid: TorusGrid) -> MAResult:
+    """``result`` with phi taken from the quotient it was solved on, whose
+    shape and translations the diagnostics record, to ``grid``:
+    phi(x) = phi_q(x - sum_p x_p v).  Each vector with two or more nonzero
+    entries fills its pivot axis by rolls; the rest broadcast."""
+    q, values = result.phi.grid, result.phi.values
     result.diagnostics.solve_shape = values.shape
+    result.diagnostics.translations = q.vectors
+    for v in q.vectors:
+        if np.count_nonzero(v) > 1:
+            values = np.concatenate([np.roll(values, [t * c for c in v],
+                                             axis=range(len(v)))
+                                     for t in range(grid.res)], axis=_pivot(v))
     if values.shape != grid.shape:
         values = np.broadcast_to(values, grid.shape).copy()
     result.phi = ScalarField(grid, values)

@@ -564,7 +564,9 @@ def flow_derivative_check(f: MapSpec, xi: InvVectorField, eta: InvVectorField,
         approx = fd.scale(1j)
         err_form = approx - A
         err = max((abs(complex(c)) for c in err_form.coeffs.values()), default=0.0)
-        rel = err / a_norm if a_norm else err
+        # no relative error against a nonzero target whose float norm
+        # underflows; a zero target's is the absolute one
+        rel = err / a_norm if a_norm else math.nan if A else err
         records.append(FlowStepRecord(h=h, error=err, rel_error=rel))
     orders = []
     for a, b in zip(records, records[1:]):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from balmap.cli import main
@@ -208,12 +209,66 @@ def test_ma_reports_the_shape_it_solved_on(tmp_path, capsys):
     code, extra, checks = _ma_report(tmp_path, capsys, 2, 8,
                                      "1 0 0 0 0.1\n0 0 1 0 0.05\n")
     assert code == 0 and extra["solve_shape"] == [8, 1, 8, 1]
+    assert extra["translations"] == [[0, 1, 0, 0], [0, 0, 0, 1]]
     # a passing conservation check is worked out no further
     assert "detail" not in checks["conservation"]
     assert "conservation_nyquist_share" not in extra
+    # three modes leave the translation by (1, -1, -1, 1) / 8: the solve
+    # runs on the section x_1 = 0; a fourth mode spans all four axes
+    krylov = "1 0 1 0 0.1\n0 1 0 1 0.05\n1 1 0 0 0.03\n"
+    code, extra, _ = _ma_report(tmp_path, capsys, 2, 8, krylov)
+    assert code == 0 and extra["solve_shape"] == [1, 8, 8, 8]
+    assert extra["translations"] == [[1, -1, -1, 1]]
     code, extra, _ = _ma_report(tmp_path, capsys, 2, 8,
-                                "1 0 1 0 0.1\n0 1 0 1 0.05\n")
+                                krylov + "0 0 0 1 0.02\n")
     assert code == 0 and extra["solve_shape"] == [8, 8, 8, 8]
+    assert extra["translations"] == []
+
+
+def _ma_samples_report(tmp_path, capsys, dim, res, values):
+    sf = tmp_path / "forcing.samples"
+    sf.write_text("\n".join(repr(float(v)) for v in values.ravel()) + "\n")
+    code, out, _ = run_cli(["ma", "--dim", str(dim), "--res", str(res),
+                            "--tol", "1e-9", "--samples", str(sf),
+                            "--format", "structured"], capsys)
+    return code, json.loads(out.splitlines()[0])["extra"]
+
+
+def test_ma_spectral_tail_on_the_quotient_is_the_full_grids(tmp_path, capsys):
+    # the tail is taken on the grid the solve ran on; the pivot axis's
+    # wavenumbers give the full grid's mask, so it agrees with the tail of
+    # the caller's grid.  The samples add a mode (5, 5, 0, 0) above res/4
+    # that keeps the symmetry
+    from balmap.masolver import ScalarField, TorusGrid
+    grid = TorusGrid(2, 16)
+    krylov = [((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0), ((1, 1, 0, 0), 2 / 3)]
+    code, extra, _ = _ma_report(tmp_path, capsys, 2, 16, "".join(
+        "%s %r\n" % (" ".join(map(str, k)), a) for k, a in krylov))
+    assert code == 0 and extra["solve_shape"] == [1, 16, 16, 16]
+    full = ScalarField.from_modes(grid, krylov).spectral_tail()
+    assert full < 1e-20
+    assert extra["forcing_spectral_tail"] == pytest.approx(full, abs=1e-20)
+    F = ScalarField.from_modes(grid, krylov + [((5, 5, 0, 0), 0.01)])
+    code, extra = _ma_samples_report(tmp_path, capsys, 2, 16, F.values)
+    assert code == 0 and extra["solve_shape"] == [1, 16, 16, 16]
+    assert F.spectral_tail() > 1e-6
+    assert extra["forcing_spectral_tail"] == pytest.approx(
+        F.spectral_tail(), rel=1e-12)
+
+
+def test_ma_samples_one_ulp_off_a_symmetry_solve_on_the_full_grid(tmp_path,
+                                                                  capsys):
+    # a translation is kept only if it leaves every sample's bits unchanged
+    from balmap.masolver import ScalarField, TorusGrid
+    F = ScalarField.from_modes(TorusGrid(2, 8), [
+        ((1, 0, 1, 0), 0.1), ((0, 1, 0, 1), 0.05), ((1, 1, 0, 0), 0.03)])
+    code, extra = _ma_samples_report(tmp_path, capsys, 2, 8, F.values)
+    assert code == 0 and extra["translations"] == [[1, -1, -1, 1]]
+    values = F.values.copy()
+    values[3, 1, 4, 1] = np.nextafter(values[3, 1, 4, 1], np.inf)
+    code, extra = _ma_samples_report(tmp_path, capsys, 2, 8, values)
+    assert code == 0 and extra["solve_shape"] == [8, 8, 8, 8]
+    assert extra["translations"] == []
 
 
 def test_ma_conservation_failure_names_the_nyquist_modes(tmp_path, capsys):
@@ -442,6 +497,18 @@ def test_theorem_stencil_with_full_relative_error_fails(capsys):
     assert code == 1
     assert "[PASS] stencil" not in out
     assert out.count("[FAIL] stencil-h-") == 2
+
+
+def test_theorem_stencils_fail_on_a_target_that_underflows(capsys):
+    # 1e-400 fields: the exact target is nonzero, its float norm 0, so a
+    # stencil's error has no relative size; no step may pass with residual 0
+    code, out, _ = run_cli(["theorem", "--map", "nakamura_shear",
+                            "--xi", "1e-400,0,0", "--eta", "1e-400,0,0"],
+                           capsys)
+    assert code == 1 and "[PASS]" not in out and "residual=" not in out
+    assert out.count("[FAIL] stencil-h-") == 3
+    assert out.count("the target underflows, largest coefficient "
+                     "1.000e-800") == 4
 
 
 def test_theorem_without_a_measured_order_fails(capsys):

@@ -91,17 +91,21 @@ def test_spectral_accuracy_doubling_resolution():
 
 def test_newton_failure_reports_last_iterate():
     # iteration budget too small for a strongly nonlinear solve.  F is
-    # constant along y_2, so the solve runs with that axis cut to one
-    # sample; the failure's phi is broadcast back to the caller's grid
+    # constant along y_2 and invariant under the translation (0, 1, -1, 0),
+    # so the solve runs on the section y_1 = y_2 = 0; the failure's phi is
+    # gathered back to the caller's grid
     g = TorusGrid(2, 16)
     F = ScalarField.from_modes(g, [((1, 0, 0, 0), 0.8), ((0, 1, 1, 0), 0.6)])
     with pytest.raises(NewtonFailure) as e:
         solve_ma(F, np.eye(2), tol=1e-12, max_iter=1)
     result = e.value.result
     assert result.diagnostics.failure
-    assert result.diagnostics.solve_shape == (16, 16, 16, 1)
-    assert result.phi.grid == g and result.phi.values.shape == g.shape
-    assert (result.phi.values == result.phi.values[..., :1]).all()
+    assert result.diagnostics.solve_shape == (16, 1, 16, 1)
+    assert result.diagnostics.translations == ((0, 1, -1, 0), (0, 0, 0, 1))
+    phi = result.phi.values
+    assert result.phi.grid == g and phi.shape == g.shape
+    assert (phi == phi[..., :1]).all()
+    assert np.array_equal(np.roll(phi, (1, -1), axis=(1, 2)), phi)
     assert result.phi.values.flags.writeable
 
 
@@ -145,6 +149,81 @@ def test_invariant_forcing_gives_a_phi_constant_along_its_constant_axes():
     assert (phi == phi[..., :1]).all()
     assert residual(res.phi, F, _GRAM2) <= 1e-10
     assert positivity_check(res.phi, _GRAM2) > 0
+
+
+def _full_grid_solve(F, gram, tol, max_iter=40, phi0=None):
+    """The solve on every point of F's grid: no translation is used."""
+    full = masolver._Quotient(F.grid.dim, F.grid.res, ())
+    return masolver._solve_continued(
+        ScalarField(full, F.values), np.asarray(gram, dtype=complex), tol,
+        max_iter, None if phi0 is None else ScalarField(full, phi0.values))
+
+
+def _stage_counts(diag):
+    return _counts(diag) + [diag.continuation_stages]
+
+
+@pytest.mark.parametrize("grid,modes,seed,gram,tol,max_iter,shape,counts", [
+    # the benchmark's Krylov-bound and d = 3 shapes
+    (TorusGrid(2, 16), [((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0),
+                        ((1, 1, 0, 0), 2 / 3)], None, "identity", 1e-9, 40,
+     (1, 16, 16, 16), [5, 58, 1, 0, 0]),
+    (TorusGrid(3, 8), [((1, 0, 1, 0, 0, 0), 0.1), ((0, 0, 0, 0, 1, 0), 0.05)],
+     None, "identity", 1e-9, 40, (1, 1, 8, 1, 8, 1), [3, 5, 0, 0, 0]),
+    # under-resolved: an inner solve stops at maxiter, conservation fails
+    (TorusGrid(2, 8), [((1, 0, 1, 0), 0.9), ((0, 1, 0, 1), 0.5),
+                       ((1, 1, 0, 0), complex(0.3, 0.1))], None, "identity",
+     1e-9, 40, (1, 8, 8, 8), [4, 208, 0, 1, 0]),
+    # a seeded pair: F and phi0 together leave (0, 0, 1, -1)
+    (TorusGrid(2, 16), [((1, 0, 0, 0), 0.1), ((0, 1, 1, 1), 0.01)],
+     [((0, 1, 0, 0), 0.05), ((1, 0, 1, 1), 0.01)], "identity", 1e-9, 40,
+     (16, 16, 1, 16), [4, 11, 0, 0, 0]),
+    # the continuation test's hard solve: every stage on the section
+    (TorusGrid(2, 16), [((1, 0, 0, 0), 3.5), ((0, 1, 1, 0), 2.45)], None,
+     "identity", 1e-10, 6, (16, 1, 16, 1), [23, 328, 4, 1, 4]),
+    (TorusGrid(2, 16), [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
+                        ((1, 0, 1, 0), complex(0.15, 0.1))], None, "_GRAM2",
+     1e-9, 40, (16, 16, 16, 1), [4, 11, 0, 0, 0]),
+])
+def test_section_solve_is_the_full_grid_solve(grid, modes, seed, gram, tol,
+                                              max_iter, shape, counts):
+    # the solution inherits each translation that fixes F and phi0; on
+    # their section the Newton, inner, damping and continuation path is the
+    # full grid's, and phi agrees to round-off
+    gram = np.eye(grid.dim) if gram == "identity" else _GRAM2
+    F = ScalarField.from_modes(grid, modes)
+    phi0 = None if seed is None else ScalarField.from_modes(grid, seed)
+    res = solve_ma(F, gram, tol=tol, max_iter=max_iter, phi0=phi0)
+    full = _full_grid_solve(F, gram, tol, max_iter, phi0)
+    d = res.diagnostics
+    assert d.solve_shape == shape and full.diagnostics.solve_shape == ()
+    assert _stage_counts(d) == _stage_counts(full.diagnostics) == counts
+    assert np.abs(res.phi.values - full.phi.values).max() <= 1e-13
+    assert res.C == pytest.approx(full.C, rel=1e-14)
+    assert d.conservation_gap == pytest.approx(
+        full.diagnostics.conservation_gap, rel=1e-6, abs=1e-15)
+    for v in d.translations:
+        assert np.array_equal(np.roll(res.phi.values, v, axis=range(len(v))),
+                              res.phi.values)
+
+
+def test_from_modes_samples_are_bitwise_invariant_under_the_annihilator():
+    # each phase is the integer k.j mod res times 2 pi / res, so any grid
+    # translation v with k.v = 0 (mod res) for every mode leaves the bits
+    rng = np.random.default_rng(24)
+    for grid in (TorusGrid(1, 16), TorusGrid(2, 8), TorusGrid(3, 8)):
+        n, res = 2 * grid.dim, grid.res
+        for _ in range(4):
+            ks = rng.integers(-2 * res, 2 * res, size=(int(rng.integers(1, n)),
+                                                       n))
+            F = ScalarField.from_modes(grid, [
+                (k, complex(*rng.normal(size=2))) for k in ks])
+            vs = np.indices((res,) * n).reshape(n, -1).T
+            vs = vs[((ks @ vs.T) % res == 0).all(axis=0)]
+            assert len(vs) >= res   # fewer than n modes
+            for v in vs[rng.choice(len(vs), 20)]:
+                assert np.array_equal(np.roll(F.values, v, axis=range(n)),
+                                      F.values)
 
 
 def test_gram_validation():
@@ -426,11 +505,25 @@ def test_gmres_stops_at_maxiter_and_on_a_zero_right_hand_side():
     assert (iters, info) == (0, 0) and not x.any()
 
 
+# each forcing's modes span all 2d axes, so no grid translation leaves it
+# unchanged and each solve runs on the full grid
+_ZERO_STARTS = [
+    (TorusGrid(1, 16), [((1, 0), 0.3), ((0, 2), 0.1), ((2, 1), 0.05 + 0.02j)]),
+    (TorusGrid(2, 16), [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
+                        ((1, 1, 0, 1), complex(0.15, 0.1)),
+                        ((0, 0, 0, 1), 0.05)]),
+    (TorusGrid(3, 8), [((1, 0, 0, 0, 0, 0), 0.1), ((0, 0, 1, 1, 0, 0), 0.05),
+                       ((0, 1, 0, 0, 1, 1), 0.05), ((0, 0, 0, 1, 0, 0), 0.02),
+                       ((0, 0, 0, 0, 1, 0), 0.02), ((0, 0, 0, 0, 0, 1), 0.02)]),
+]
+
+
 @pytest.mark.parametrize("grid,modes", [
-    # the benchmark's Krylov-bound shape and a d = 3 solve
+    # the benchmark's Krylov-bound shape with a fourth mode, so that it runs
+    # on the full grid, and a d = 3 full-grid solve
     (TorusGrid(2, 16), [((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0),
-                        ((1, 1, 0, 0), 2 / 3)]),
-    (TorusGrid(3, 8), [((1, 0, 0, 0, 0, 0), 0.1), ((0, 0, 1, 1, 0, 0), 0.05)]),
+                        ((1, 1, 0, 0), 2 / 3), ((0, 0, 0, 1), 0.1)]),
+    _ZERO_STARTS[2],
 ])
 def test_transform_budget_of_a_zero_start_solve(monkeypatch, grid, modes):
     # per inner iteration 1 forward and d^2 inverse transforms; per Newton
@@ -449,6 +542,7 @@ def test_transform_budget_of_a_zero_start_solve(monkeypatch, grid, modes):
     F = ScalarField.from_modes(grid, modes)
     d = solve_ma(F, np.eye(grid.dim), tol=1e-9).diagnostics
     assert d.converged and d.continuation_stages == 0
+    assert d.solve_shape == grid.shape
     assert calls["irfft"] == grid.dim ** 2 * (
         d.gmres_iterations + d.newton_iterations + d.damping_events) + 1
     assert calls["rfft"] == d.gmres_iterations + 2 * d.newton_iterations - 1
@@ -506,9 +600,8 @@ def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
     # into R's array.  The zero start's first step holds A = g, hence its
     # weights, as one point and runs no GMRES: its peak is phihat, R, the
     # mean-weight symbol and the spectrum of R
-    grid = TorusGrid(2, 16)
-    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
-                                      ((1, 1, 0, 1), complex(0.15, 0.1))])
+    grid, modes = _ZERO_STARTS[1]
+    F = ScalarField.from_modes(grid, modes)
     grid_array = 8 * grid.res ** 4
     krylov_rows = 21   # gmres: restart 20, plus one
     peaks = {"_det_and_adjugate": [], "gmres": [], "_newton_direction": []}
@@ -530,7 +623,7 @@ def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
         diag = solve_ma(F, _GRAM2, tol=1e-10).diagnostics
     finally:
         tracemalloc.stop()
-    assert diag.converged
+    assert diag.converged and diag.solve_shape == grid.shape
     assert max(peaks["_det_and_adjugate"]) <= 11
     assert max(peaks["gmres"]) <= 10
     assert len(peaks["gmres"]) == diag.newton_iterations - 1
@@ -538,8 +631,8 @@ def test_peak_memory_of_a_d2_solve_in_grid_arrays(monkeypatch):
 
 
 def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
-    # the benchmark's grid-bound d = 2 size, with a forcing that varies along
-    # every axis, so the solve runs on the full grid: tracemalloc peaks of
+    # the benchmark's grid-bound d = 2 size, with a forcing whose modes span
+    # all four axes, so the solve runs on the full grid: tracemalloc peaks of
     # each phase, counted from the solve's start (the forcing is the
     # caller's, and a warm-up solve has loaded scipy.fft) in float64 grid
     # arrays.  A zero start holds no spectrum, so its first line search holds
@@ -551,8 +644,8 @@ def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
     # The later line searches also hold the iterate's spectrum and the
     # candidate's
     grid = TorusGrid(2, 32)
-    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.1),
-                                      ((0, 1, 1, 1), 0.01)])
+    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.1), ((0, 1, 1, 1), 0.01),
+                                      ((0, 0, 1, 0), 0.01), ((0, 0, 0, 1), 0.01)])
     solve_ma(F, np.eye(2), tol=1e-9)
     grid_array = 8 * grid.points
     peaks = {}   # name: (Newton step, peak) of each call
@@ -585,16 +678,6 @@ def test_phase_peaks_of_a_zero_start_d2_solve_in_grid_arrays(monkeypatch):
         for k, p in got:
             limit = 7.5 if k <= 1 or name == "_min_eigenvalue" else 8.5
             assert p <= limit, (name, k, got)
-
-
-# each forcing varies along every axis, so each solve runs on the full grid
-_ZERO_STARTS = [
-    (TorusGrid(1, 16), [((1, 0), 0.3), ((0, 2), 0.1), ((2, 1), 0.05 + 0.02j)]),
-    (TorusGrid(2, 16), [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.2),
-                        ((1, 1, 0, 1), complex(0.15, 0.1))]),
-    (TorusGrid(3, 8), [((1, 0, 0, 0, 0, 0), 0.1), ((0, 0, 1, 1, 0, 0), 0.05),
-                       ((0, 1, 0, 0, 1, 1), 0.05)]),
-]
 
 
 @pytest.mark.parametrize("grid,modes", _ZERO_STARTS)

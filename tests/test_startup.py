@@ -101,21 +101,55 @@ def test_lazy_package_names_are_the_module_attributes():
 
 def test_ma_imports_no_scipy_sparse(tmp_path):
     # the solver's GMRES is its own, and numpy.fft serves grids below 2^16
-    # points: a 2^12-point solve loads no scipy, a 2^16-point one scipy.fft
+    # points: a 2^12-point solve loads no scipy, a 2^16-point one scipy.fft.
+    # The Krylov modes leave a grid translation, so their 2^16-point forcing
+    # is solved and its spectral tail taken on a 2^12-point section; a
+    # fourth mode spans all four axes
+    krylov = "1 0 1 0 2.0\n0 1 0 1 1.0\n1 1 0 0 0.6667\n"
+    (tmp_path / "krylov.modes").write_text(krylov)
+    (tmp_path / "full.modes").write_text(krylov + "0 0 0 1 0.1\n")
+    (tmp_path / "mild.modes").write_text(
+        "1 0 1 0 0.1\n0 1 0 1 0.05\n1 1 0 0 0.03\n0 0 0 1 0.02\n")
     script = textwrap.dedent("""
         import sys
         import balmap.masolver
         import balmap.cli
-        for res in sys.argv[1:]:
+        for res, modes in zip(sys.argv[1::2], sys.argv[2::2]):
             assert balmap.cli.main(["ma", "--dim", "2", "--res", res,
+                                    "--modes", modes,
                                     "--output", "report.txt"]) == 0
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    proc = _fresh_python(["-c", script, "8", "16"], cwd=str(tmp_path))
+    proc = _fresh_python(["-c", script, "8", "mild.modes", "16", "krylov.modes",
+                          "16", "full.modes"], cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    small, large = proc.stdout.splitlines()
-    assert small == "[]"
+    small, section, large = proc.stdout.splitlines()
+    assert small == "[]" and section == "[]"
     assert "'scipy.fft'" in large and "scipy.sparse" not in large
+
+
+def test_ma_solve_shapes_run_without_scipy_fft(tmp_path):
+    # the three forcings of the benchmark's ma-solve workload: each leaves
+    # a grid translation, and each section has fewer than 2^16 points
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from balmap.masolver import ScalarField, TorusGrid, solve_ma
+        for d, res, modes in (
+                (2, 16, [((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0),
+                         ((1, 1, 0, 0), 2 / 3)]),
+                (2, 32, [((1, 0, 0, 0), 0.1)]),
+                (3, 8, [((1, 0, 1, 0, 0, 0), 0.1), ((0, 0, 0, 0, 1, 0), 0.05)])):
+            F = ScalarField.from_modes(TorusGrid(d, res), modes)
+            diag = solve_ma(F, np.eye(d), tol=1e-9).diagnostics
+            assert diag.converged, diag
+            print(diag.solve_shape)
+        print("scipy.fft" in sys.modules)
+    """)
+    proc = _fresh_python(["-c", script], cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "(1, 16, 16, 16)", "(32, 1, 1, 1)", "(1, 1, 8, 1, 8, 1)", "False"]
 
 
 def test_only_the_identity_suite_loads_the_chart_calculus(tmp_path):
