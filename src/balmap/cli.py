@@ -314,6 +314,8 @@ def cmd_ma(args) -> int:
     if not conserved:   # worked out only here: a passing report keeps its bytes
         free = nyquist_free_gap(result.phi, gram)
         rep.extra["conservation_nyquist_share"] = 1 - free / d.conservation_gap
+        rep.extra["phi_spectral_tail"] = result.phi.section(
+            d.translations).spectral_tail()
         detail = ("grid too coarse: phi's Nyquist modes carry the gap "
                   "(%.3e; %.3e without them)" if free <= 1e-9 else
                   "%.3e; %.3e without phi's Nyquist modes") % (

@@ -37,7 +37,9 @@ larger one goes through ``scipy.fft``, imported when the first such
 ``HessianOp`` is built, since numpy.fft is up to 3.3x slower there.  The
 last-axis inverse pass is always numpy's, which takes an ``out`` array and
 is as fast as scipy's on that axis.  Both transform on the calling thread:
-a worker pool competes with numpy's BLAS threads.
+a worker pool competes with numpy's BLAS threads.  A quotient's one-sample
+axes, where a transform is the identity, are left out of every pass; the
+last axis stays the half-spectrum axis at any length.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
@@ -133,11 +135,12 @@ def _translations(res: int, fields: Sequence[np.ndarray]):
     null space of what is left's joint spectral support (a 1e-12 threshold
     only proposes), in Gauss-Jordan form mod res with odd pivots, and each
     is kept only if ``np.roll`` by it leaves every field unchanged."""
-    n = fields[0].ndim
-    cut = tuple(slice(None) if any((v != v.take([0], axis=a)).any()
-                                   for v in fields) else slice(1)
-                for a in range(n))
-    cut = [v[cut] for v in fields]
+    n, cut = fields[0].ndim, list(fields)
+    for a in reversed(range(n)):   # on what the later axes' cuts left
+        s = (slice(None),) * a
+        if all(np.array_equal(v[s + (0,)], v[s + (1,)])   # planes 0, 1 first
+               and (v == v[s + (slice(1),)]).all() for v in cut):
+            cut = [v[s + (slice(1),)] for v in cut]
     power = sum(np.abs(np.fft.rfftn(v)) for v in cut)
     k = np.array(np.nonzero(power > 1e-12 * power.max())).T
     k[:, :-1] = (k[:, :-1] + res // 2) % res - res // 2   # fftfreq's integers
@@ -237,8 +240,10 @@ class HessianOp:
     """Mixed complex Hessian entries of a real field, by real-symbol FFTs."""
 
     def __init__(self, grid: TorusGrid):
-        self.grid = grid
+        self.grid, self.shape = grid, grid.shape
         self._wav = grid.wavenumbers()
+        # a one-sample axis's transform is the identity: it is not run
+        self._lead = tuple(a for a, m in enumerate(self.shape[:-1]) if m > 1)
         if grid.points < SCIPY_FFT_POINTS:
             self._fft = np.fft
         else:
@@ -246,20 +251,21 @@ class HessianOp:
             self._fft = scipy.fft
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
-        return self._fft.rfftn(v)
+        return self._fft.rfftn(v, axes=self._lead + (len(self.shape) - 1,))
 
     def irfft(self, vhat: np.ndarray,
               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Real field of the half spectrum ``vhat``.  The lead-axis pass runs
-        in vhat's array, which it overwrites; the last-axis pass is numpy's,
-        which writes into ``out`` when given: a real grid array, or the real
-        or imaginary plane of a complex one."""
-        lead = tuple(range(vhat.ndim - 1))
-        if self._fft is np.fft:
-            vhat = np.fft.ifftn(vhat, axes=lead, out=vhat)
-        else:
-            vhat = self._fft.ifftn(vhat, axes=lead, overwrite_x=True)
-        return np.fft.irfft(vhat, n=self.grid.shape[-1], axis=-1, out=out)
+        over the lead axes of more than one sample (none: no pass) in vhat's
+        array, which it overwrites; the last-axis pass, the half-spectrum
+        axis at any length, is numpy's, which writes into ``out`` when
+        given: a real grid array, or the real or imaginary plane of a
+        complex one."""
+        if self._lead and self._fft is np.fft:
+            vhat = np.fft.ifftn(vhat, axes=self._lead, out=vhat)
+        elif self._lead:
+            vhat = self._fft.ifftn(vhat, axes=self._lead, overwrite_x=True)
+        return np.fft.irfft(vhat, n=self.shape[-1], axis=-1, out=out)
 
     def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:
         """``vhat`` made, in place, the half spectrum of the real field
@@ -296,8 +302,7 @@ class HessianOp:
         work = np.empty_like(vhat)
         for j, k, imag in self.parts():
             if not imag:
-                out[(j, k)] = np.empty(self.grid.shape,
-                                       float if j == k else complex)
+                out[(j, k)] = np.empty(self.shape, float if j == k else complex)
             a, g = out[(j, k)], gram[j - 1, k - 1]
             plane = a.imag if imag else a.real
             np.multiply(self.symbol(j, k, imag), vhat, out=work)
@@ -664,7 +669,7 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     psym[flat_idx] = 1.0
 
     def inv_p_hat(y):   # the spectrum of P^-1 y, mean free
-        yhat = op.rfft(y.reshape(grid.shape))
+        yhat = op.rfft(y.reshape(op.shape))
         yhat /= psym
         yhat[flat_idx] = 0.0
         return yhat

@@ -213,6 +213,7 @@ def test_ma_reports_the_shape_it_solved_on(tmp_path, capsys):
     # a passing conservation check is worked out no further
     assert "detail" not in checks["conservation"]
     assert "conservation_nyquist_share" not in extra
+    assert "phi_spectral_tail" not in extra
     # three modes leave the translation by (1, -1, -1, 1) / 8: the solve
     # runs on the section x_1 = 0; a fourth mode spans all four axes
     krylov = "1 0 1 0 0.1\n0 1 0 1 0.05\n1 1 0 0 0.03\n"
@@ -283,6 +284,15 @@ def test_ma_conservation_failure_names_the_nyquist_modes(tmp_path, capsys):
         "grid too coarse: phi's Nyquist modes carry the gap (%.3e; "
         % check["residual"])
     assert 1 - 1e-6 <= extra["conservation_nyquist_share"] <= 1
+    # phi's spectral tail, taken on the section x_1 = 0 it was solved on,
+    # is the tail of the solution on the caller's grid
+    from balmap.masolver import ScalarField, TorusGrid, solve_ma
+    assert extra["translations"] == [[1, -1, -1, 1]]
+    F = ScalarField.from_modes(TorusGrid(2, 8), [
+        ((1, 0, 1, 0), 0.9), ((0, 1, 0, 1), 0.5), ((1, 1, 0, 0), 0.3 + 0.1j)])
+    full = solve_ma(F, np.eye(2), tol=1e-9).phi.spectral_tail()
+    assert 0 < full < 1
+    assert extra["phi_spectral_tail"] == pytest.approx(full, rel=1e-9)
 
 
 def test_ma_reports_the_work_of_a_failed_solve(tmp_path, capsys):

@@ -792,6 +792,84 @@ def test_scipy_transforms_start_at_the_boundary():
     assert HessianOp(TorusGrid(1, 128))._fft is np.fft
 
 
+@pytest.mark.parametrize("grid,shape", [
+    # the benchmark's three sections, a one-point one and a scipy.fft one
+    (masolver._Quotient(2, 16, ((1, -1, -1, 1),)), (1, 16, 16, 16)),
+    (masolver._Quotient(2, 32, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+     (32, 1, 1, 1)),
+    (masolver._Quotient(3, 8, ((1, 0, -1, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                               (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1))),
+     (1, 1, 8, 1, 8, 1)),
+    (masolver._Quotient(2, 8, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                               (0, 0, 0, 1))), (1, 1, 1, 1)),
+    (masolver._Quotient(2, 64, ((1, 0, 0, 0),)), (1, 64, 64, 64)),
+])
+def test_transforms_skipping_one_sample_axes_are_the_all_axes_ones(grid,
+                                                                   shape):
+    # a length-1 transform is the identity, so leaving those axes out
+    # changes no bit: the forward transform is the all-axes rfftn, and the
+    # inverse is ifftn over every lead axis, then irfft on the last
+    op = HessianOp(grid)
+    assert op.shape == shape
+    assert (op._fft is np.fft) == (grid.points < masolver.SCIPY_FFT_POINTS)
+    v = np.random.default_rng(7).normal(size=shape)
+    want = op._fft.rfftn(v)
+    got = op.rfft(v)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    back = np.fft.irfft(op._fft.ifftn(want, axes=range(v.ndim - 1)),
+                        n=shape[-1], axis=-1)
+    got = op.irfft(op.rfft(v))
+    assert got.shape == shape and got.tobytes() == back.tobytes()
+
+
+def test_no_solver_transform_runs_on_a_one_sample_axis(monkeypatch):
+    # the benchmark's Krylov-bound forcing solves on (1, 16, 16, 16): no
+    # numpy.fft call of the solve transforms an axis of length 1, except the
+    # last axis, the half-spectrum axis
+    lengths, calls = [], {}
+
+    def spy_on(name, axes_of):
+        real = getattr(np.fft, name)
+
+        def spy(a, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            lengths.extend(a.shape[x] for x in axes_of(a, kw)
+                           if x % a.ndim < a.ndim - 1)
+            return real(a, **kw)
+        monkeypatch.setattr(np.fft, name, spy)
+    for name in ("rfftn", "ifftn"):
+        spy_on(name, lambda a, kw: range(a.ndim) if kw.get("axes") is None
+               else kw["axes"])
+    spy_on("irfft", lambda a, kw: [kw.get("axis", -1)])
+    F = ScalarField.from_modes(TorusGrid(2, 16), [
+        ((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0), ((1, 1, 0, 0), 2 / 3)])
+    d = solve_ma(F, np.eye(2), tol=1e-9).diagnostics
+    assert d.converged and d.solve_shape == (1, 16, 16, 16)
+    assert min(calls.values()) > 0 and len(calls) == 3
+    assert lengths and 1 not in lengths
+
+
+def test_constant_axis_search_compares_every_plane():
+    # a field alike on planes 0 and 1 of an axis but not beyond keeps that
+    # axis; a generic field constant along a set of axes is left unchanged
+    # by exactly those e_a
+    rng = np.random.default_rng(11)
+    unit = lambda a: tuple(int(b == a) for b in range(4))
+    for axes in [(), (1,), (0, 3), (1, 2, 3), (0, 1, 2, 3)]:
+        v = rng.normal(size=[1 if a in axes else 8 for a in range(4)])
+        v = np.broadcast_to(v, (8,) * 4).copy()
+        alike = next((a for a in range(4) if a not in axes), None)
+        if alike is not None:   # planes 0 and 1 of that axis made equal
+            s = (slice(None),) * alike
+            v[s + (1,)] = v[s + (0,)]
+            assert not np.array_equal(v[s + (2,)], v[s + (0,)])
+        assert masolver._translations(8, [v]) == tuple(map(unit, axes))
+    # two fields: only the axes along which both are constant
+    v = np.broadcast_to(rng.normal(size=(8, 1, 8, 1)), (8,) * 4)
+    w = np.broadcast_to(rng.normal(size=(8, 8, 8, 1)), (8,) * 4)
+    assert masolver._translations(8, [v, w]) == (unit(3),)
+
+
 @pytest.mark.parametrize("grid,modes", [
     # the cli-session ma input, and a d = 1 solve with a damped step
     (TorusGrid(2, 8), [((1, 0, 0, 0), 0.1), ((0, 0, 1, 0), 0.05)]),
