@@ -20,7 +20,11 @@ Quotient: the equation has constant coefficients, so the solution is
 invariant under each grid translation v (mod res) that leaves F and phi0
 bitwise unchanged.  ``solve_ma`` runs the whole solve, continuation
 included, on the section x_p = 0 of one pivot axis p per v (v = e_a cuts
-an axis along which the data are constant).  An invariant field's spectrum
+an axis along which the data are constant).  Its checks come in this
+order: tol and g, phi0's shape, then on the constant-axis cut, which holds
+every value and needs no transform, F's and phi0's finiteness and
+mean(e^F), the cut's e^F sum times its multiplicity; then the lattice
+search on the cut.  An invariant field's spectrum
 lives on k.v = 0 (mod res), so with the pivot wavenumber set from the kept
 ones the symbols and Nyquist planes are the full grid's.  phi is gathered
 back to the caller's grid, also in a NewtonFailure.  A forcing whose modes
@@ -39,7 +43,10 @@ last-axis inverse pass is always numpy's, which takes an ``out`` array and
 is as fast as scipy's on that axis.  Both transform on the calling thread:
 a worker pool competes with numpy's BLAS threads.  A quotient's one-sample
 axes, where a transform is the identity, are left out of every pass; the
-last axis stays the half-spectrum axis at any length.
+last axis stays the half-spectrum axis at any length.  On the ``numpy.fft``
+path each lead axis is one in-place 1-D pass (``rfft`` then ``fft``;
+``ifft`` then ``irfft``) in ``rfftn``'s and ``ifftn``'s axis order, with
+their bits and without their n-D argument handling.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
@@ -128,19 +135,29 @@ class _Quotient(TorusGrid):
         return wav
 
 
-def _translations(res: int, fields: Sequence[np.ndarray]):
-    """Grid translations under which each of ``fields`` is bitwise unchanged,
-    in the form of ``_Quotient.vectors``.  The axes along which they are
-    constant are cut to one sample first; candidates come from the integer
-    null space of what is left's joint spectral support (a 1e-12 threshold
-    only proposes), in Gauss-Jordan form mod res with odd pivots, and each
-    is kept only if ``np.roll`` by it leaves every field unchanged."""
-    n, cut = fields[0].ndim, list(fields)
-    for a in reversed(range(n)):   # on what the later axes' cuts left
+def _constant_axis_cut(fields: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """``fields`` with each axis along which every one of them is bitwise
+    constant cut to one sample: views, which hold each value of each field.
+    An axis is tested on what the later axes' cuts left, planes 0 and 1
+    first."""
+    cut = list(fields)
+    for a in reversed(range(cut[0].ndim)):
         s = (slice(None),) * a
-        if all(np.array_equal(v[s + (0,)], v[s + (1,)])   # planes 0, 1 first
+        if all(np.array_equal(v[s + (0,)], v[s + (1,)])
                and (v == v[s + (slice(1),)]).all() for v in cut):
             cut = [v[s + (slice(1),)] for v in cut]
+    return cut
+
+
+def _translations(res: int, cut: Sequence[np.ndarray]):
+    """Grid translations under which each of the fields whose
+    ``_constant_axis_cut`` is ``cut`` is bitwise unchanged, in the form of
+    ``_Quotient.vectors``.  Candidates come from the integer null space of
+    the cut's joint spectral support (a 1e-12 threshold only proposes), in
+    Gauss-Jordan form mod res with odd pivots, and each is kept only if
+    ``np.roll`` by it leaves every field of the cut unchanged; a cut axis
+    gives its e_a."""
+    n = cut[0].ndim
     power = sum(np.abs(np.fft.rfftn(v)) for v in cut)
     k = np.array(np.nonzero(power > 1e-12 * power.max())).T
     k[:, :-1] = (k[:, :-1] + res // 2) % res - res // 2   # fftfreq's integers
@@ -251,18 +268,28 @@ class HessianOp:
             self._fft = scipy.fft
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
-        return self._fft.rfftn(v, axes=self._lead + (len(self.shape) - 1,))
+        """Half spectrum of the real field ``v``.  On the ``numpy.fft`` path
+        the lead axes of more than one sample are transformed one at a time
+        in the half spectrum's array, in ``rfftn``'s order and bits."""
+        if self._fft is not np.fft:
+            return self._fft.rfftn(v, axes=self._lead + (len(self.shape) - 1,))
+        vhat = np.fft.rfft(v)
+        for a in reversed(self._lead):
+            np.fft.fft(vhat, axis=a, out=vhat)
+        return vhat
 
     def irfft(self, vhat: np.ndarray,
               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Real field of the half spectrum ``vhat``.  The lead-axis pass runs
         over the lead axes of more than one sample (none: no pass) in vhat's
-        array, which it overwrites; the last-axis pass, the half-spectrum
-        axis at any length, is numpy's, which writes into ``out`` when
-        given: a real grid array, or the real or imaginary plane of a
-        complex one."""
-        if self._lead and self._fft is np.fft:
-            vhat = np.fft.ifftn(vhat, axes=self._lead, out=vhat)
+        array, which it overwrites, one axis at a time on the ``numpy.fft``
+        path (in ``ifftn``'s order and bits); the last-axis pass, the
+        half-spectrum axis at any length, is numpy's, which writes into
+        ``out`` when given: a real grid array, or the real or imaginary
+        plane of a complex one."""
+        if self._fft is np.fft:
+            for a in reversed(self._lead):
+                np.fft.ifft(vhat, axis=a, out=vhat)
         elif self._lead:
             vhat = self._fft.ifftn(vhat, axes=self._lead, overwrite_x=True)
         return np.fft.irfft(vhat, n=self.shape[-1], axis=-1, out=out)
@@ -475,7 +502,9 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
     divergence the forcing is ramped in stages (each converged stage seeds
     the next); only if the ramp also stalls does NewtonFailure propagate,
     carrying the last iterate.  Each of ``_WORK_COUNTS`` sums over every
-    attempt made.
+    attempt made.  A tol, gram or phi0 that makes no sense (phi0 off F's
+    grid, or non-finite), a non-finite F and a mean(e^F) outside (0, inf)
+    raise GridError.
     """
     if not 1e-12 <= tol < np.inf:
         raise GridError("tolerance %r is not a finite number >= 1e-12" % (tol,))
@@ -485,19 +514,28 @@ def solve_ma(F: ScalarField, gram, tol: float = 1e-10,
         raise GridError("gram must be %d x %d" % (d, d))
     if np.linalg.norm(g - g.conj().T) > 1e-12 or np.linalg.eigvalsh(g).min() <= 0:
         raise GridError("gram must be Hermitian positive definite")
-    if not np.isfinite(F.values).all():
-        raise GridError("forcing has non-finite values")
-    with np.errstate(over="ignore"):
-        eF_mean = float(np.exp(F.values).mean())
+    grid = F.grid
+    if phi0 is not None and phi0.values.shape != grid.shape:
+        raise GridError("phi0 must have the forcing's shape %r" % (grid.shape,))
+    # the checks read the constant-axis cut, which holds every value, and
+    # transform nothing: a rejected forcing is never transformed
+    cut = _constant_axis_cut([F.values] + ([] if phi0 is None
+                                           else [phi0.values]))
+    for name, v in zip(("forcing", "phi0"), cut):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(v.sum()) or np.isfinite(v).all()
+        if not finite:   # a finite sum proves every value finite
+            raise GridError("%s has non-finite values" % name)
+    with np.errstate(over="ignore"):   # the full grid's sum overflows alike
+        eF_sum = float(np.exp(cut[0]).sum()) * (grid.points // cut[0].size)
+    eF_mean = eF_sum / grid.points
     if not 0 < eF_mean < np.inf:
         raise GridError("forcing F has mean(e^F) %r, not in (0, inf)"
                         % eF_mean)
     # the equation commutes with the grid's translations, so the solution is
     # invariant under each one that leaves F and phi0 unchanged: the solve
     # runs on the section of those translations, and phi is gathered back
-    grid = F.grid
-    vectors = _translations(grid.res, [F.values] + (
-        [] if phi0 is None else [phi0.values]))
+    vectors = _translations(grid.res, cut)
     F = F.section(vectors)
     if phi0 is not None:
         phi0 = phi0.section(vectors)
@@ -708,7 +746,7 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
 
     # R, not -R, on the right and psi = -P^-1 y: GMRES is odd in the
     # right-hand side, and this needs no negated copy of R
-    y, iters, info = gmres(matvec, R.ravel(), rtol)
+    y, iters, info, _ = gmres(matvec, R.ravel(), rtol)
     return direction(y), iters, info
 
 
@@ -718,22 +756,28 @@ def gmres(matvec, b: np.ndarray, rtol: float):
     first matvec, so ``matvec`` may return its result in b's array.
 
     Each inner iteration is one matvec, orthogonalised by classical
-    Gram-Schmidt applied twice; the small Hessenberg least-squares problem
-    gives the residual estimate, and the restart residual comes from the
-    Arnoldi relation A V_k = V_{k+1} H_k, not from a matvec.  Stops once the
-    estimate is <= rtol ||b||, or after 200 inner iterations.  Returns x,
-    the inner iteration count and info: 0 converged, 1 not."""
+    Gram-Schmidt applied twice.  Givens rotations keep the QR factors of
+    the Hessenberg matrix H_k up to date, so the residual estimate is
+    |g_{k+1}|, the last entry of the rotated beta e_1, and one triangular
+    solve gives x when GMRES stops or restarts.  The restart residual comes
+    from the Arnoldi relation A V_k = V_{k+1} H_k, not from a matvec.
+    Stops once the estimate is <= rtol ||b||, when it is NaN, on an
+    invariant Krylov space or after 200 inner iterations.  Returns x, the
+    inner iteration count, info (0 converged, 1 not) and the estimate over
+    ||b||."""
     restart, maxiter = 20, 200
-    beta = float(np.linalg.norm(b))
+    beta = norm_b = float(np.linalg.norm(b))
     bound = rtol * beta
     if beta == 0.0:
-        return np.zeros(b.size), 0, 0
+        return np.zeros(b.size), 0, 0, 0.0
     x = 0.0   # an array from the first update on
     V = np.empty((restart + 1, b.size))
     np.divide(b, beta, out=V[0])
     iters = 0
     while True:
         hess = np.zeros((restart + 1, restart))
+        tri = np.zeros((restart, restart))   # H_k rotated: upper triangular
+        rot, g = [], [beta]   # the rotations, and beta e_1 rotated by them
         for k in range(restart):
             w = matvec(V[k])
             for _ in range(2):
@@ -742,20 +786,29 @@ def gmres(matvec, b: np.ndarray, rtol: float):
                 hess[:k + 1, k] += h
             hess[k + 1, k] = norm_w = float(np.linalg.norm(w))
             iters += 1
-            res = np.zeros(k + 2)
-            res[0] = beta
-            coef = np.linalg.lstsq(hess[:k + 2, :k + 1], res, rcond=None)[0]
-            res -= hess[:k + 2, :k + 1] @ coef   # b - A x in V[:k + 2]
-            res_norm = float(np.linalg.norm(res))
-            # a zero norm_w is an invariant Krylov space: coef is exact
-            if res_norm <= bound or iters == maxiter or norm_w == 0.0:
-                x += coef @ V[:k + 1]
-                return x, iters, int(res_norm > bound)
+            col = hess[:k + 1, k].tolist()
+            for i, (c, s) in enumerate(rot):
+                col[i:i + 2] = (c * col[i] + s * col[i + 1],
+                                c * col[i + 1] - s * col[i])
+            # a zero column (only where norm_w is 0) takes the coefficient 0
+            r = math.hypot(col[k], norm_w)
+            c, s = (col[k] / r, norm_w / r) if r else (0.0, 1.0)
+            rot.append((c, s))
+            tri[:k, k], tri[k, k] = col[:k], r or 1.0
+            g[k:] = c * g[k], -s * g[k]
+            res_norm = abs(g[k + 1])
+            # a zero norm_w is an invariant Krylov space: the estimate is exact
+            if not res_norm > bound or iters == maxiter or norm_w == 0.0:
+                x += np.linalg.solve(tri[:k + 1, :k + 1], g[:k + 1]) @ V[:k + 1]
+                return x, iters, int(not res_norm <= bound), res_norm / norm_b
             np.divide(w, norm_w, out=V[k + 1])
             del w   # before the next matvec makes its successor
+        coef = np.linalg.solve(tri, g[:restart])
         x += coef @ V[:restart]
+        res = -(hess @ coef)   # b - A x in V, by the Arnoldi relation
+        res[0] += beta
+        beta = float(np.linalg.norm(res))
         V[0] = res @ V
-        beta = res_norm
         V[0] /= beta
 
 

@@ -290,6 +290,59 @@ def test_tolerance_floor_enforced():
         solve_ma(ScalarField.zeros(g), [[1.0]], tol=1e-15)
 
 
+@pytest.mark.parametrize("grid", [TorusGrid(1, 8), TorusGrid(2, 16)])
+def test_phi0_on_another_grid_is_an_input_error(grid):
+    # another dimension, or another resolution, than the forcing's
+    F = ScalarField.from_modes(TorusGrid(2, 8), [((1, 0, 0, 0), 0.1)])
+    phi0 = ScalarField.zeros(grid)
+    with pytest.raises(GridError, match="phi0 must have the forcing's shape"):
+        solve_ma(F, np.eye(2), phi0=phi0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_phi0_is_an_input_error(bad):
+    grid = TorusGrid(2, 8)
+    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 0.1)])
+    phi0 = ScalarField.zeros(grid)
+    phi0.values[3, 0, 0, 0] = bad
+    with pytest.raises(GridError, match="phi0 has non-finite values"):
+        solve_ma(F, np.eye(2), phi0=phi0)
+
+
+def test_finite_forcing_whose_sum_overflows_is_not_non_finite():
+    # the one-reduction finiteness check falls back to the elementwise test;
+    # e^F then overflows, which is the error reported, with no warning
+    grid = TorusGrid(1, 8)
+    F = ScalarField.zeros(grid)
+    F.values[0, 0] = F.values[5, 3] = 1e308
+    with np.errstate(over="ignore"):
+        assert F.values.sum() == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=r"mean\(e\^F\) inf"):
+            solve_ma(F, [[1.0]])
+
+
+def test_forcing_rejected_on_its_cut_is_never_transformed(monkeypatch):
+    # 709 cos(2 pi x_1) is constant along three axes: on its cut of 8 points
+    # mean(e^F) is finite, but the full grid's sum of e^F, the cut's times
+    # 512, overflows, and the forcing is rejected before any numpy.fft call
+    grid = TorusGrid(2, 8)
+    F = ScalarField.from_modes(grid, [((1, 0, 0, 0), 709.0)])
+    cut = masolver._constant_axis_cut([F.values])[0]
+    assert cut.shape == (8, 1, 1, 1)
+    assert np.exp(cut).mean() < np.inf
+    calls = []
+    for name in ("rfftn", "ifftn", "rfft", "fft", "ifft", "irfft"):
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, name=name, **kw: calls.append(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=r"mean\(e\^F\) inf"):
+            solve_ma(F, np.eye(2))
+    assert not calls
+
+
 def _hermitian_field(rng, d, n):
     """n Hermitian d x d matrices of every inertia, a quarter of them with
     an eigenvalue of size 1e-6 (near-singular), stacked on the first axis."""
@@ -485,10 +538,13 @@ def test_gmres_matches_a_direct_solve(n):
     def matvec(v):
         matvecs.append(1)
         return A @ v
-    x, iters, info = gmres(matvec, b, 1e-10)
+    x, iters, info, estimate = gmres(matvec, b, 1e-10)
     assert info == 0 and len(matvecs) == iters
     assert (iters > 20) == (n > 20)
-    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert true <= 1e-10
+    # the Givens estimate at exit is the true relative residual to round-off
+    assert abs(estimate - true) <= 1e-14
     want = np.linalg.solve(A, b)
     cond = np.linalg.cond(A)
     assert np.linalg.norm(x - want) <= 2e-10 * cond * np.linalg.norm(want)
@@ -498,11 +554,32 @@ def test_gmres_stops_at_maxiter_and_on_a_zero_right_hand_side():
     # eigenvalues spread around 0: restarted GMRES stagnates
     rng = np.random.default_rng(0)
     A, b = rng.normal(size=(60, 60)), rng.normal(size=60)
-    x, iters, info = gmres(lambda v: A @ v, b, 1e-10)
+    x, iters, info, _ = gmres(lambda v: A @ v, b, 1e-10)
     assert (iters, info) == (200, 1)
     assert np.linalg.norm(b - A @ x) < np.linalg.norm(b)
-    x, iters, info = gmres(lambda v: A @ v, np.zeros(60), 1e-10)
+    x, iters, info, _ = gmres(lambda v: A @ v, np.zeros(60), 1e-10)
     assert (iters, info) == (0, 0) and not x.any()
+
+
+def test_gmres_stops_on_an_invariant_krylov_space():
+    # A = I and a b whose unit vector has an exact unit norm: the first
+    # matvec leaves nothing after orthogonalisation, so even at rtol 0 GMRES
+    # stops after 1 iteration with the exact solution and a zero estimate
+    b = np.full(16, 2.0)
+    x, iters, info, estimate = gmres(lambda v: v.copy(), b, 0.0)
+    assert (iters, info, estimate) == (1, 0, 0.0)
+    assert np.array_equal(x, b)
+    # A = 0: an invariant space on which A is singular is no convergence
+    x, iters, info, estimate = gmres(np.zeros_like, b, 1e-10)
+    assert (iters, info, estimate) == (1, 1, 1.0) and not x.any()
+
+
+def test_gmres_never_reports_a_nan_estimate_as_converged():
+    b = np.random.default_rng(1).normal(size=30)
+    for matvec in (lambda v: v * np.nan, lambda v: np.full_like(v, np.inf)):
+        with np.errstate(invalid="ignore"):
+            _, iters, info, estimate = gmres(matvec, b, 1e-10)
+        assert (iters, info) == (1, 1) and np.isnan(estimate)
 
 
 # each forcing's modes span all 2d axes, so no grid translation leaves it
@@ -825,27 +902,24 @@ def test_transforms_skipping_one_sample_axes_are_the_all_axes_ones(grid,
 def test_no_solver_transform_runs_on_a_one_sample_axis(monkeypatch):
     # the benchmark's Krylov-bound forcing solves on (1, 16, 16, 16): no
     # numpy.fft call of the solve transforms an axis of length 1, except the
-    # last axis, the half-spectrum axis
+    # last axis, the half-spectrum axis.  The solver's passes are 1-D, one
+    # lead axis at a time
     lengths, calls = [], {}
-
-    def spy_on(name, axes_of):
+    for name in ("rfft", "fft", "ifft", "irfft"):
         real = getattr(np.fft, name)
 
-        def spy(a, **kw):
+        def spy(a, *args, name=name, real=real, **kw):
             calls[name] = calls.get(name, 0) + 1
-            lengths.extend(a.shape[x] for x in axes_of(a, kw)
-                           if x % a.ndim < a.ndim - 1)
-            return real(a, **kw)
+            axis = kw.get("axis", -1) % a.ndim
+            if axis < a.ndim - 1:
+                lengths.append(a.shape[axis])
+            return real(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, spy)
-    for name in ("rfftn", "ifftn"):
-        spy_on(name, lambda a, kw: range(a.ndim) if kw.get("axes") is None
-               else kw["axes"])
-    spy_on("irfft", lambda a, kw: [kw.get("axis", -1)])
     F = ScalarField.from_modes(TorusGrid(2, 16), [
         ((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0), ((1, 1, 0, 0), 2 / 3)])
     d = solve_ma(F, np.eye(2), tol=1e-9).diagnostics
     assert d.converged and d.solve_shape == (1, 16, 16, 16)
-    assert min(calls.values()) > 0 and len(calls) == 3
+    assert min(calls.values()) > 0 and len(calls) == 4
     assert lengths and 1 not in lengths
 
 
@@ -863,11 +937,13 @@ def test_constant_axis_search_compares_every_plane():
             s = (slice(None),) * alike
             v[s + (1,)] = v[s + (0,)]
             assert not np.array_equal(v[s + (2,)], v[s + (0,)])
-        assert masolver._translations(8, [v]) == tuple(map(unit, axes))
+        assert masolver._translations(
+            8, masolver._constant_axis_cut([v])) == tuple(map(unit, axes))
     # two fields: only the axes along which both are constant
     v = np.broadcast_to(rng.normal(size=(8, 1, 8, 1)), (8,) * 4)
     w = np.broadcast_to(rng.normal(size=(8, 8, 8, 1)), (8,) * 4)
-    assert masolver._translations(8, [v, w]) == (unit(3),)
+    assert masolver._translations(
+        8, masolver._constant_axis_cut([v, w])) == (unit(3),)
 
 
 @pytest.mark.parametrize("grid,modes", [
