@@ -30,10 +30,13 @@ ones the symbols and Nyquist planes are the full grid's.  phi is gathered
 back to the caller's grid, also in a NewtonFailure.  A forcing whose modes
 span all 2d axes is solved on the full grid.
 
-Work buffers: each Hessian part's symbol times the spectrum goes into one
-complex buffer per ``HessianOp.entries`` call (or per matvec), which every
-part reuses, and its inverse transform writes straight into its entry, the
-entry's real or imaginary plane, or the matvec's term.
+Work buffers: the d^2 real Hessian parts are transformed in stacks, all
+d^2 as one below ``SCIPY_FFT_POINTS`` (symbols built once per operator)
+and one part each from there on (each symbol built per use, none held
+through a Krylov solve).  A stack's symbols times the spectrum go into one
+complex buffer per ``HessianOp.entries`` call (or per matvec), and one
+inverse transform writes its terms into the entries' planes or, weighted
+and summed in part order, the matvec's sum (a one-part stack's straight).
 
 Transforms: a grid (or quotient) of fewer than ``SCIPY_FFT_POINTS`` points
 goes through ``numpy.fft``, which is as fast there and loads with numpy; a
@@ -46,7 +49,8 @@ axes, where a transform is the identity, are left out of every pass; the
 last axis stays the half-spectrum axis at any length.  On the ``numpy.fft``
 path each lead axis is one in-place 1-D pass (``rfft`` then ``fft``;
 ``ifft`` then ``irfft``) in ``rfftn``'s and ``ifftn``'s axis order, with
-their bits and without their n-D argument handling.
+their bits and without their n-D argument handling; an inverse pass also
+takes a stack of spectra along a leading axis, with each one's bits.
 
 Grid layout: real axes ordered (x_1, y_1, ..., x_d, y_d) with z_j = x_j +
 i y_j, res samples per real axis, periods 1.  Sample files are row-major
@@ -138,15 +142,32 @@ class _Quotient(TorusGrid):
 def _constant_axis_cut(fields: Sequence[np.ndarray]) -> List[np.ndarray]:
     """``fields`` with each axis along which every one of them is bitwise
     constant cut to one sample: views, which hold each value of each field.
-    An axis is tested on what the later axes' cuts left, planes 0 and 1
-    first."""
+    An axis is tested on what the later axes' cuts left."""
     cut = list(fields)
     for a in reversed(range(cut[0].ndim)):
-        s = (slice(None),) * a
-        if all(np.array_equal(v[s + (0,)], v[s + (1,)])
-               and (v == v[s + (slice(1),)]).all() for v in cut):
-            cut = [v[s + (slice(1),)] for v in cut]
+        if all(_constant_along(v, a) for v in cut):
+            cut = [v[(slice(None),) * a + (slice(1),)] for v in cut]
     return cut
+
+
+def _constant_along(v: np.ndarray, a: int) -> bool:
+    """Whether every sample of ``v`` along axis ``a`` is == its neighbour,
+    which, as == is an equivalence off NaN, is == the first.  Along a > 0,
+    in C order, that is sample i against i + p (p samples per step along a)
+    inside each run of m p (m along a), in chunks of axis 0 of about 2^13
+    samples, or one slice: no temporary is grid-sized."""
+    if a == 0:
+        return all(np.array_equal(v[i], v[i - 1]) for i in range(1, len(v)))
+    m, p = v.shape[a], math.prod(v.shape[a + 1:])
+    step = max(1, 2 ** 13 // v[0].size)
+    for i in range(0, len(v), step):
+        x = np.ascontiguousarray(v[i:i + step]).ravel()
+        eq = np.empty(x.size, bool)
+        np.equal(x[p:], x[:-p], out=eq[:-p])
+        eq.reshape(-1, m * p)[:, -p:] = True   # pairs across two runs
+        if not eq.all():
+            return False
+    return True
 
 
 def _translations(res: int, cut: Sequence[np.ndarray]):
@@ -254,7 +275,8 @@ Hessian = Dict[Tuple[int, int], np.ndarray]
 
 
 class HessianOp:
-    """Mixed complex Hessian entries of a real field, by real-symbol FFTs."""
+    """Mixed complex Hessian entries of a real field, by real-symbol FFTs,
+    with ``_depth`` parts per transform: d^2 on the ``numpy.fft`` path."""
 
     def __init__(self, grid: TorusGrid):
         self.grid, self.shape = grid, grid.shape
@@ -266,6 +288,8 @@ class HessianOp:
         else:
             import scipy.fft
             self._fft = scipy.fft
+        self._depth = len(self.parts()) if self._fft is np.fft else 1
+        self._symbols = None   # the stacked symbols, built at the first use
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
         """Half spectrum of the real field ``v``.  On the ``numpy.fft`` path
@@ -280,18 +304,19 @@ class HessianOp:
 
     def irfft(self, vhat: np.ndarray,
               out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Real field of the half spectrum ``vhat``.  The lead-axis pass runs
-        over the lead axes of more than one sample (none: no pass) in vhat's
-        array, which it overwrites, one axis at a time on the ``numpy.fft``
-        path (in ``ifftn``'s order and bits); the last-axis pass, the
-        half-spectrum axis at any length, is numpy's, which writes into
-        ``out`` when given: a real grid array, or the real or imaginary
-        plane of a complex one."""
+        """Real field of the half spectrum ``vhat``, or of each of a stack of
+        them along a leading axis.  The lead-axis pass runs over the lead axes
+        of more than one sample (none: no pass) in vhat's array, which it
+        overwrites, one axis at a time on the ``numpy.fft`` path (in
+        ``ifftn``'s order and bits); the last-axis pass, the half-spectrum axis
+        at any length, is numpy's, which writes into ``out`` when given: a real
+        array, or the real or imaginary plane of a complex one."""
+        lead = [a - len(self.shape) for a in self._lead]
         if self._fft is np.fft:
-            for a in reversed(self._lead):
+            for a in reversed(lead):
                 np.fft.ifft(vhat, axis=a, out=vhat)
-        elif self._lead:
-            vhat = self._fft.ifftn(vhat, axes=self._lead, overwrite_x=True)
+        elif lead:
+            vhat = self._fft.ifftn(vhat, axes=lead, overwrite_x=True)
         return np.fft.irfft(vhat, n=self.shape[-1], axis=-1, out=out)
 
     def real_spectrum(self, vhat: np.ndarray) -> np.ndarray:
@@ -319,22 +344,57 @@ class HessianOp:
         s *= -np.pi ** 2
         return s
 
+    def symbols(self, t: int, n: int = 1) -> np.ndarray:
+        """The symbols of parts t, ..., t + n - 1 along a leading axis: all
+        d^2 built once on the ``numpy.fft`` path; on the ``scipy.fft`` path
+        (n = 1) per use, so that none is held through a Krylov solve."""
+        if self._fft is not np.fft:
+            return self.symbol(*self.parts()[t])[None]
+        if self._symbols is None:
+            self._symbols = np.array(np.broadcast_arrays(
+                *(self.symbol(*part) for part in self.parts())))
+        return self._symbols[t:t + n]
+
     def entries(self, vhat: np.ndarray, gram: np.ndarray) -> Hessian:
         """Upper triangle of A = g + H, j <= k, with a real diagonal; A[k,j]
-        is the conjugate.  Each part's symbol times ``vhat`` is written into
-        one work buffer, which every part reuses; its inverse transform
-        writes straight into the entry, or into the entry's real or
-        imaginary plane, and g is added there."""
+        is the conjugate.  Each stack's symbols times ``vhat`` go into one
+        work buffer, which every stack reuses, and one inverse transform;
+        each part's term goes into its entry, or the entry's real or
+        imaginary plane (straight from a one-part stack's transform), and g
+        is added there."""
         out: Hessian = {}
-        work = np.empty_like(vhat)
-        for j, k, imag in self.parts():
-            if not imag:
-                out[(j, k)] = np.empty(self.shape, float if j == k else complex)
-            a, g = out[(j, k)], gram[j - 1, k - 1]
-            plane = a.imag if imag else a.real
-            np.multiply(self.symbol(j, k, imag), vhat, out=work)
-            self.irfft(work, out=plane)
-            plane += g.imag if imag else g.real
+        parts, n = self.parts(), self._depth
+        work = np.empty((n,) + vhat.shape, complex)
+        for t in range(0, len(parts), n):
+            np.multiply(self.symbols(t, n), vhat, out=work)
+            for j, k, imag in parts[t:t + n]:
+                if not imag:
+                    out[(j, k)] = np.empty(self.shape,
+                                           float if j == k else complex)
+            planes = [out[(j, k)].imag if imag else out[(j, k)].real
+                      for j, k, imag in parts[t:t + n]]
+            terms = self.irfft(work, out=planes[0][None] if n == 1 else None)
+            for (j, k, imag), plane, term in zip(parts[t:], planes, terms):
+                g = gram[j - 1, k - 1]
+                np.add(term, g.imag if imag else g.real, out=plane)
+        return out
+
+    def weighted_sum(self, vhat: np.ndarray, weights: Sequence[np.ndarray],
+                     out: np.ndarray) -> np.ndarray:
+        """sum_t w_t irfft(symbol_t vhat) over the parts t into ``out``, with
+        one weight array per stack; the sum over a stack's leading axis adds
+        its terms in part order.  A one-part stack writes into ``out``."""
+        n = self._depth
+        work = np.empty((n,) + vhat.shape, complex)
+        for t, w in zip(range(0, len(self.parts()), n), weights):
+            np.multiply(self.symbols(t, n), vhat, out=work)
+            terms = self.irfft(work, out=None if t or n > 1 else out[None])
+            terms *= w
+            if n > 1:
+                np.sum(terms, axis=0, out=out)
+            elif t:
+                out += terms[0]
+            del terms   # before the next stack's transform
         return out
 
 
@@ -644,6 +704,8 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
             adj[jk] *= 2   # A[j,k] and A[k,j] = conj A[j,k] both enter
         weights = [adj[(j, k)].imag if imag else adj[(j, k)].real
                    for j, k, imag in op.parts()]
+        if op._depth > 1:   # the matvec's stack, a copy: A's arrays can go
+            weights = np.array(weights)
         del adj
         # forcing term on ||D^-1 (R + L psi)||: shrink with the residual, but
         # never ask for more than a tenth of what the outer tolerance can use
@@ -691,7 +753,8 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     stops on ||D^-1 (R + L psi)|| / ||D^-1 R||.  P is the mean-weight symbol.
     D = sum_t c_t w_t(x), c_t = sum_k |Rhat_k|^2 symbol_t(k), is the symbol at
     x averaged over the residual's spectrum, at mean 1; it scales
-    ``weights`` and ``R`` in place.  Once GMRES has its normalized copy of R,
+    ``weights`` (w_t, or their stack on the ``numpy.fft`` path) and ``R`` in
+    place.  Once GMRES has its normalized copy of R,
     each matvec sums into R's array, so the caller's R is spent and no second
     copy of it is held.  One-point weights (a zero start's A = g) make L = P
     and D = 1, so D^-1 L P^-1 = I and psi = -P^-1 R in closed form, with no
@@ -700,10 +763,9 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     at its iteration limit (0 otherwise)."""
     grid = op.grid
     flat_idx = (0,) * (2 * grid.dim)
-    parts = op.parts()
 
-    psym = sum(float(w.mean()) * op.symbol(*part)
-               for w, part in zip(weights, parts))
+    psym = sum(float(w.mean()) * op.symbols(t)[0]
+               for t, w in enumerate(weights))
     psym[flat_idx] = 1.0
 
     def inv_p_hat(y):   # the spectrum of P^-1 y, mean free
@@ -721,28 +783,19 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     if weights[0].size == 1:   # one point (a zero start): L = P and D = 1
         return direction(R), 0, 0
     power = _abs2(op.rfft(R))
-    coef = [float((power * op.symbol(*part)).sum()) for part in parts]
+    coef = [float((power * op.symbols(t)[0]).sum())
+            for t in range(len(weights))]
     del power
     scale = sum(c * w for c, w in zip(coef, weights))
     scale /= scale.mean()
+    weights = [np.asarray(weights)] if op._depth > 1 else weights   # per stack
     for w in weights:
         w /= scale
     R /= scale   # the caller's R, which _solve_ma_direct drops next
     del scale
 
-    def term(vhat, w, part, work, out=None):   # w irfft(symbol vhat)
-        np.multiply(op.symbol(*part), vhat, out=work)
-        out = op.irfft(work, out=out)
-        out *= w
-        return out
-
     def matvec(y_flat):   # summed in R's array, which gmres no longer reads
-        vhat = inv_p_hat(y_flat)
-        work = np.empty_like(vhat)   # every term's symbol * vhat
-        out = term(vhat, weights[0], parts[0], work, out=R)
-        for w, part in zip(weights[1:], parts[1:]):
-            out += term(vhat, w, part, work)
-        return out.ravel()
+        return op.weighted_sum(inv_p_hat(y_flat), weights, R).ravel()
 
     # R, not -R, on the right and psi = -P^-1 y: GMRES is odd in the
     # right-hand side, and this needs no negated copy of R

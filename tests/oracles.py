@@ -15,8 +15,10 @@ oracle applies d letter by letter (Leibniz rule) from the raw structure
 constants and sorts each word by a permutation sign instead of contracting
 and merging, the complex-dimension-one
 solver oracle divides by a ddbar symbol derived here with numpy.fft instead
-of the solver's symbol table, and the Gaussian-rational oracle keeps a pair
-of Fractions with textbook field operations instead of CRat's reduced
+of the solver's symbol table, the manufactured-solution oracle takes the
+forcing of a sum of cosines from their closed-form second derivatives and
+numpy.linalg.det, with no transform, and the Gaussian-rational oracle keeps
+a pair of Fractions with textbook field operations instead of CRat's reduced
 integer triple.
 """
 
@@ -277,6 +279,42 @@ def linear_oracle_d1(F: np.ndarray, gram) -> Tuple[np.ndarray, float]:
     rhat[0, 0] = 0.0
     phi = np.fft.ifft2(rhat).real
     return phi - phi.max(), C
+
+
+def manufactured_forcing(res: int, modes,
+                         gram) -> Tuple[np.ndarray, np.ndarray]:
+    """Samples of phi* = sum_m a_m cos(2 pi k_m . u) and of the forcing F
+    that makes it the solution: det(g + H phi*) = e^F det g, C = 1.
+
+    u runs over the grid j / res in the solver's layout, real axes (x_1,
+    y_1, ..., x_d, y_d) with z_p = x_p + i y_p; each phase is the integer
+    k.j mod res times 2 pi / res, so a grid translation v with k.v = 0 (mod
+    res) for every mode leaves both sample arrays bitwise unchanged.
+    H[p,q] = d^2 phi* / dz_p dzbar_q = (D(x_p, x_q) + D(y_p, y_q)
+    + i (D(x_p, y_q) - D(y_p, x_q))) / 4 with the closed form D(r, s) =
+    -(2 pi)^2 sum_m a_m k_r k_s cos, and F = log det(g + H) - log det g.
+    Returns (phi*, F), each of shape (res,) * 2d.
+    """
+    g = np.asarray(gram, dtype=complex)
+    d = g.shape[0]
+    j = np.indices((res,) * (2 * d))
+    phi = np.zeros((res,) * (2 * d))
+    D = np.zeros((2 * d, 2 * d) + phi.shape)
+    for k, a in modes:
+        wave = np.cos(sum(int(c) * jc for c, jc in zip(k, j)) % res
+                      * (2 * np.pi / res))
+        phi += a * wave
+        for r in range(2 * d):
+            for s in range(2 * d):
+                D[r, s] -= (2 * np.pi) ** 2 * a * k[r] * k[s] * wave
+    A = np.empty(phi.shape + (d, d), dtype=complex)
+    for p in range(d):
+        for q in range(d):
+            xp, yp, xq, yq = 2 * p, 2 * p + 1, 2 * q, 2 * q + 1
+            A[..., p, q] = g[p, q] + (D[xp, xq] + D[yp, yq]
+                                      + 1j * (D[xp, yq] - D[yp, xq])) / 4
+    F = np.log(np.linalg.det(A).real) - np.log(np.linalg.det(g).real)
+    return phi, F
 
 
 class FracPair:

@@ -1,5 +1,6 @@
 """Volume-normalization solver: oracles, conservation, robustness."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -11,7 +12,7 @@ from balmap.masolver import (GridError, HessianOp, NewtonFailure, ScalarField,
                              TorusGrid, _det_and_adjugate, _min_eigenvalue,
                              format_samples, gmres, parse_modes, parse_samples,
                              positivity_check, residual, solve_ma)
-from oracles import linear_oracle_d1
+from oracles import linear_oracle_d1, manufactured_forcing
 
 
 def test_grid_validation():
@@ -40,6 +41,37 @@ def test_d1_matches_linear_oracle():
     oracle, C = linear_oracle_d1(F.values, [[1.5]])
     assert np.abs(res.phi.values - oracle).max() < 1e-10
     assert abs(res.C - C) < 1e-12
+
+
+@pytest.mark.parametrize("d,res,modes,gram,shape", [
+    # phi*'s modes span every axis: the full grid, on scipy.fft
+    (2, 16, [((1, 0, 0, 0), 0.01), ((0, 1, 1, 0), 0.005),
+             ((1, 1, 0, 1), 0.004), ((0, 0, 0, 1), 0.002)], "_GRAM2",
+     (16, 16, 16, 16)),
+    (3, 8, [((1, 0, 0, 0, 0, 0), 0.01), ((0, 0, 1, 1, 0, 0), 0.005),
+            ((0, 1, 0, 0, 1, 1), 0.004), ((0, 0, 0, 1, 0, 0), 0.002),
+            ((0, 0, 0, 0, 1, 0), 0.002), ((0, 0, 0, 0, 0, 1), 0.002)],
+     "identity", (8,) * 6),
+    # grid translations: a constant axis, and at d = 3 two diagonal ones;
+    # each section is below SCIPY_FFT_POINTS, so its parts go as one stack
+    (2, 16, [((1, 0, 0, 0), 0.01), ((0, 1, 1, 0), 0.005),
+             ((1, 0, 1, 0), 0.004)], "_GRAM2", (16, 16, 16, 1)),
+    (3, 8, [((1, 0, 1, 0, 0, 0), 0.01), ((0, 0, 0, 0, 1, 0), 0.005),
+            ((0, 1, 0, 1, 0, 0), 0.002)], "identity", (1, 1, 8, 8, 8, 1)),
+])
+def test_band_limited_manufactured_solution_comes_back(d, res, modes, gram,
+                                                       shape):
+    # F = log det(g + H phi*) - log det g from phi*'s closed-form second
+    # derivatives (tests/oracles.py); the spectral Hessian of a phi* below
+    # the Nyquist band is exact, so the solve returns phi* - sup phi* and
+    # C = 1 to round-off
+    gram = np.eye(d) if gram == "identity" else _GRAM2
+    phi, F = manufactured_forcing(res, modes, gram)
+    got = solve_ma(ScalarField(TorusGrid(d, res), F), gram, tol=1e-12)
+    assert got.diagnostics.converged
+    assert got.diagnostics.solve_shape == shape
+    assert np.abs(got.phi.values - (phi - phi.max())).max() <= 1e-13
+    assert abs(got.C - 1) <= 1e-13
 
 
 def test_d2_converged_solve_properties():
@@ -625,6 +657,96 @@ def test_transform_budget_of_a_zero_start_solve(monkeypatch, grid, modes):
     assert calls["rfft"] == d.gmres_iterations + 2 * d.newton_iterations - 1
 
 
+# the benchmark's Krylov-bound d = 2 forcing and its d = 3 one, with the
+# quotients they solve on, (1, 16, 16, 16) and (1, 1, 8, 1, 8, 1), both
+# below SCIPY_FFT_POINTS
+_SECTIONS = [
+    (TorusGrid(2, 16), [((1, 0, 1, 0), 2.0), ((0, 1, 0, 1), 1.0),
+                        ((1, 1, 0, 0), 2 / 3)],
+     masolver._Quotient(2, 16, ((1, -1, -1, 1),))),
+    (TorusGrid(3, 8), [((1, 0, 1, 0, 0, 0), 0.1), ((0, 0, 0, 0, 1, 0), 0.05)],
+     masolver._Quotient(3, 8, ((1, 0, -1, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                               (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)))),
+]
+
+
+@pytest.mark.parametrize("grid,modes,quotient", _SECTIONS)
+def test_transform_budget_of_a_stacked_section_solve(monkeypatch, grid, modes,
+                                                     quotient):
+    # on the numpy.fft path all d^2 parts go through one inverse transform:
+    # one per inner iteration, per Newton step's first candidate and per
+    # damping, and one for phi; the forward transforms are the full grid's
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        real = getattr(HessianOp, name)
+
+        def spy(self, v, name=name, real=real, **out):
+            calls[name] += 1
+            return real(self, v, **out)
+        monkeypatch.setattr(HessianOp, name, spy)
+    F = ScalarField.from_modes(grid, modes)
+    d = solve_ma(F, np.eye(grid.dim), tol=1e-9).diagnostics
+    assert d.converged and d.continuation_stages == 0
+    assert d.solve_shape == quotient.shape
+    assert d.translations == quotient.vectors
+    assert quotient.points < masolver.SCIPY_FFT_POINTS
+    assert calls["irfft"] == (d.gmres_iterations + d.newton_iterations
+                              + d.damping_events + 1)
+    assert calls["rfft"] == d.gmres_iterations + 2 * d.newton_iterations - 1
+
+
+def _part_term(op, part, vhat):
+    """irfft(symbol * vhat) one part at a time: ifft over each lead axis of
+    more than one sample, in reversed order, then irfft on the last."""
+    x = op.symbol(*part) * vhat
+    for a in reversed(range(len(op.shape) - 1)):
+        if op.shape[a] > 1:
+            x = np.fft.ifft(x, axis=a)
+    return np.fft.irfft(x, n=op.shape[-1], axis=-1)
+
+
+@pytest.mark.parametrize("grid,modes,quotient", _SECTIONS)
+def test_stacked_parts_are_the_per_part_transforms_bit_for_bit(
+        monkeypatch, grid, modes, quotient):
+    # entries and the matvec's weighted sum transform the d^2 parts as one
+    # stack; each part's term, and the sum of the weighted terms in part
+    # order, has the bits of the per-part formula
+    rng = np.random.default_rng(13)
+    op = HessianOp(quotient)
+    assert op._fft is np.fft
+    vhat = op.rfft(rng.normal(size=quotient.shape))
+    re, im = rng.normal(size=(2, grid.dim, grid.dim))
+    b = re + 1j * im
+    gram = b @ b.conj().T + np.eye(grid.dim)
+    A = op.entries(vhat.copy(), gram)
+    for part in op.parts():
+        j, k, imag = part
+        g = gram[j - 1, k - 1]
+        want = _part_term(op, part, vhat) + (g.imag if imag else g.real)
+        got = A[(j, k)].imag if imag else A[(j, k)].real
+        assert got.tobytes() == want.tobytes(), part
+    # one matvec of a solve: its vhat and stacked weights, and its sum
+    seen = []
+    real = HessianOp.weighted_sum
+
+    def spy(self, vhat, weights, out):
+        args = (self, vhat.copy(), [w.copy() for w in weights])
+        got = real(self, vhat, weights, out)
+        seen.append(args + (got.copy(),))
+        return got
+    monkeypatch.setattr(HessianOp, "weighted_sum", spy)
+    solve_ma(ScalarField.from_modes(grid, modes), np.eye(grid.dim), tol=1e-9)
+    op, vhat, weights, got = seen[0]
+    assert op.shape == quotient.shape
+    weights = np.concatenate(weights)
+    assert len(weights) == len(op.parts()) == grid.dim ** 2
+    want = None
+    for w, part in zip(weights, op.parts()):
+        term = _part_term(op, part, vhat) * w
+        want = term if want is None else want + term
+    assert got.tobytes() == want.tobytes()
+
+
 def test_line_search_candidates_are_real_fields():
     # under a non-diagonal gram the mean-weight symbol is not even in k on
     # the planes that hold both k and -k; the reported residual must be the
@@ -944,6 +1066,30 @@ def test_constant_axis_search_compares_every_plane():
     w = np.broadcast_to(rng.normal(size=(8, 8, 8, 1)), (8,) * 4)
     assert masolver._translations(
         8, masolver._constant_axis_cut([v, w])) == (unit(3),)
+
+
+def test_chunked_constancy_is_the_full_comparison():
+    # _constant_along compares neighbours chunk by chunk; it must agree with
+    # (v == v's first plane).all() along every axis, signed zeros equal,
+    # a NaN never constant and an infinity constant, over several chunks
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        shape = tuple(rng.choice([2, 4, 16], size=rng.integers(2, 5)))
+        keep = [rng.random() < 0.5 for _ in shape]
+        v = rng.choice([0.0, -0.0, 1.5, np.inf, -np.inf],
+                       size=[m if k else 1 for m, k in zip(shape, keep)])
+        v = np.broadcast_to(v, shape).copy()
+        if rng.random() < 0.3:
+            v[tuple(rng.integers(m) for m in shape)] = np.nan
+        elif rng.random() < 0.3:
+            v[tuple(rng.integers(m) for m in shape)] *= -1
+        for a in range(v.ndim):
+            want = (v == v[(slice(None),) * a + (slice(1),)]).all()
+            assert masolver._constant_along(v, a) == want, (v.shape, a)
+            cut = v[(slice(None),) * (v.ndim - 1) + (slice(1),)]
+            if a < v.ndim - 1:   # a strided view, as after a cut
+                want = (cut == cut[(slice(None),) * a + (slice(1),)]).all()
+                assert masolver._constant_along(cut, a) == want
 
 
 @pytest.mark.parametrize("grid,modes", [
