@@ -38,8 +38,7 @@ from .catalog import CATALOG_MAPS, MODELS, get_map, get_model
 # and the spectral solver numpy (scipy.fft once a grid reaches
 # masolver.SCIPY_FFT_POINTS points)
 LAZY_NAMES = {
-    "symalg": ("ChartForm", "ChartVectorField", "Poly", "chart_d", "chart_del",
-               "chart_delbar", "identity_suite",
+    "symalg": ("ChartForm", "ChartVectorField", "Poly", "identity_suite",
                "mixed_second_derivative_check"),
     "hodge": ("ClassObstructionError", "HermitianMetricSpec", "MetricContext",
               "aeppli_dim", "bc_dim", "green_apply", "neumann_gamma"),

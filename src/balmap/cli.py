@@ -398,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--res", type=int, default=16)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--modes", default=None, help="Fourier-mode input file")
-    p.add_argument("--samples", default=None, help="raw sample input file")
+    forcing = p.add_mutually_exclusive_group()
+    forcing.add_argument("--modes", help="Fourier-mode input file")
+    forcing.add_argument("--samples", help="raw sample input file")
     p.add_argument("--solution-out", default=None,
                    help="write the solution samples to this path")
     p.set_defaults(func=cmd_ma)

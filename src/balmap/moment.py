@@ -635,7 +635,7 @@ def chart_reversal_trials(n: int, dim: int, seed: int = 0,
         xis = [symalg.random_field(rng, dim) for _ in range(m)]
         etabars = [symalg.random_field(rng, dim, symalg.ANTI) for _ in range(m)]
         beta = symalg.random_form(rng, dim, m, max(m - 1, 0), nterms=1)
-        for piece in (symalg.chart_del(beta.conj()), symalg.chart_delbar(beta)):
+        for piece in (beta.conj().del_(), beta.delbar()):
             if not reversal_sign_check(piece, xis, etabars, dV):
                 return False
     return True

@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import CRat, ONE, I, _reduced, ipow
 from .forms import (ANTI, HOLO, BasisKey, Field, Form, MixedField, add_term,
@@ -208,18 +209,6 @@ class ChartForm(Form):
         return self._kept(out)
 
 
-def chart_del(u: ChartForm) -> ChartForm:
-    return u.del_()
-
-
-def chart_delbar(u: ChartForm) -> ChartForm:
-    return u.delbar()
-
-
-def chart_d(u: ChartForm) -> ChartForm:
-    return u.d()
-
-
 class ChartVectorField(Field):
     """Type (1,0) or (0,1) field with polynomial components."""
 
@@ -403,14 +392,38 @@ def _check(report, rng, name, law, trials, gen, lhs_rhs, expected_failure=False)
                               counterexample=example))
 
 
+class _Side(NamedTuple):
+    """The (1,0) side of the suite's twin laws, or its (0,1) mirror."""
+    kind: str                  # type of the field the Lie derivative takes
+    other: str
+    lie: Callable              # lie10, resp. lie01
+    del_: Callable             # the derivative that commutes with ``lie``
+    delbar: Callable
+    bar_contract: Callable     # (dbar xi) . u, resp. (del eta_bar) . u
+    holomorphic_field: Callable    # a holomorphic field, resp. its conjugate
+    form_0q: Callable          # (rng, d, q): a (0,q), resp. a (q,0) form
+
+
+_SIDES = (
+    _Side(HOLO, ANTI, lie10, ChartForm.del_, ChartForm.delbar,
+          dbar_field_contract, random_holomorphic_field,
+          lambda r, d, q: random_form(r, d, 0, q, nterms=1)),
+    _Side(ANTI, HOLO, lie01, ChartForm.delbar, ChartForm.del_,
+          del_field_contract,
+          lambda r, d: random_holomorphic_field(r, d).conj(),
+          lambda r, d, q: random_form(r, d, q, 0, nterms=1)),
+)
+
+
 def identity_suite(seed: int = 0, trials: int = 50) -> SuiteReport:
     """Exercise the (1,0)/(0,1) Lie-derivative laws over random exact data.
 
     Every check is exact rational equality of canonical forms; a failing
-    identity is reported with a serialized counterexample.  The two
-    expected-failure probes document scope restrictions (function-linearity
-    only on (0,q) resp. (p,0) forms, and the mixed second-derivative law
-    needing one holomorphic argument).
+    identity is reported with a serialized counterexample.  Each (0,1) law
+    is its (1,0) law on the mirrored ``_Side``.  The two expected-failure
+    probes document scope restrictions (function-linearity only on (0,q)
+    resp. (p,0) forms, and the mixed second-derivative law needing one
+    holomorphic argument).
     """
     rng = random.Random(seed)
     rep = SuiteReport(seed=seed, trials=trials)
@@ -423,124 +436,83 @@ def identity_suite(seed: int = 0, trials: int = 50) -> SuiteReport:
         q = r.randint(0, min(2, d))
         return random_form(r, d, p, q, nterms=1)
 
-    # decomposition of the full Lie derivative by type
-    def gen_i(r):
-        d = dims(r)
-        return random_field(r, d), any_form(r, d)
-    _check(rep, rng, "lie-decomposition-10", "lie10-plus-dbar-contraction", trials,
-           gen_i, lambda xi, u: (lie_std(xi, u),
-                                 lie10(xi, u) + dbar_field_contract(xi, u)))
+    def twins(gen, *laws):
+        """Check each law, ((name, law id) per side, lhs_rhs(side, *data)),
+        on gen(side, rng, dim)'s data: all on the (1,0) side, then (0,1)."""
+        for s, side in enumerate(_SIDES):
+            for *ids, lhs_rhs in laws:
+                _check(rep, rng, *ids[s], trials,
+                       lambda r: gen(side, r, dims(r)), partial(lhs_rhs, side))
 
-    def gen_i_bar(r):
-        d = dims(r)
-        return random_field(r, d, ANTI), any_form(r, d)
-    _check(rep, rng, "lie-decomposition-01", "lie01-plus-del-contraction", trials,
-           gen_i_bar, lambda eb, u: (lie_std(eb, u),
-                                     lie01(eb, u) + del_field_contract(eb, u)))
+    def field_form(s, r, d):
+        return random_field(r, d, s.kind), any_form(r, d)
 
-    # on functions: L10_xi f = xi . f
-    def gen_ii(r):
-        d = dims(r)
-        return random_field(r, d), random_poly(r, d)
-    _check(rep, rng, "lie10-on-functions", "lie10-directional-derivative", trials,
-           gen_ii, lambda xi, f: (lie10(xi, ChartForm.from_function(f)),
-                                  ChartForm.from_function(xi.apply(f))))
-    _check(rep, rng, "lie01-on-functions", "lie01-directional-derivative", trials,
-           lambda r: (lambda d: (random_field(r, d, ANTI), random_poly(r, d)))(dims(r)),
-           lambda eb, f: (lie01(eb, ChartForm.from_function(f)),
-                          ChartForm.from_function(eb.apply(f))))
+    def field_poly(s, r, d):
+        return random_field(r, d, s.kind), random_poly(r, d)
 
-    # commutators with del/delbar
-    _check(rep, rng, "lie10-del-commutes", "lie10-del-commutator-zero", trials,
-           gen_i, lambda xi, u: (lie10(xi, chart_del(u)), chart_del(lie10(xi, u))))
-    _check(rep, rng, "lie10-delbar-commutator", "lie10-delbar-equals-del-dbarxi", trials,
-           gen_i, lambda xi, u: (lie10(xi, chart_delbar(u)) - chart_delbar(lie10(xi, u)),
-                                 chart_del(dbar_field_contract(xi, u))
-                                 - dbar_field_contract(xi, chart_del(u))))
-    _check(rep, rng, "lie01-delbar-commutes", "lie01-delbar-commutator-zero", trials,
-           gen_i_bar, lambda eb, u: (lie01(eb, chart_delbar(u)),
-                                     chart_delbar(lie01(eb, u))))
-    _check(rep, rng, "lie01-del-commutator", "lie01-del-equals-delbar-deleta", trials,
-           gen_i_bar, lambda eb, u: (lie01(eb, chart_del(u)) - chart_del(lie01(eb, u)),
-                                     chart_delbar(del_field_contract(eb, u))
-                                     - del_field_contract(eb, chart_delbar(u))))
-
-    # contraction / Lie-derivative commutators
-    def gen_iv(r):
-        d = dims(r)
-        return random_field(r, d), random_field(r, d), any_form(r, d)
-    _check(rep, rng, "contract-lie10-commutator", "bracket-contraction", trials,
-           gen_iv, lambda xi, eta, u: (contract(xi, lie10(eta, u))
-                                       - lie10(eta, contract(xi, u)),
-                                       contract(lie_bracket(xi, eta), u)))
-    _check(rep, rng, "lie10-lie10-commutator", "lie10-of-bracket", trials,
-           gen_iv, lambda xi, eta, u: (lie10(xi, lie10(eta, u)) - lie10(eta, lie10(xi, u)),
-                                       lie10(lie_bracket(xi, eta), u)))
-
-    def gen_iv_bar(r):
-        d = dims(r)
-        return random_field(r, d, ANTI), random_field(r, d, ANTI), any_form(r, d)
-    _check(rep, rng, "contract-lie01-commutator", "bracket-contraction-conj", trials,
-           gen_iv_bar, lambda xb, eb, u: (contract(xb, lie01(eb, u))
-                                          - lie01(eb, contract(xb, u)),
-                                          contract(lie_bracket(xb, eb), u)))
-    _check(rep, rng, "lie01-lie01-commutator", "lie01-of-bracket", trials,
-           gen_iv_bar, lambda xb, eb, u: (lie01(xb, lie01(eb, u)) - lie01(eb, lie01(xb, u)),
-                                          lie01(lie_bracket(xb, eb), u)))
-
-    # Leibniz over wedge
-    def gen_v(r):
-        d = dims(r)
-        return random_field(r, d), any_form(r, d), any_form(r, d)
-    _check(rep, rng, "lie10-leibniz", "lie10-wedge-derivation", trials,
-           gen_v, lambda xi, u, v: (lie10(xi, wedge(u, v)),
-                                    wedge(lie10(xi, u), v) + wedge(u, lie10(xi, v))))
-    _check(rep, rng, "lie01-leibniz", "lie01-wedge-derivation", trials,
-           lambda r: (lambda d: (random_field(r, d, ANTI), any_form(r, d),
-                                 any_form(r, d)))(dims(r)),
-           lambda eb, u, v: (lie01(eb, wedge(u, v)),
-                             wedge(lie01(eb, u), v) + wedge(u, lie01(eb, v))))
-
-    # holomorphic field through an opposite-type contraction
-    def gen_vi(r):
-        d = dims(r)
-        return (random_holomorphic_field(r, d), random_field(r, d, ANTI),
+    def fields_form(s, r, d):
+        return (random_field(r, d, s.kind), random_field(r, d, s.kind),
                 any_form(r, d))
-    _check(rep, rng, "lie10-through-anti-contraction", "holomorphic-pushthrough", trials,
-           gen_vi, lambda xi, eb, a: (lie10(xi, contract(eb, a)),
-                                      contract(eb, lie10(xi, a))
-                                      + contract(lie_bracket(xi, eb), a)))
 
-    def gen_vi_bar(r):
-        d = dims(r)
-        eta = random_holomorphic_field(r, d)
-        return (eta.conj(), random_field(r, d), any_form(r, d))
-    _check(rep, rng, "lie01-through-holo-contraction", "holomorphic-pushthrough-conj",
-           trials, gen_vi_bar,
-           lambda eb, xi, a: (lie01(eb, contract(xi, a)),
-                              contract(xi, lie01(eb, a))
-                              + contract(lie_bracket(eb, xi), a)))
+    def field_forms(s, r, d):
+        return random_field(r, d, s.kind), any_form(r, d), any_form(r, d)
 
-    # function-linearity on (0,q) forms
-    def gen_vii(r):
-        d = dims(r)
+    def holo_other_form(s, r, d):
+        return (s.holomorphic_field(r, d), random_field(r, d, s.other),
+                any_form(r, d))
+
+    def linear_data(s, r, d):
         q = r.randint(0, min(2, d))
-        return (random_poly(r, d), random_poly(r, d), random_field(r, d),
-                random_field(r, d), random_form(r, d, 0, q, nterms=1))
-    _check(rep, rng, "lie10-function-linear-0q", "function-linearity-0q", trials,
-           gen_vii, lambda f, g, xi, eta, a:
-           (lie10(xi.scale(f) + eta.scale(g), a),
-            lie10(xi, a).scale(f) + lie10(eta, a).scale(g)))
+        f, g = random_poly(r, d), random_poly(r, d)
+        return (f, g, random_field(r, d, s.kind), random_field(r, d, s.kind),
+                s.form_0q(r, d, q))
 
-    def gen_vii_bar(r):
-        d = dims(r)
-        p = r.randint(0, min(2, d))
-        return (random_poly(r, d), random_poly(r, d), random_field(r, d, ANTI),
-                random_field(r, d, ANTI), random_form(r, d, p, 0, nterms=1))
-    _check(rep, rng, "lie01-function-linear-p0", "function-linearity-p0", trials,
-           gen_vii_bar, lambda f, g, xb, eb, a:
-           (lie01(xb.scale(f) + eb.scale(g), a),
-            lie01(xb, a).scale(f) + lie01(eb, a).scale(g)))
+    twins(field_form, (("lie-decomposition-10", "lie10-plus-dbar-contraction"),
+                       ("lie-decomposition-01", "lie01-plus-del-contraction"),
+                       lambda s, xi, u: (lie_std(xi, u), s.lie(xi, u)
+                                         + s.bar_contract(xi, u))))
+    twins(field_poly,
+          (("lie10-on-functions", "lie10-directional-derivative"),
+           ("lie01-on-functions", "lie01-directional-derivative"),
+           lambda s, xi, f: (s.lie(xi, ChartForm.from_function(f)),
+                             ChartForm.from_function(xi.apply(f)))))
+    twins(field_form,
+          (("lie10-del-commutes", "lie10-del-commutator-zero"),
+           ("lie01-delbar-commutes", "lie01-delbar-commutator-zero"),
+           lambda s, xi, u: (s.lie(xi, s.del_(u)), s.del_(s.lie(xi, u)))),
+          (("lie10-delbar-commutator", "lie10-delbar-equals-del-dbarxi"),
+           ("lie01-del-commutator", "lie01-del-equals-delbar-deleta"),
+           lambda s, xi, u: (s.lie(xi, s.delbar(u)) - s.delbar(s.lie(xi, u)),
+                             s.del_(s.bar_contract(xi, u))
+                             - s.bar_contract(xi, s.del_(u)))))
+    twins(fields_form,
+          (("contract-lie10-commutator", "bracket-contraction"),
+           ("contract-lie01-commutator", "bracket-contraction-conj"),
+           lambda s, xi, eta, u: (contract(xi, s.lie(eta, u))
+                                  - s.lie(eta, contract(xi, u)),
+                                  contract(lie_bracket(xi, eta), u))),
+          (("lie10-lie10-commutator", "lie10-of-bracket"),
+           ("lie01-lie01-commutator", "lie01-of-bracket"),
+           lambda s, xi, eta, u: (s.lie(xi, s.lie(eta, u))
+                                  - s.lie(eta, s.lie(xi, u)),
+                                  s.lie(lie_bracket(xi, eta), u))))
+    twins(field_forms, (("lie10-leibniz", "lie10-wedge-derivation"),
+                        ("lie01-leibniz", "lie01-wedge-derivation"),
+                        lambda s, xi, u, v: (s.lie(xi, wedge(u, v)),
+                                             wedge(s.lie(xi, u), v)
+                                             + wedge(u, s.lie(xi, v)))))
+    twins(holo_other_form,
+          (("lie10-through-anti-contraction", "holomorphic-pushthrough"),
+           ("lie01-through-holo-contraction", "holomorphic-pushthrough-conj"),
+           lambda s, xi, eb, a: (s.lie(xi, contract(eb, a)),
+                                 contract(eb, s.lie(xi, a))
+                                 + contract(lie_bracket(xi, eb), a))))
+    twins(linear_data,
+          (("lie10-function-linear-0q", "function-linearity-0q"),
+           ("lie01-function-linear-p0", "function-linearity-p0"),
+           lambda s, f, g, xi, eta, a: (s.lie(xi.scale(f) + eta.scale(g), a),
+                                        s.lie(xi, a).scale(f)
+                                        + s.lie(eta, a).scale(g))))
 
     # documented restriction: function-linearity fails off (0,q) forms
     def gen_vii_fail(r):
@@ -574,26 +546,27 @@ def identity_suite(seed: int = 0, trials: int = 50) -> SuiteReport:
             return (alpha, fields)
         _check(rep, rng, "del-intrinsic-k%d" % k, "cartan-formula-del", trials,
                gen_cartan, lambda alpha, fields:
-               (evaluate(chart_del(alpha), fields), cartan_rhs(alpha, fields)))
+               (evaluate(alpha.del_(), fields), cartan_rhs(alpha, fields)))
 
     # conjugation symmetry
     _check(rep, rng, "conjugation-symmetry", "conj-swaps-lie10-lie01", trials,
-           gen_i, lambda xi, u: (lie10(xi, u).conj(), lie01(xi.conj(), u.conj())))
+           lambda r: field_form(_SIDES[0], r, dims(r)),
+           lambda xi, u: (lie10(xi, u).conj(), lie01(xi.conj(), u.conj())))
 
     # graded-operator sanity on concrete forms
     def gen_sq(r):
         d = dims(r)
         return (any_form(r, d),)
     _check(rep, rng, "del-squared", "del-del-zero", trials, gen_sq,
-           lambda u: (chart_del(chart_del(u)), ChartForm.zero(u.dim)))
+           lambda u: (u.del_().del_(), ChartForm.zero(u.dim)))
     _check(rep, rng, "delbar-squared", "delbar-delbar-zero", trials, gen_sq,
-           lambda u: (chart_delbar(chart_delbar(u)), ChartForm.zero(u.dim)))
+           lambda u: (u.delbar().delbar(), ChartForm.zero(u.dim)))
     _check(rep, rng, "del-delbar-anticommute", "del-delbar-anticommutator-zero",
            trials, gen_sq,
-           lambda u: (chart_del(chart_delbar(u)) + chart_delbar(chart_del(u)),
+           lambda u: (u.delbar().del_() + u.del_().delbar(),
                       ChartForm.zero(u.dim)))
     _check(rep, rng, "d-squared", "d-d-zero", trials, gen_sq,
-           lambda u: (chart_d(chart_d(u)), ChartForm.zero(u.dim)))
+           lambda u: (u.d().d(), ChartForm.zero(u.dim)))
 
     # mixed second derivative of a function against the two Lie derivatives
     for rec in mixed_second_derivative_check(seed=seed + 1, trials=trials).records:
@@ -612,29 +585,26 @@ def mixed_second_derivative_check(seed: int = 0, trials: int = 50) -> SuiteRepor
     rng = random.Random(seed)
     rep = SuiteReport(seed=seed, trials=trials)
 
-    def iddbar(f: Poly) -> ChartForm:
-        return chart_del(chart_delbar(ChartForm.from_function(f))).scale(I)
-
-    def pair(u: ChartForm, v, w) -> Poly:
-        return evaluate(u, [v, w.conj()])
+    def lhs_rhs(f, v, w, lie10_first=False):
+        u, wbar = ChartForm.from_function(f), w.conj()
+        lies = (lie01(wbar, lie10(v, u)) if lie10_first
+                else lie10(v, lie01(wbar, u)))
+        return (evaluate(u.delbar().del_().scale(I), [v, wbar]),
+                I * evaluate(lies, []))
 
     def gen_holo_w(r):
         d = r.choice((2, 3))
         return (random_poly(r, d), random_field(r, d),
                 random_holomorphic_field(r, d))
     _check(rep, rng, "mixed-hessian-holo-second", "iddbar-vs-lie10-lie01", trials,
-           gen_holo_w, lambda f, v, w:
-           (pair(iddbar(f), v, w),
-            I * evaluate(lie10(v, lie01(w.conj(), ChartForm.from_function(f))), [])))
+           gen_holo_w, lhs_rhs)
 
     def gen_holo_v(r):
         d = r.choice((2, 3))
         return (random_poly(r, d), random_holomorphic_field(r, d),
                 random_field(r, d))
     _check(rep, rng, "mixed-hessian-holo-first", "iddbar-vs-lie01-lie10", trials,
-           gen_holo_v, lambda f, v, w:
-           (pair(iddbar(f), v, w),
-            I * evaluate(lie01(w.conj(), lie10(v, ChartForm.from_function(f))), [])))
+           gen_holo_v, partial(lhs_rhs, lie10_first=True))
 
     def gen_frames(r):
         d = r.choice((2, 3))
@@ -643,9 +613,7 @@ def mixed_second_derivative_check(seed: int = 0, trials: int = 50) -> SuiteRepor
         return (random_poly(r, d), ChartVectorField.frame(d, l),
                 ChartVectorField.frame(d, k))
     _check(rep, rng, "mixed-hessian-frames", "iddbar-coordinate-identity", trials,
-           gen_frames, lambda f, v, w:
-           (pair(iddbar(f), v, w),
-            I * evaluate(lie10(v, lie01(w.conj(), ChartForm.from_function(f))), [])))
+           gen_frames, lhs_rhs)
 
     def gen_nonholo(r):
         d = 2
@@ -654,8 +622,5 @@ def mixed_second_derivative_check(seed: int = 0, trials: int = 50) -> SuiteRepor
         w = ChartVectorField(d, HOLO, [Poly.zbar(d, 1), Poly(d)])
         return (f, v, w)
     _check(rep, rng, "mixed-hessian-nonholo-probe", "iddbar-needs-holomorphic-argument",
-           trials, gen_nonholo, lambda f, v, w:
-           (pair(iddbar(f), v, w),
-            I * evaluate(lie10(v, lie01(w.conj(), ChartForm.from_function(f))), [])),
-           expected_failure=True)
+           trials, gen_nonholo, lhs_rhs, expected_failure=True)
     return rep

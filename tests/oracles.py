@@ -281,6 +281,40 @@ def linear_oracle_d1(F: np.ndarray, gram) -> Tuple[np.ndarray, float]:
     return phi - phi.max(), C
 
 
+def _cosine_sum(res: int, modes, d: int):
+    """u = sum_m a_m cos(2 pi k_m . j / res) on the grid j, with its
+    closed-form gradient G[r] = du/dr and Hessian D[r, s] = d^2u/dr ds in
+    the real axes (2 pi / res per index step)."""
+    j = np.indices((res,) * (2 * d))
+    u = np.zeros((res,) * (2 * d))
+    G = np.zeros((2 * d,) + u.shape)
+    D = np.zeros((2 * d, 2 * d) + u.shape)
+    for k, a in modes:
+        phase = (sum(int(c) * jc for c, jc in zip(k, j)) % res
+                 * (2 * np.pi / res))
+        wave = np.cos(phase)
+        u += a * wave
+        for r in range(2 * d):
+            G[r] -= 2 * np.pi * a * k[r] * np.sin(phase)
+            for s in range(2 * d):
+                D[r, s] -= (2 * np.pi) ** 2 * a * k[r] * k[s] * wave
+    return u, G, D
+
+
+def _forcing(D: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """F = log det(g + H) - log det g for the real Hessian D of phi*:
+    H[p,q] = d^2 phi* / dz_p dzbar_q = (D(x_p, x_q) + D(y_p, y_q)
+    + i (D(x_p, y_q) - D(y_p, x_q))) / 4."""
+    d = g.shape[0]
+    A = np.empty(D.shape[2:] + (d, d), dtype=complex)
+    for p in range(d):
+        for q in range(d):
+            xp, yp, xq, yq = 2 * p, 2 * p + 1, 2 * q, 2 * q + 1
+            A[..., p, q] = g[p, q] + (D[xp, xq] + D[yp, yq]
+                                      + 1j * (D[xp, yq] - D[yp, xq])) / 4
+    return np.log(np.linalg.det(A).real) - np.log(np.linalg.det(g).real)
+
+
 def manufactured_forcing(res: int, modes,
                          gram) -> Tuple[np.ndarray, np.ndarray]:
     """Samples of phi* = sum_m a_m cos(2 pi k_m . u) and of the forcing F
@@ -290,31 +324,24 @@ def manufactured_forcing(res: int, modes,
     y_1, ..., x_d, y_d) with z_p = x_p + i y_p; each phase is the integer
     k.j mod res times 2 pi / res, so a grid translation v with k.v = 0 (mod
     res) for every mode leaves both sample arrays bitwise unchanged.
-    H[p,q] = d^2 phi* / dz_p dzbar_q = (D(x_p, x_q) + D(y_p, y_q)
-    + i (D(x_p, y_q) - D(y_p, x_q))) / 4 with the closed form D(r, s) =
-    -(2 pi)^2 sum_m a_m k_r k_s cos, and F = log det(g + H) - log det g.
-    Returns (phi*, F), each of shape (res,) * 2d.
+    phi*'s second derivatives take the closed form D(r, s) = -(2 pi)^2
+    sum_m a_m k_r k_s cos.  Returns (phi*, F), each of shape (res,) * 2d.
     """
     g = np.asarray(gram, dtype=complex)
-    d = g.shape[0]
-    j = np.indices((res,) * (2 * d))
-    phi = np.zeros((res,) * (2 * d))
-    D = np.zeros((2 * d, 2 * d) + phi.shape)
-    for k, a in modes:
-        wave = np.cos(sum(int(c) * jc for c, jc in zip(k, j)) % res
-                      * (2 * np.pi / res))
-        phi += a * wave
-        for r in range(2 * d):
-            for s in range(2 * d):
-                D[r, s] -= (2 * np.pi) ** 2 * a * k[r] * k[s] * wave
-    A = np.empty(phi.shape + (d, d), dtype=complex)
-    for p in range(d):
-        for q in range(d):
-            xp, yp, xq, yq = 2 * p, 2 * p + 1, 2 * q, 2 * q + 1
-            A[..., p, q] = g[p, q] + (D[xp, xq] + D[yp, yq]
-                                      + 1j * (D[xp, yq] - D[yp, xq])) / 4
-    F = np.log(np.linalg.det(A).real) - np.log(np.linalg.det(g).real)
-    return phi, F
+    phi, _, D = _cosine_sum(res, modes, g.shape[0])
+    return phi, _forcing(D, g)
+
+
+def analytic_manufactured_forcing(res: int, modes, gram, eps: float
+                                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """As ``manufactured_forcing`` for phi* = eps e^u, u the sum of cosines
+    of ``modes``: analytic but not band-limited, so a spectral solve finds
+    it only up to a gap that falls exponentially with res.  phi*'s second
+    derivatives take the closed form phi* (du/dr du/ds + d^2u/dr ds)."""
+    g = np.asarray(gram, dtype=complex)
+    u, G, D = _cosine_sum(res, modes, g.shape[0])
+    phi = eps * np.exp(u)
+    return phi, _forcing(phi * (G[:, None] * G[None, :] + D), g)
 
 
 class FracPair:

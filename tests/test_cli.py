@@ -341,6 +341,15 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "bad.tuple:3" in err
     code, _, err = run_cli(["ma", "--dim", "1", "--res", "10"], capsys)
     assert code == 2
+    # one forcing file: the valid modes must not hide 64 nan samples
+    modes, samples = tmp_path / "m.modes", tmp_path / "s.samples"
+    modes.write_text("1 0 0.3\n")
+    samples.write_text("nan\n" * 64)
+    with pytest.raises(SystemExit) as exc:
+        main(["ma", "--dim", "1", "--res", "8", "--modes", str(modes),
+              "--samples", str(samples)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--modes" in err and "--samples" in err
 
 
 @pytest.mark.parametrize("argv, bad", [

@@ -15,9 +15,8 @@ import random
 from balmap.catalog import MODELS
 from balmap.exact import CRat
 from balmap import symalg
-from balmap.symalg import (ChartForm, ChartVectorField, Poly, chart_d,
-                           chart_del, chart_delbar, contract, lie01, lie10,
-                           lie_bracket, wedge)
+from balmap.symalg import (ChartForm, ChartVectorField, Poly, contract,
+                           lie01, lie10, lie_bracket, wedge)
 from balmap.forms import MixedField
 from balmap.invariant import ANTI, HOLO, InvForm, InvVectorField
 
@@ -88,7 +87,7 @@ def test_coframe_realizes_structure_constants():
     for model in (IW, HM):
         phis = coframe(model)
         for k in range(1, 4):
-            got = chart_d(phis[k - 1])
+            got = phis[k - 1].d()
             want = embed_form(model, model.phi(k).d())
             assert got == want, (model.name, k)
         # duality phi^i(Z_j) = delta_ij, phi^i(Zbar_j) = 0
@@ -133,9 +132,9 @@ def test_derivatives_intertwine():
         for _ in range(12):
             u = rand_invform(rng, model, rng.randint(0, 3), rng.randint(0, 3))
             assert embed_form(model, model.ce_del(u)) \
-                == chart_del(embed_form(model, u))
+                == embed_form(model, u).del_()
             assert embed_form(model, model.ce_delbar(u)) \
-                == chart_delbar(embed_form(model, u))
+                == embed_form(model, u).delbar()
 
 
 def test_contraction_intertwines():

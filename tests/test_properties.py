@@ -1,8 +1,9 @@
-"""Cross-layer cohomology laws on generated nilpotent models.
+"""Cross-layer cohomology laws on generated nilpotent and solvable models.
 
 The generator draws d(phi^k) as random (2,0) and (1,1) combinations of
 lower-index coframe letters, so every accepted model is nilpotent; drafts
-that LieModel rejects (d^2 != 0) and tori are redrawn.  On each accepted model the
+that LieModel rejects (d^2 != 0) and tori are redrawn.  On each accepted model,
+and on the unimodular seeded solvable models of dimension 3 and 4, the
 exact Bott-Chern and Aeppli dimensions must satisfy
 
 * duality: h_BC^{p,q} = h_A^{n-p,n-q};
@@ -56,10 +57,23 @@ def dim_of(seed: int) -> int:
     return 3 if seed < 3 else 4 if seed < 6 else 5
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_duality_and_conjugation_symmetry_on_generated_models(seed):
-    rng = random.Random(seed)
-    model = random_nilpotent_model(rng, dim_of(seed))
+# the unimodular solvable_diff models, as "solvable<seed>-<dim>"
+SOLVABLE = ["solvable%d-%d" % (s, d) for d in (3, 4) for s in range(4)]
+
+
+def drawn_model(case):
+    """The nilpotent model drawn from an int seed, or a SOLVABLE model, and
+    the generator that draws the rest of the case's data."""
+    if isinstance(case, int):
+        rng = random.Random(case)
+        return rng, random_nilpotent_model(rng, dim_of(case))
+    seed, dim = map(int, case[8:].split("-"))
+    return random.Random(seed), LieModel(case, dim, solvable_diff(seed, dim))
+
+
+@pytest.mark.parametrize("case", list(range(10)) + SOLVABLE)
+def test_duality_and_conjugation_symmetry_on_generated_models(case):
+    _, model = drawn_model(case)
     n = model.dim
     bc = {(p, q): bc_dim(model, p, q) for p in range(n + 1) for q in range(n + 1)}
     ae = {(p, q): aeppli_dim(model, p, q) for p in range(n + 1) for q in range(n + 1)}
@@ -68,10 +82,9 @@ def test_duality_and_conjugation_symmetry_on_generated_models(seed):
         assert h == bc[(q, p)], ("conjugation symmetry", model.diff, p, q)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_harmonic_kernel_has_the_exact_dimension_on_generated_models(seed):
-    rng = random.Random(seed)
-    model = random_nilpotent_model(rng, dim_of(seed))
+@pytest.mark.parametrize("case", list(range(10)) + SOLVABLE)
+def test_harmonic_kernel_has_the_exact_dimension_on_generated_models(case):
+    rng, model = drawn_model(case)
     n = model.dim
     B = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
                   for _ in range(n)])
