@@ -130,7 +130,7 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    rep = Report(command="cohomology", seed=None)
+    rep = Report(command="cohomology")
     try:
         model = MODELS[args.model] if args.model in MODELS else load_model(args.model)
     except (ParseError, ModelError, OSError) as e:
@@ -227,7 +227,7 @@ def cmd_theorem(args) -> int:
         steps = [float(s) for s in args.steps.split(",")]
     except (ParseError, ValidationError, ValueError, OSError, KeyError) as e:
         return _input_error(e)
-    rep = Report(command="theorem", seed=args.seed)
+    rep = Report(command="theorem")
     rep.extra["map"] = f.name
     try:
         fr = flow_derivative_check(f, xi, eta, steps=steps)
@@ -279,7 +279,7 @@ def cmd_ma(args) -> int:
         gram = np.eye(args.dim)
     except (GridError, OSError) as e:
         return _input_error(e)
-    rep = Report(command="ma", seed=args.seed)
+    rep = Report(command="ma")
     rep.extra["dim"] = args.dim
     rep.extra["res"] = args.res
     try:
@@ -347,25 +347,27 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=_positive_int, default=20)
-        p.add_argument("--format", choices=("human", "structured"),
-                       default="human")
-        p.add_argument("--output", default=None,
-                       help="write the report to a file instead of stdout")
+    # every command writes a report; only the two that draw random data
+    # (the identity suite and the gauge trials) take a seed and a trial count
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("human", "structured"),
+                        default="human")
+    report.add_argument("--output", default=None,
+                        help="write the report to a file instead of stdout")
+    drawn = argparse.ArgumentParser(add_help=False)
+    drawn.add_argument("--seed", type=int, default=0)
+    drawn.add_argument("--trials", type=_positive_int, default=20)
 
-    p = sub.add_parser("catalog", help="list shipped models and maps")
-    common(p)
+    p = sub.add_parser("catalog", parents=[report],
+                       help="list shipped models and maps")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("verify-identities",
+    p = sub.add_parser("verify-identities", parents=[drawn, report],
                        help="run the exact Lie-derivative identity suite")
-    common(p)
     p.set_defaults(func=cmd_verify_identities)
 
-    p = sub.add_parser("cohomology", help="exact invariant cohomology dimension")
-    common(p)
+    p = sub.add_parser("cohomology", parents=[report],
+                       help="exact invariant cohomology dimension")
     p.add_argument("--model", required=True,
                    help="catalog model name or model file path")
     p.add_argument("--p", type=int, required=True)
@@ -373,19 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("aeppli", "bottchern"), required=True)
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("moment", help="membership, pairing and gauge invariance")
-    common(p)
+    p = sub.add_parser("moment", parents=[drawn, report],
+                       help="membership, pairing and gauge invariance")
     p.add_argument("--map", required=True,
                    help="catalog map name or map file path")
     p.add_argument("--tuple", required=True, help="tuple file path")
-    p.add_argument("--gamma-policy", choices=("neumann", "any-solution"),
-                   default=None)
+    p.add_argument("--gamma-policy", choices=("neumann", "any-solution"))
     p.set_defaults(func=cmd_moment)
 
-    p = sub.add_parser("theorem",
+    p = sub.add_parser("theorem", parents=[report],
                        help="finite-difference confirmation of the "
                             "moment-map derivative identity")
-    common(p)
     p.add_argument("--map", required=True)
     p.add_argument("--xi", required=True,
                    help="comma-separated rational frame coefficients")
@@ -393,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", default="1e-1,5e-2,2.5e-2")
     p.set_defaults(func=cmd_theorem)
 
-    p = sub.add_parser("ma", help="volume-normalization solve on a flat torus")
-    common(p)
+    p = sub.add_parser("ma", parents=[report],
+                       help="volume-normalization solve on a flat torus")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--res", type=int, default=16)
     p.add_argument("--tol", type=float, default=1e-10)

@@ -173,30 +173,39 @@ def _constant_along(v: np.ndarray, a: int) -> bool:
 def _translations(res: int, cut: Sequence[np.ndarray]):
     """Grid translations under which each of the fields whose
     ``_constant_axis_cut`` is ``cut`` is bitwise unchanged, in the form of
-    ``_Quotient.vectors``.  Candidates come from the integer null space of
-    the cut's joint spectral support (a 1e-12 threshold only proposes), in
-    Gauss-Jordan form mod res with odd pivots, and each is kept only if
-    ``np.roll`` by it leaves every field of the cut unchanged; a cut axis
-    gives its e_a."""
+    ``_Quotient.vectors``.  Candidates solve k.v = 0 on the cut's joint
+    spectral support (a 1e-12 threshold only proposes), first over the
+    integers, then mod res, as a wavenumber on or past a Nyquist plane
+    needs, in one Gauss-Jordan form mod res with odd pivots; each is kept
+    only if ``np.roll`` by it leaves every field of the cut unchanged.  A
+    cut axis gives its e_a."""
     n = cut[0].ndim
     power = sum(np.abs(np.fft.rfftn(v)) for v in cut)
-    k = np.array(np.nonzero(power > 1e-12 * power.max())).T
-    k[:, :-1] = (k[:, :-1] + res // 2) % res - res // 2   # fftfreq's integers
-    # Gauss-Jordan form of k^T k in integers, whose null space is k's
-    rows, pivots = [list(map(int, r)) for r in k.T @ k], []
-    for c in range(n):
-        i = next((i for i in range(len(pivots), n) if rows[i][c]), None)
-        if i is not None:
-            r = rows.pop(i)
-            rows = [[x * r[c] - s[c] * y for x, y in zip(s, r)] for s in rows]
-            rows.insert(len(pivots), r)
-            pivots.append(c)
+    k = np.array(np.nonzero(power > 1e-12 * power.max()))
+    k[:-1] = (k[:-1] + res // 2 & res - 1) - res // 2   # fftfreq's integers
+    # k reduced mod 2^64, whose null space is the integer one mod res while
+    # k's minors are far below 2^64 / res (below 2^26 on any grid TorusGrid
+    # admits), then mod res, by row operations on the axes tracked in
+    # ``unit``, each pivoting on an entry 2^b u (u odd) of least b; the unit
+    # rows left with zero columns span the null space up to even vectors,
+    # which pivot nothing
     todo, basis = [], []
-    lcm = math.lcm(*(rows[i][c] for i, c in enumerate(pivots)))
-    for f in set(range(n)) - set(pivots):   # x_f = lcm solves for the rest
-        v = [-rows[pivots.index(c)][f] * lcm // rows[pivots.index(c)][c]
-             if c in pivots else lcm * (c == f) for c in range(n)]
-        todo.append([x // math.gcd(*v) % res for x in v])
+    for mod in (2 ** 64, res):
+        rows, unit = k.astype(np.uint64), np.eye(n, dtype=np.uint64)
+        active = list(range(n))
+        while active:   # a row's least 2^b: the lowest bit of its entries' OR
+            b, i = min((min((o & -o) or mod, mod), i) for i in active
+                       for o in [int(np.bitwise_or.reduce(rows[i]))])
+            if b == mod:
+                break
+            active.remove(i)
+            c = int(np.argmax(rows[i] & b))   # an entry 2^b u
+            u = pow(int(rows[i, c]) // b, -1, mod)
+            for r in active:
+                f = int(rows[r, c]) // b * u % mod
+                rows[r] -= f * rows[i]
+                unit[r] -= f * unit[i]
+        todo += [[int(x) % res for x in unit[i]] for i in active]
     for p in range(n):   # the last axis is the pivot of e_last alone
         v = next((v for v in todo if v[p] % 2
                   and (p < n - 1 or not any(v[:-1]))), None)
@@ -379,17 +388,17 @@ class HessianOp:
                 np.add(term, g.imag if imag else g.real, out=plane)
         return out
 
-    def weighted_sum(self, vhat: np.ndarray, weights: Sequence[np.ndarray],
+    def weighted_sum(self, vhat: np.ndarray, weights: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-        """sum_t w_t irfft(symbol_t vhat) over the parts t into ``out``, with
-        one weight array per stack; the sum over a stack's leading axis adds
-        its terms in part order.  A one-part stack writes into ``out``."""
+        """sum_t w_t irfft(symbol_t vhat) over the parts t into ``out``, the
+        w_t stacked along a leading axis; the sum over a stack's leading axis
+        adds its terms in part order.  A one-part stack writes into ``out``."""
         n = self._depth
         work = np.empty((n,) + vhat.shape, complex)
-        for t, w in zip(range(0, len(self.parts()), n), weights):
+        for t in range(0, len(self.parts()), n):
             np.multiply(self.symbols(t, n), vhat, out=work)
             terms = self.irfft(work, out=None if t or n > 1 else out[None])
-            terms *= w
+            terms *= weights[t:t + n]
             if n > 1:
                 np.sum(terms, axis=0, out=out)
             elif t:
@@ -702,10 +711,9 @@ def _solve_ma_direct(F: ScalarField, g: np.ndarray, tol: float,
         del A
         for jk in [(j, k) for j, k in adj if j < k]:
             adj[jk] *= 2   # A[j,k] and A[k,j] = conj A[j,k] both enter
-        weights = [adj[(j, k)].imag if imag else adj[(j, k)].real
-                   for j, k, imag in op.parts()]
-        if op._depth > 1:   # the matvec's stack, a copy: A's arrays can go
-            weights = np.array(weights)
+        # the matvec's weights as one stack, a copy: A's arrays can go
+        weights = np.array([adj[(j, k)].imag if imag else adj[(j, k)].real
+                            for j, k, imag in op.parts()])
         del adj
         # forcing term on ||D^-1 (R + L psi)||: shrink with the residual, but
         # never ask for more than a tenth of what the outer tolerance can use
@@ -752,15 +760,14 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     L psi = sum_t w_t irfft(symbol_t * psihat) over the parts t of ``op``; it
     stops on ||D^-1 (R + L psi)|| / ||D^-1 R||.  P is the mean-weight symbol.
     D = sum_t c_t w_t(x), c_t = sum_k |Rhat_k|^2 symbol_t(k), is the symbol at
-    x averaged over the residual's spectrum, at mean 1; it scales
-    ``weights`` (w_t, or their stack on the ``numpy.fft`` path) and ``R`` in
-    place.  Once GMRES has its normalized copy of R,
-    each matvec sums into R's array, so the caller's R is spent and no second
-    copy of it is held.  One-point weights (a zero start's A = g) make L = P
-    and D = 1, so D^-1 L P^-1 = I and psi = -P^-1 R in closed form, with no
-    GMRES call and 0 iterations.  Returns the half spectrum psihat of the
-    mean-free psi, the GMRES iteration (matvec) count, and 1 if GMRES stopped
-    at its iteration limit (0 otherwise)."""
+    x averaged over the residual's spectrum, at mean 1; it scales ``weights``,
+    the w_t stacked along a leading axis, and ``R`` in place.  Once GMRES has
+    its normalized copy of R, each matvec sums into R's array, so the caller's
+    R is spent and no second copy of it is held.  One-point weights (a zero
+    start's A = g) make L = P and D = 1, so D^-1 L P^-1 = I and psi = -P^-1 R
+    in closed form, with no GMRES call and 0 iterations.  Returns the half
+    spectrum psihat of the mean-free psi, the GMRES iteration (matvec) count,
+    and 1 if GMRES stopped at its iteration limit (0 otherwise)."""
     grid = op.grid
     flat_idx = (0,) * (2 * grid.dim)
 
@@ -788,9 +795,7 @@ def _newton_direction(op: HessianOp, weights, R: np.ndarray, rtol: float):
     del power
     scale = sum(c * w for c, w in zip(coef, weights))
     scale /= scale.mean()
-    weights = [np.asarray(weights)] if op._depth > 1 else weights   # per stack
-    for w in weights:
-        w /= scale
+    weights /= scale
     R /= scale   # the caller's R, which _solve_ma_direct drops next
     del scale
 

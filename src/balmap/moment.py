@@ -401,11 +401,10 @@ def _check_tuple(f: MapSpec, t: MomentTuple, admissible: bool = True) -> None:
                                   % (pg.residual_bar, pg.residual_del))
 
 
-def mu_eval(f: MapSpec, t: MomentTuple,
-            gamma_policy: Optional[str] = None) -> complex:
-    """i * integral of Gamma(tuple) dV with Gamma under the chosen policy."""
+def mu_eval(f: MapSpec, t: MomentTuple) -> complex:
+    """i * integral of Gamma(tuple) dV with Gamma under the tuple's policy."""
     _check_tuple(f, t)
-    gamma = _gamma_for(f, gamma_policy or t.gamma_policy)
+    gamma = _gamma_for(f, t.gamma_policy)
     return pairing_value(gamma, t, f.source)
 
 

@@ -48,12 +48,9 @@ class CheckRecord:
     def to_json(self) -> dict:
         out = {"type": "check", "name": self.name, "law": self.law,
                "status": self.status}
-        if self.residual is not None:
-            out["residual"] = self.residual
-        if self.detail is not None:
-            out["detail"] = self.detail
-        if self.provenance is not None:
-            out["provenance"] = self.provenance
+        optional = (("residual", self.residual), ("detail", self.detail),
+                    ("provenance", self.provenance))
+        out.update((key, v) for key, v in optional if v is not None)
         return out
 
 
@@ -81,12 +78,9 @@ class Report:
     def ok(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
 
-    def validate(self):
+    def to_lines(self, version: str) -> List[str]:
         for c in self.checks:
             c.validate()
-
-    def to_lines(self, version: str) -> List[str]:
-        self.validate()
         header = {"type": "header", "schema": SCHEMA_VERSION,
                   "command": self.command, "version": version}
         if self.seed is not None:

@@ -1,5 +1,6 @@
 """Command-line surface: reports, determinism, exit codes, file handling."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from balmap import cli
 from balmap.cli import main
 from balmap.reports import CheckRecord, Report, SchemaError
 
@@ -383,12 +385,70 @@ def test_out_of_range_input_exits_2_naming_the_value(argv, bad, capsys):
     assert "passed" not in out
 
 
-@pytest.mark.parametrize("command", ["verify-identities", "catalog"])
+@pytest.mark.parametrize("command", ["verify-identities", "moment"])
 def test_non_positive_trials_exit_2(command, capsys):
     with pytest.raises(SystemExit) as e:
         main([command, "--trials", "0"])
     assert e.value.code == 2
     assert "'0' is not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--seed", "0"],
+    ["cohomology", "--model", "torus2", "--p", "1", "--q", "1", "--kind",
+     "bottchern", "--trials", "3"],
+    ["theorem", "--map", "nakamura_shear", "--xi", "1/2,0,0", "--eta",
+     "1/2,0,0", "--seed", "1"],
+    ["ma", "--dim", "1", "--res", "8", "--trials", "5"],
+])
+def test_seed_and_trials_only_on_commands_that_draw_data(argv, capsys):
+    # only the identity suite and the gauge trials draw random data
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in (
+        capsys.readouterr().err)
+
+
+def test_every_option_of_a_command_is_read(tmp_path, monkeypatch, capsys):
+    # an option that its command never reads is input that selects nothing
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv: parse(argv, Recording()))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    tf = tmp_path / "t.tuple"
+    tf.write_text(TUPLE_Z3)
+    runs = {
+        "catalog": [],
+        "verify-identities": ["--trials", "8"],
+        "cohomology": ["--model", "torus2", "--p", "1", "--q", "1",
+                       "--kind", "bottchern"],
+        "moment": ["--map", "iwasawa_to_t3", "--tuple", str(tf),
+                   "--trials", "2"],
+        "theorem": ["--map", "nakamura_shear", "--xi", "1/2,0,0",
+                    "--eta", "1/2,0,0"],
+        # no forcing file: both --modes and --samples are read
+        "ma": ["--dim", "1", "--res", "8",
+               "--solution-out", str(tmp_path / "phi.txt")],
+    }
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(runs)
+    for command, argv in runs.items():
+        options = {a.dest for a in sub.choices[command]._actions
+                   if a.dest != "help"}
+        assert main([command] + argv) == 0, command
+        capsys.readouterr()
+        assert options <= reads, (command, options - reads)
+        reads.clear()
 
 
 def test_moment_rejects_tuple_on_another_model(tmp_path, capsys):

@@ -109,10 +109,13 @@ def case(rng, tmp):
             argv += ["--samples", file("samples", "\n".join(
                 "%.3f" % rng.uniform(-0.1, 0.1)
                 for _ in range(n if 0 < n <= 8 ** 4 else 4)))]
-    elif kind == 6:
-        argv = [rng.choice(["catalog", "verify-identities"]),
-                "--trials", rng.choice(["1", "2"] + BAD),
-                "--seed", rng.choice(["0", "7"] + BAD)]
+    elif kind == 6:   # the two commands that take a seed and a trial count
+        tuple_path = tmp / "valid.tuple"
+        tuple_path.write_text(TUPLE)
+        argv = rng.choice([["verify-identities"], [
+            "moment", "--map", "iwasawa_to_t3", "--tuple", str(tuple_path)]])
+        argv += ["--trials", rng.choice(["1", "2"] + BAD),
+                 "--seed", rng.choice(["0", "7"] + BAD)]
     else:
         argv = rng.choice([["catalog"], ["cohomology", "--model", "iwasawa",
                                          "--p", "1", "--q", "1", "--kind",

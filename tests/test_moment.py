@@ -264,9 +264,9 @@ def test_contraction_derivative_invariant_models():
 
 def test_mu_value_on_catalog_example():
     f = get_map("iwasawa_to_t3")
-    t = MomentTuple([IW.frame(3)], [IW.frame_bar(3)])
-    v_n = mu_eval(f, t, gamma_policy="neumann")
-    v_a = mu_eval(f, t, gamma_policy="any-solution")
+    v_n = mu_eval(f, MomentTuple([IW.frame(3)], [IW.frame_bar(3)], "neumann"))
+    v_a = mu_eval(f, MomentTuple([IW.frame(3)], [IW.frame_bar(3)],
+                                 "any-solution"))
     assert abs(v_n - (-1)) < 1e-12
     assert abs(v_a - (-1)) < 1e-12
 
@@ -274,9 +274,10 @@ def test_mu_value_on_catalog_example():
 def test_mu_policies_agree_for_admissible_tuples():
     f = get_map("iwasawa_to_t3")
     for (j, k) in [(1, 1), (2, 2), (3, 3), (1, 2)]:
-        t = MomentTuple([IW.frame(j)], [IW.frame_bar(k)])
-        v_n = mu_eval(f, t, gamma_policy="neumann")
-        v_a = mu_eval(f, t, gamma_policy="any-solution")
+        v_n = mu_eval(f, MomentTuple([IW.frame(j)], [IW.frame_bar(k)],
+                                     "neumann"))
+        v_a = mu_eval(f, MomentTuple([IW.frame(j)], [IW.frame_bar(k)],
+                                     "any-solution"))
         assert abs(v_n - v_a) < 1e-10
 
 
@@ -296,11 +297,10 @@ def test_zero_map_pairs_the_empty_tuple_to_zero():
     T1, T2 = MODELS["torus1"], MODELS["torus2"]
     f = MapSpec("zero", T1, BalancedTarget(T2, standard_metric_form(T2)),
                 [[CRat(0)], [CRat(0)]])
-    t = MomentTuple([], [])
     assert x_membership(f).member
     for policy in ("neumann", "any-solution"):
-        assert mu_eval(f, t, gamma_policy=policy) == 0
-    rep = well_definedness_check(f, t, trials=5)
+        assert mu_eval(f, MomentTuple([], [], policy)) == 0
+    rep = well_definedness_check(f, MomentTuple([], []), trials=5)
     assert rep.base_value == 0 and rep.max_deviation == 0
     assert rep.reversal_ok
 
